@@ -14,6 +14,14 @@ enumeration with early exit.  Reported counterexamples are always the
 lexicographically least violating committee under class-index-then-vertex
 order, so results are reproducible.
 
+The exact search applies the per-vertex tests inside the canonical
+enumeration, cutting every subtree in which some vertex can no longer have
+a whole class inside its neighbourhood.  CDOM, and CONNECTED on a connected
+graph with at least two vertices, are cut with the DOM test, since a
+coloring compelling them also compels domination; CONNECTED on other
+graphs and EDGE are not cut.  Only the colorings that survive the cut reach
+the committee searches, and the witness is the one the uncut search finds.
+
 Everything here is a pure function; single-threaded execution throughout.
 """
 
@@ -243,17 +251,6 @@ def _find_violating_committee(
     return None
 
 
-def _compelled_verdict(g: Graph, prop: SubsetProperty, class_masks, classes) -> bool:
-    """Fast verdict used inside the chromatic search (no counterexample)."""
-    if prop is SubsetProperty.DOM:
-        return _dom_compelled(g, class_masks)
-    if prop in (SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE):
-        return _tdom_compelled(g, class_masks)
-    if prop is SubsetProperty.EDGE:
-        return _find_independent_committee(g, class_masks) is None
-    return _find_violating_committee(g, classes, prop) is None
-
-
 def is_compelling(g: Graph, coloring: Coloring, prop: SubsetProperty) -> CompellingReport:
     """Decide whether ``coloring`` compels ``prop`` on ``g``.
 
@@ -283,40 +280,110 @@ def is_compelling(g: Graph, coloring: Coloring, prop: SubsetProperty) -> Compell
 # ---------------------------------------------------------------------------
 
 
-def _iter_canonical(g: Graph, k: int):
+def _iter_canonical(g: Graph, k: int, cover=None, deadline: float | None = None):
     """Yield every canonical proper coloring of g with exactly k colors.
 
     Canonical means a vertex may take color c only when c is at most one
     more than the largest color used on earlier vertices, which picks one
     representative per color permutation.  Yields (colors, class_masks) as
     live lists; consumers must copy anything they keep.
+
+    ``cover`` (a neighbourhood bitmask per vertex) turns on the per-vertex
+    cut: then only colorings in which every vertex u has a whole class
+    inside ``cover[u]`` are yielded.  For each open class c, ``inside[c]``
+    is the AND of ``cover[w]`` over the vertices w of c, which by symmetry
+    is the set of vertices whose cover holds all of c.  Classes only grow,
+    so a vertex in no ``inside[c]`` stays uncovered unless a class is still
+    to be opened inside its cover: the branch is cut once all k colors are
+    in use or no unassigned vertex is left in that cover.  The cut drops
+    whole subtrees and nothing else, so leaves come in the same order as
+    without it.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
     """
     n = g.n
     if k < 1 or k > n:
         return
     adj = g.adj_bits
+    full = g.full_mask
+    if cover is None:
+        cover = (full,) * n  # every class fits: nothing is cut
     colors = [0] * n
     masks = [0] * k
-
-    def assign(v: int, used: int):
+    inside = [0] * k  # 0 while the class is not open
+    # stuck[v]: the vertices whose cover holds no vertex after v, so no
+    # class opened after v can lie inside it
+    stuck = [0] * n
+    for u in range(n):
+        stuck[max(cover[u].bit_length() - 1, 0)] |= 1 << u
+    for v in range(1, n):
+        stuck[v] |= stuck[v - 1]
+    # Depth-first over the vertices in index order with an explicit stack.
+    # On reaching vertex v: used_at[v] colors are open and loose_at[v] holds
+    # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
+    # inside[c] of v's class c before v joined it.
+    used_at = [0] * (n + 1)
+    loose_at = [full] * (n + 1)
+    held_at = [0] * n
+    steps = 0
+    v = 0
+    c = 0  # the next color to try at v
+    while True:
+        used = used_at[v]
         if v == n:
             if used == k:
                 yield colors, masks
-            return
-        if k - used > n - v:
-            return
-        nb = adj[v]
-        bit = 1 << v
-        top = used if used < k else k - 1
-        for c in range(top + 1):
-            if masks[c] & nb:
+        elif k - used <= n - v:
+            if deadline is not None:
+                steps += 1
+                if not steps & 0x3FF and time.monotonic() > deadline:
+                    raise SearchTimeout(f"the deadline passed at {k} colors")
+            nb = adj[v]
+            cv = cover[v]
+            loose = loose_at[v]
+            top = used if used < k else k - 1
+            while c <= top:
+                if not masks[c] & nb:
+                    held = inside[c]
+                    if c < used:
+                        inside[c] = held & cv
+                        now_loose = loose | (held & ~cv)
+                        now_used = used
+                    else:
+                        inside[c] = cv
+                        now_loose = loose & ~cv
+                        now_used = used + 1
+                    must = full if now_used == k else stuck[v]
+                    hit = now_loose & must
+                    if hit:
+                        for m in inside:
+                            hit &= ~m
+                            if not hit:
+                                break
+                        else:  # some vertex that must be covered is not
+                            inside[c] = held
+                            c += 1
+                            continue
+                        now_loose &= ~must
+                    break
+                c += 1
+            if c <= top:
+                colors[v] = c
+                masks[c] |= 1 << v
+                held_at[v] = held
+                v += 1
+                used_at[v] = now_used
+                loose_at[v] = now_loose
+                c = 0
                 continue
-            colors[v] = c
-            masks[c] |= bit
-            yield from assign(v + 1, used + 1 if c == used else used)
-            masks[c] &= ~bit
-
-    yield from assign(0, 0)
+        if not v:
+            return
+        v -= 1
+        c = colors[v]
+        masks[c] &= ~(1 << v)
+        inside[c] = held_at[v]
+        c += 1
 
 
 def canonical_colorings(g: Graph, k: int):
@@ -357,6 +424,29 @@ def chi_bounds(
     return lower, None
 
 
+def _search_cover(g: Graph, prop: SubsetProperty):
+    """Neighbourhood table for the in-search cut, or None when ``prop`` has
+    no per-vertex test on ``g``.
+
+    A coloring compels DOM exactly when every vertex has a whole class
+    inside its closed neighbourhood, and TDOM or ISOLATE_FREE exactly when
+    every vertex has one inside its open neighbourhood.  A committee that
+    is a connected dominating set is dominating, so CDOM needs the DOM
+    test.  So does CONNECTED on a connected graph with n >= 2: with a
+    committee S missing the closed neighbourhood of u, swapping u in for
+    the vertex of its color leaves u isolated in a set of k >= 2 vertices.
+    On an edgeless graph one color compels connectivity but not
+    domination, so CONNECTED is not cut there.
+    """
+    if prop in (SubsetProperty.DOM, SubsetProperty.CDOM):
+        return g.closed_bits
+    if prop is SubsetProperty.CONNECTED and g.n >= 2 and is_connected(g):
+        return g.closed_bits
+    if prop in (SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE):
+        return g.adj_bits
+    return None
+
+
 def compelling_chromatic_number(
     g: Graph,
     prop: SubsetProperty,
@@ -366,10 +456,18 @@ def compelling_chromatic_number(
     """Exact minimum number of colors in a proper coloring compelling
     ``prop``, with a witness coloring.
 
-    Scans k upward from the lower bound, enumerating canonical colorings
-    and testing each completed one; compellingness is not assumed monotone
-    in k, so the first success is the minimum by definition.  The witness
-    is the first compelling coloring in canonical enumeration order.
+    Scans k upward from the lower bound over canonical colorings;
+    compellingness is not assumed monotone in k, so the first success is
+    the minimum by definition.  The witness is the first compelling
+    coloring in canonical enumeration order.
+
+    DOM, TDOM, ISOLATE_FREE and CDOM, and CONNECTED on a connected graph
+    with n >= 2, cut subtrees inside the enumeration with the per-vertex
+    test of :func:`_search_cover`.  Every DOM, TDOM and ISOLATE_FREE leaf
+    that survives the cut is compelling; CONNECTED and CDOM leaves still
+    go through the committee search, and EDGE leaves through the
+    independent-committee search.  The cut drops only colorings that do not
+    compel, so the witness is the one the uncut scan finds.
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
@@ -378,18 +476,23 @@ def compelling_chromatic_number(
         return ChiResult(None, None, None, None)
     lower, upper = bounds
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    tick = 0
-    for k in range(lower, g.n + 1):
-        for colors, masks in _iter_canonical(g, k):
-            if deadline is not None:
-                tick += 1
-                if not tick & 0x3FF and time.monotonic() > deadline:
-                    raise SearchTimeout(
-                        f"no verdict for {g.name or 'graph'} within {timeout_s}s"
-                    )
-            classes = _classes_from_masks(masks)
-            if _compelled_verdict(g, prop, masks, classes):
+    cover = _search_cover(g, prop)
+    committees = prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
+    try:
+        for k in range(lower, g.n + 1):
+            for colors, masks in _iter_canonical(g, k, cover, deadline):
+                if prop is SubsetProperty.EDGE:
+                    if _find_independent_committee(g, masks) is not None:
+                        continue
+                elif committees:
+                    classes = _classes_from_masks(masks)
+                    if _find_violating_committee(g, classes, prop) is not None:
+                        continue
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
+    except SearchTimeout as exc:
+        raise SearchTimeout(
+            f"no verdict for {g.name or 'graph'} within {timeout_s}s: {exc}"
+        ) from None
     return ChiResult(None, None, lower, upper)
 
 

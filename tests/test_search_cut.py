@@ -1,0 +1,154 @@
+"""The per-vertex cut inside the canonical enumeration.
+
+``compelling_chromatic_number`` cuts subtrees of the canonical search with
+per-vertex neighbourhood tests.  Every test here compares it against a
+leaf-only reference: the uncut enumeration from the lower bound up, with
+each completed coloring judged by the set-level oracle.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from compelling import (
+    ChiResult,
+    Coloring,
+    Graph,
+    SubsetProperty,
+    chi_bounds,
+    closed_forms,
+    compelling_chromatic_number,
+    disjoint_union,
+    make_complete,
+    make_empty,
+    make_path,
+    make_random_graph,
+    make_random_mop,
+)
+from compelling.solver import _iter_canonical, _search_cover
+from compelling.verify import main_corpus
+from oracles import brute_compelling
+
+P = SubsetProperty
+
+CUT_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def leaf_only_chi(g: Graph, prop: SubsetProperty) -> ChiResult:
+    """The search without the cut: every canonical coloring from the lower
+    bound up, each judged at its leaf by the set-level oracle."""
+    bounds = chi_bounds(g, prop)
+    if bounds is None:
+        return ChiResult(None, None, None, None)
+    lower, upper = bounds
+    for k in range(lower, g.n + 1):
+        for colors, _ in _iter_canonical(g, k):
+            if brute_compelling(g, colors, prop):
+                return ChiResult(k, Coloring(tuple(colors)), lower, upper)
+    return ChiResult(None, None, lower, upper)
+
+
+def every_vertex_holds_a_class(cover, masks) -> bool:
+    return all(any(not m & ~cover[u] for m in masks) for u in range(len(cover)))
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    """A graph on at most ``max_n`` vertices, drawn as G(n, p) over a range
+    of densities or edge by edge; edgeless and disconnected graphs are
+    included."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from((0.0, 0.15, 0.3, 0.5, 0.8)))
+    seed = draw(st.integers(0, 2**20))
+    if draw(st.booleans()):
+        return make_random_graph(n, density, seed)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.sampled_from(list(P)))
+def test_chi_matches_leaf_only_reference(g, prop):
+    assert compelling_chromatic_number(g, prop) == leaf_only_chi(g, prop)
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.sampled_from(("closed", "open")), st.data())
+def test_cut_leaves_are_filtered_uncut_leaves(g, table, data):
+    cover = g.closed_bits if table == "closed" else g.adj_bits
+    k = data.draw(st.integers(1, g.n))
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, cover)]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k)
+        if every_vertex_holds_a_class(cover, m)
+    ]
+    assert cut == kept
+
+
+def test_chi_matches_leaf_only_reference_on_main_corpus():
+    for g in main_corpus():
+        for prop in P:
+            assert compelling_chromatic_number(g, prop) == leaf_only_chi(g, prop), (
+                g.name,
+                prop,
+            )
+
+
+# ---------------------------------------------------------------------------
+# CONNECTED is cut only on connected graphs with at least two vertices
+# ---------------------------------------------------------------------------
+
+GATE_EXAMPLES = {
+    "E1": make_empty(1),
+    "E4": make_empty(4),
+    "K2+K1": disjoint_union(make_complete(2), make_empty(1)),
+    "P4+K1": disjoint_union(make_path(4), make_empty(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_EXAMPLES))
+def test_connected_cut_is_gated_off(name):
+    g = GATE_EXAMPLES[name]
+    assert _search_cover(g, P.CONNECTED) is None
+    assert compelling_chromatic_number(g, P.CONNECTED) == leaf_only_chi(g, P.CONNECTED)
+
+
+def test_connected_gate_examples_values():
+    # one color compels connectivity on an edgeless graph, where no single
+    # vertex dominates
+    assert compelling_chromatic_number(GATE_EXAMPLES["E1"], P.CONNECTED).value == 1
+    assert compelling_chromatic_number(GATE_EXAMPLES["E4"], P.CONNECTED).value == 1
+    assert compelling_chromatic_number(GATE_EXAMPLES["E4"], P.DOM).value == 4
+    for name in ("K2+K1", "P4+K1"):
+        assert compelling_chromatic_number(GATE_EXAMPLES[name], P.CONNECTED).infeasible
+
+
+def test_cover_tables():
+    g = make_path(4)
+    assert _search_cover(g, P.CONNECTED) == g.closed_bits
+    assert _search_cover(g, P.DOM) == g.closed_bits
+    assert _search_cover(g, P.CDOM) == g.closed_bits
+    assert _search_cover(g, P.TDOM) == g.adj_bits
+    assert _search_cover(g, P.ISOLATE_FREE) == g.adj_bits
+    assert _search_cover(g, P.EDGE) is None
+
+
+# ---------------------------------------------------------------------------
+# Instances the uncut search could not finish in a minute
+# ---------------------------------------------------------------------------
+
+
+def test_frontier_instances():
+    mop = make_random_mop(16, 5)
+    want = closed_forms.chi_conn_mop(mop)
+    for prop in (P.CONNECTED, P.CDOM):
+        res = compelling_chromatic_number(mop, prop)
+        assert res.value == want
+    g = make_random_graph(16, 0.3, 3)
+    res = compelling_chromatic_number(g, P.DOM)
+    assert res.witness.k == res.value
+    assert brute_compelling(g, res.witness.colors, P.DOM)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from compelling import (
     rainbow_committees,
     validate_coloring,
 )
+from compelling.solver import _iter_canonical
 from oracles import brute_compelling
 
 P = SubsetProperty
@@ -262,6 +265,25 @@ def test_chi_size_cap():
 def test_chi_timeout():
     with pytest.raises(SearchTimeout):
         compelling_chromatic_number(make_path(12), P.EDGE, timeout_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "g, prop",
+    [(make_path(14), P.CONNECTED), (make_random_graph(16, 0.3, 3), P.DOM)],
+    ids=["P14-connected", "G16-dom"],
+)
+def test_chi_timeout_on_cut_search(g, prop):
+    with pytest.raises(SearchTimeout, match="within 0.0s"):
+        compelling_chromatic_number(g, prop, timeout_s=0.0)
+
+
+def test_deadline_counts_search_steps_not_leaves():
+    # dom at 7 colors on P16: every branch is cut, no coloring comes out
+    g = make_path(16)
+    assert not any(True for _ in _iter_canonical(g, 7, g.closed_bits))
+    with pytest.raises(SearchTimeout):
+        for _ in _iter_canonical(g, 7, g.closed_bits, deadline=time.monotonic() - 1):
+            pass
 
 
 def test_monotonicity_probe():
