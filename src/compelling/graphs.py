@@ -6,6 +6,10 @@ every :class:`Graph` is immutable after construction, so values are safe to
 share between threads.  The exponential routines (exact chromatic number,
 subset enumerations) take an explicit ``max_n`` cap so callers opt in to
 larger searches deliberately.
+
+Every breadth-first search over a vertex bitmask goes through
+:func:`bfs_layers`: connectivity, components and bipartitions here, and the
+induced-subgraph checks of the other modules.
 """
 
 from __future__ import annotations
@@ -31,6 +35,34 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def bfs_layers(adj_bits: tuple[int, ...], mask: int, start: int | None = None):
+    """Yield (depth, layer) pairs of a breadth-first search of the subgraph
+    induced by the bitmask ``mask``.
+
+    Components are searched one after another, each from its lowest vertex
+    (the first from ``start`` when given, which must lie in ``mask``), so
+    depth 0 marks the start of a new component.  ``layer`` is the bitmask
+    of the component's vertices at that distance from its start.  Each
+    layer is grown from the neighbourhoods of the one before, so every
+    vertex is expanded once.
+    """
+    rest = mask
+    layer = mask & -mask if start is None else 1 << start
+    while layer:
+        depth = 0
+        while layer:
+            yield depth, layer
+            rest ^= layer
+            reach = 0
+            while layer:
+                low = layer & -layer
+                reach |= adj_bits[low.bit_length() - 1]
+                layer ^= low
+            layer = reach & rest
+            depth += 1
+        layer = rest & -rest
+
+
 def mask_connected(adj_bits: tuple[int, ...], mask: int) -> bool:
     """True if the subgraph induced by the bitmask ``mask`` is connected.
 
@@ -38,18 +70,39 @@ def mask_connected(adj_bits: tuple[int, ...], mask: int) -> bool:
     """
     if mask == 0:
         raise ValueError("connectivity of the empty set is undefined")
-    reach = mask & -mask
-    frontier = reach
-    rest = mask ^ reach
-    while frontier and rest:
-        grown = 0
-        for v in iter_bits(rest):
-            if adj_bits[v] & frontier:
-                grown |= 1 << v
-        reach |= grown
-        rest ^= grown
-        frontier = grown
-    return rest == 0
+    layers = bfs_layers(adj_bits, mask)
+    next(layers)
+    for depth, _ in layers:
+        if not depth:  # a second component
+            return False
+    return True
+
+
+def mask_bipartition(adj_bits: tuple[int, ...], mask: int) -> tuple[int, int] | None:
+    """Proper 2-coloring of the subgraph induced by ``mask`` as two
+    bitmasks, or None when it has an odd cycle.
+
+    The lowest vertex of each component goes in the first part, and every
+    other vertex goes by the parity of its distance from it.
+    """
+    sides = [0, 0]
+    for depth, layer in bfs_layers(adj_bits, mask):
+        sides[depth & 1] |= layer
+    a, b = sides
+    if mask_independent(adj_bits, a) and mask_independent(adj_bits, b):
+        return a, b
+    return None
+
+
+def mask_independent(adj_bits: tuple[int, ...], mask: int) -> bool:
+    """True if no two vertices of the bitmask ``mask`` are adjacent."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if adj_bits[low.bit_length() - 1] & mask:
+            return False
+        rest ^= low
+    return True
 
 
 @dataclass(frozen=True)
@@ -384,50 +437,25 @@ def mop_three_coloring(g: Graph) -> tuple[int, ...]:
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by their smallest vertex."""
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    stack.append(v)
-        out.append(frozenset(comp))
-    return out
+    masks: list[int] = []
+    for depth, layer in bfs_layers(g.adj_bits, g.full_mask):
+        if not depth:
+            masks.append(0)
+        masks[-1] |= layer
+    return [frozenset(iter_bits(m)) for m in masks]
 
 
 def is_connected(g: Graph) -> bool:
     return mask_connected(g.adj_bits, g.full_mask)
 
 
-def _bfs_dists(g: Graph, start: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if dist[v] == -1:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def eccentricities(g: Graph) -> list[int]:
     if not is_connected(g):
         raise ValueError("eccentricities require a connected graph")
-    return [max(_bfs_dists(g, v)) for v in range(g.n)]
+    return [
+        max(depth for depth, _ in bfs_layers(g.adj_bits, g.full_mask, v))
+        for v in range(g.n)
+    ]
 
 
 def diameter(g: Graph) -> int:
@@ -443,28 +471,13 @@ def radius(g: Graph) -> int:
 def is_bipartite(g: Graph) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
     """Two-colorability test; on success also returns the bipartition.
 
-    The component containing the lowest unvisited vertex puts that vertex in
-    the first part, so the returned parts are deterministic.
+    Each component puts its lowest vertex in the first part, so the
+    returned parts are deterministic.
     """
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.adj[u]:
-                    if side[v] == -1:
-                        side[v] = 1 - side[u]
-                        nxt.append(v)
-                    elif side[v] == side[u]:
-                        return False, None
-            frontier = nxt
-    part0 = frozenset(v for v in range(g.n) if side[v] == 0)
-    part1 = frozenset(v for v in range(g.n) if side[v] == 1)
-    return True, (part0, part1)
+    sides = mask_bipartition(g.adj_bits, g.full_mask)
+    if sides is None:
+        return False, None
+    return True, (frozenset(iter_bits(sides[0])), frozenset(iter_bits(sides[1])))
 
 
 def is_tree(g: Graph) -> bool:
@@ -516,7 +529,8 @@ def chromatic_number(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int:
 
     A greedy clique seeds both the lower bound and a fixed pre-coloring; the
     search assigns remaining vertices in degree order under the canonical
-    new-color rule, pruning against the best coloring found so far.
+    new-color rule, pruning against the best coloring found so far.  The
+    search is a loop, not a recursion, so any order fits under ``max_n``.
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
@@ -528,35 +542,39 @@ def chromatic_number(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int:
     in_clique = set(clique)
     rest = sorted((v for v in range(g.n) if v not in in_clique), key=lambda v: (-g.degree(v), v))
     order = clique + rest
-    adj_bits = g.adj_bits
     colors = [-1] * g.n
     for i, v in enumerate(clique):
         colors[v] = i
     best = upper
     n = g.n
-
-    def search(idx: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
+    start = len(clique)
+    # On reaching position idx, used_at[idx] colors are in use and c is the
+    # next color to try there.
+    used_at = [lower] * (n + 1)
+    idx = start
+    c = 0
+    while True:
+        used = used_at[idx]
         if idx == n:
-            best = used
-            return
-        v = order[idx]
-        forbidden = 0
-        for u in iter_bits(adj_bits[v]):
-            if colors[u] != -1:
-                forbidden |= 1 << colors[u]
-        limit = min(used + 1, best - 1)
-        for c in range(limit):
-            if forbidden >> c & 1:
+            best = min(best, used)
+        elif used < best:
+            v = order[idx]
+            taken = {colors[u] for u in g.adj[v]}
+            limit = min(used + 1, best - 1)
+            while c < limit and c in taken:
+                c += 1
+            if c < limit:
+                colors[v] = c
+                idx += 1
+                used_at[idx] = max(used, c + 1)
+                c = 0
                 continue
-            colors[v] = c
-            search(idx + 1, max(used, c + 1))
-            colors[v] = -1
-
-    search(len(clique), lower)
-    return best
+        if idx == start:
+            return best
+        idx -= 1
+        v = order[idx]
+        c = colors[v] + 1
+        colors[v] = -1
 
 
 def connected_domination_number(g: Graph, max_n: int = SUBSET_ENUM_CAP) -> int:

@@ -6,11 +6,13 @@ rainbow committee satisfies it; the compelling chromatic number of a graph
 is the minimum number of colors over all compelling proper colorings, or
 infeasible when none exists at any number of colors.
 
-The checker dispatches per property: DOM, TDOM and ISOLATE_FREE admit
-per-vertex tests (a vertex must dominate some color class, or be adjacent
-to all of some other class), EDGE is decided by a pruned search for a
-multicolored independent set, and CONNECTED / CDOM fall back to committee
-enumeration with early exit.  Reported counterexamples are always the
+Each property has one verdict kernel here, shared by the checker, the
+search, the total dominator tester and the verification suites.  DOM,
+TDOM and ISOLATE_FREE admit per-vertex tests (a vertex must dominate some
+color class, or be adjacent to all of some other class), EDGE is decided
+by a pruned search for a multicolored independent set, and every other
+verdict comes from the one committee scanner, which stops at the first
+violating committee.  Reported counterexamples are always the
 lexicographically least violating committee under class-index-then-vertex
 order, so results are reproducible.
 
@@ -75,10 +77,7 @@ class Coloring:
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each color class, ascending, indexed by color."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            out[c].append(v)
-        return tuple(tuple(cls) for cls in out)
+        return tuple(_classes_from_masks(self.class_masks))
 
     @cached_property
     def class_masks(self) -> tuple[int, ...]:
@@ -166,13 +165,7 @@ def rainbow_committees(coloring: Coloring):
 def is_compelling_naive(g: Graph, coloring: Coloring, prop: SubsetProperty) -> bool:
     """Reference checker: test the property on every rainbow committee."""
     validate_coloring(g, coloring)
-    for committee in rainbow_committees(coloring):
-        mask = 0
-        for v in committee:
-            mask |= 1 << v
-        if not eval_property_mask(prop, g, mask):
-            return False
-    return True
+    return _find_violating_committee(g, coloring.classes, prop) is None
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +207,40 @@ def _find_independent_committee(g: Graph, class_masks) -> tuple[int, ...] | None
     """Least committee (class-index-then-vertex order) that is an
     independent set, or None when every committee contains an edge.
 
-    Depth-first over classes in index order; a branch dies as soon as some
-    remaining class has no vertex nonadjacent to the partial pick.
+    Depth-first over classes in index order, trying each class's vertices
+    in ascending order; a branch dies as soon as some remaining class has
+    no vertex nonadjacent to the partial pick.  The stack is explicit, so
+    any number of classes fits.
     """
     adj = g.adj_bits
     k = len(class_masks)
     pick: list[int] = []
-
-    def descend(i: int, avail: int):
+    # avail[i]: the vertices nonadjacent to pick[:i] and not in it;
+    # todo[i]: the vertices of class i not yet tried after pick[:i]
+    avail = [g.full_mask]
+    todo: list[int] = []
+    while True:
+        i = len(pick)
         if i == k:
             return tuple(pick)
-        for j in range(i, k):
-            if not class_masks[j] & avail:
+        free = avail[i]
+        for m in class_masks[i:]:
+            if not m & free:
+                todo.append(0)
+                break
+        else:
+            todo.append(class_masks[i] & free)
+        while not todo[-1]:
+            todo.pop()
+            if not todo:
                 return None
-        for v in iter_bits(class_masks[i] & avail):
-            pick.append(v)
-            found = descend(i + 1, avail & ~adj[v] & ~(1 << v))
-            if found is not None:
-                return found
             pick.pop()
-        return None
-
-    return descend(0, g.full_mask)
+            avail.pop()
+        low = todo[-1] & -todo[-1]
+        todo[-1] ^= low
+        v = low.bit_length() - 1
+        pick.append(v)
+        avail.append(avail[-1] & ~adj[v] & ~low)
 
 
 def _find_violating_committee(
@@ -255,24 +260,24 @@ def is_compelling(g: Graph, coloring: Coloring, prop: SubsetProperty) -> Compell
     """Decide whether ``coloring`` compels ``prop`` on ``g``.
 
     On failure the report carries the least violating rainbow committee.
+    EDGE is decided by the independent-committee search.  DOM, TDOM and
+    ISOLATE_FREE are decided by their per-vertex kernel, and only a
+    negative verdict scans the committees for the least counterexample.
+    CONNECTED and CDOM scan the committees outright.
     """
     validate_coloring(g, coloring)
     masks = coloring.class_masks
-    if prop is SubsetProperty.DOM:
-        if _dom_compelled(g, masks):
-            return CompellingReport(True, None, "per-vertex-fast")
-        cx = _find_violating_committee(g, coloring.classes, prop)
-        return CompellingReport(False, cx, "per-vertex-fast")
-    if prop in (SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE):
-        if _tdom_compelled(g, masks):
-            return CompellingReport(True, None, "per-vertex-fast")
-        cx = _find_violating_committee(g, coloring.classes, prop)
-        return CompellingReport(False, cx, "per-vertex-fast")
     if prop is SubsetProperty.EDGE:
         cx = _find_independent_committee(g, masks)
         return CompellingReport(cx is None, cx, "rc-search")
-    cx = _find_violating_committee(g, coloring.classes, prop)
-    return CompellingReport(cx is None, cx, "rc-search")
+    if prop is SubsetProperty.DOM:
+        method, fast = "per-vertex-fast", _dom_compelled(g, masks)
+    elif prop in (SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE):
+        method, fast = "per-vertex-fast", _tdom_compelled(g, masks)
+    else:
+        method, fast = "rc-search", False
+    cx = None if fast else _find_violating_committee(g, coloring.classes, prop)
+    return CompellingReport(cx is None, cx, method)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,16 @@ from .graphs import (
     is_complete_bipartite,
     is_connected,
     iter_bits,
+    mask_bipartition,
+    mask_independent,
 )
-from .solver import Coloring, _iter_canonical, canonical_colors, validate_coloring
+from .solver import (
+    Coloring,
+    _iter_canonical,
+    _tdom_compelled,
+    canonical_colors,
+    validate_coloring,
+)
 
 
 @dataclass(frozen=True)
@@ -47,27 +55,13 @@ class TdcWitness:
     guessed_vertices: tuple[int, ...]
 
 
-def _tdc_masks(g: Graph, class_masks) -> bool:
-    adj = g.adj_bits
-    for v in range(g.n):
-        nb = adj[v]
-        ok = False
-        for m in class_masks:
-            if not m & ~nb:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 def is_total_dominator_coloring(g: Graph, coloring: Coloring) -> bool:
     """Every vertex adjacent to all of some other color class.
 
     A graph with an isolated vertex has no such coloring.
     """
     validate_coloring(g, coloring)
-    return _tdc_masks(g, coloring.class_masks)
+    return _tdom_compelled(g, coloring.class_masks)
 
 
 def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
@@ -79,18 +73,9 @@ def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
         return None
     for k in range(1, g.n + 1):
         for _, masks in _iter_canonical(g, k):
-            if _tdc_masks(g, masks):
+            if _tdom_compelled(g, masks):
                 return k
     return None
-
-
-def _proper_masks(g: Graph, class_masks) -> bool:
-    adj = g.adj_bits
-    for m in class_masks:
-        for v in iter_bits(m):
-            if adj[v] & m:
-                return False
-    return True
 
 
 def _witness_from_masks(g: Graph, masks, tag: str, guessed) -> TdcWitness | None:
@@ -101,9 +86,9 @@ def _witness_from_masks(g: Graph, masks, tag: str, guessed) -> TdcWitness | None
         return None
     if masks[0] & masks[1] or masks[0] & masks[2] or masks[1] & masks[2]:
         return None
-    if not _proper_masks(g, masks):
+    if not all(mask_independent(g.adj_bits, m) for m in masks):
         return None
-    if not _tdc_masks(g, masks):
+    if not _tdom_compelled(g, masks):
         return None
     colors = [0] * g.n
     for idx, m in enumerate(masks):
@@ -119,34 +104,10 @@ def _split_bipartition(g: Graph, rest: int) -> tuple[int, int] | None:
     When the induced subgraph is edgeless the standard sweep would put
     everything on one side, so one vertex is moved over.
     """
-    adj = g.adj_bits
-    side_a = 0
-    side_b = 0
-    unseen = rest
-    while unseen:
-        root = unseen & -unseen
-        side_a |= root
-        frontier = root
-        unseen ^= root
-        cur_a = True
-        while frontier:
-            grown = 0
-            for v in iter_bits(unseen):
-                if adj[v] & frontier:
-                    grown |= 1 << v
-            if cur_a:
-                side_b |= grown
-            else:
-                side_a |= grown
-            cur_a = not cur_a
-            unseen ^= grown
-            frontier = grown
-    for v in iter_bits(side_a):
-        if adj[v] & side_a:
-            return None
-    for v in iter_bits(side_b):
-        if adj[v] & side_b:
-            return None
+    split = mask_bipartition(g.adj_bits, rest)
+    if split is None:
+        return None
+    side_a, side_b = split
     if side_b == 0:
         if side_a.bit_count() < 2:
             return None
@@ -195,8 +156,6 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
         if split is None:
             continue
         side_a, side_b = split
-        if side_a == 0 or side_b == 0:
-            continue
         complete = True
         for w in iter_bits(side_a):
             if adj[w] & rest != side_b:
@@ -232,8 +191,6 @@ def chi_td_is_3(g: Graph) -> bool:
     The only 2-class total dominator colorings are the bipartition
     colorings of complete bipartite graphs, so those are carved out.
     """
-    if any(not g.adj[v] for v in range(g.n)):
-        return False
     if is_complete_bipartite(g):
         return False
     return has_tdc3(g) is not None
@@ -251,6 +208,4 @@ def chi_connected_is_3(g: Graph) -> bool:
         raise ValueError("expected a connected graph")
     if any(not g.adj[v] for v in range(g.n)):
         raise ValueError("expected a graph without isolated vertices")
-    if is_complete_bipartite(g):
-        return False
-    return has_tdc3(g) is not None
+    return chi_td_is_3(g)

@@ -6,6 +6,12 @@ Each suite returns a :class:`SuiteResult` with one :class:`CheckResult`
 per assertion; the CLI's ``verify`` subcommand and the acceptance tests
 both run these.  All randomness flows from a single seed, so a rerun with
 the same seed reproduces every corpus and every verdict.
+
+The suites hold no verdict code of their own: the per-vertex kernels and
+the committee scanner are the solver's, the total domination test is the
+solver's TDOM kernel, and induced-subgraph searches go through
+:func:`compelling.graphs.bfs_layers`.  Exact values that several suites
+ask for are memoized with :func:`functools.cache`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .closed_forms import (
     chi_conn_cycle,
@@ -30,6 +36,7 @@ from .closed_forms import (
 )
 from .graphs import (
     Graph,
+    bfs_layers,
     chromatic_number,
     connected_domination_number,
     diameter,
@@ -48,18 +55,21 @@ from .graphs import (
     make_random_tree,
     make_split_graph,
     make_star,
+    mask_independent,
     minimum_connected_dominating_set,
 )
-from .properties import SubsetProperty, eval_property_mask, min_property_size
+from .properties import SubsetProperty, eval_property, min_property_size
 from .solver import (
+    _classes_from_masks,
     _dom_compelled,
+    _find_violating_committee,
     _iter_canonical,
     _tdom_compelled,
     compelling_chromatic_number,
     disjoint_union_bounds,
     is_compelling,
 )
-from .td3 import _tdc_masks, chi_connected_is_3, has_tdc3, is_total_dominator_coloring
+from .td3 import chi_connected_is_3, has_tdc3, is_total_dominator_coloring
 
 DEFAULT_SEED = 1729
 CORPUS_SIZE = 500
@@ -131,49 +141,34 @@ def named_families(max_n: int = 9) -> list[Graph]:
     return graphs
 
 
-class SolverCache:
-    """Memoizes the exact solver results over a fixed corpus, since several
-    suites interrogate the same graphs."""
-
-    def __init__(self) -> None:
-        self._chi: dict[Graph, int] = {}
-        self._chi_p: dict[tuple[Graph, SubsetProperty], int | None] = {}
-        self._m_p: dict[tuple[Graph, SubsetProperty], int | None] = {}
-        self._gamma: dict[Graph, int] = {}
-        self._conn: dict[Graph, bool] = {}
-
-    def chi(self, g: Graph) -> int:
-        if g not in self._chi:
-            self._chi[g] = chromatic_number(g)
-        return self._chi[g]
-
-    def chi_p(self, g: Graph, prop: SubsetProperty) -> int | None:
-        key = (g, prop)
-        if key not in self._chi_p:
-            self._chi_p[key] = compelling_chromatic_number(g, prop).value
-        return self._chi_p[key]
-
-    def m_p(self, g: Graph, prop: SubsetProperty) -> int | None:
-        key = (g, prop)
-        if key not in self._m_p:
-            self._m_p[key] = min_property_size(prop, g)
-        return self._m_p[key]
-
-    def gamma_c(self, g: Graph) -> int:
-        if g not in self._gamma:
-            self._gamma[g] = connected_domination_number(g)
-        return self._gamma[g]
-
-    def connected(self, g: Graph) -> bool:
-        if g not in self._conn:
-            self._conn[g] = is_connected(g)
-        return self._conn[g]
+# Several suites interrogate the same graphs, so the exact values are
+# memoized process-wide.  Each body calls the module-level function, so a
+# wrapper bound to that name sees every computed value.
 
 
-@lru_cache(maxsize=8)
-def shared_cache(seed: int = DEFAULT_SEED) -> SolverCache:
-    """Process-wide cache shared by every suite run at this seed."""
-    return SolverCache()
+@cache
+def _chi(g: Graph) -> int:
+    return chromatic_number(g)
+
+
+@cache
+def _chi_p(g: Graph, prop: SubsetProperty) -> int | None:
+    return compelling_chromatic_number(g, prop).value
+
+
+@cache
+def _m_p(g: Graph, prop: SubsetProperty) -> int | None:
+    return min_property_size(prop, g)
+
+
+@cache
+def _gamma_c(g: Graph) -> int:
+    return connected_domination_number(g)
+
+
+@cache
+def _connected(g: Graph) -> bool:
+    return is_connected(g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,42 +176,11 @@ def shared_cache(seed: int = DEFAULT_SEED) -> SolverCache:
 # ---------------------------------------------------------------------------
 
 
-def _naive_compelled(g: Graph, classes, prop: SubsetProperty) -> bool:
-    """Definition-level check: every rainbow committee satisfies prop."""
-    for committee in itertools.product(*classes):
-        mask = 0
-        for v in committee:
-            mask |= 1 << v
-        if not eval_property_mask(prop, g, mask):
-            return False
-    return True
-
-
 def _induced_is_forest(g: Graph, mask: int) -> bool:
-    if mask == 0:
-        return True
-    edges = 0
-    verts = 0
-    for v in iter_bits(mask):
-        verts += 1
-        edges += (g.adj_bits[v] & mask).bit_count()
-    edges //= 2
-    comps = 0
-    unseen = mask
-    while unseen:
-        comps += 1
-        frontier = unseen & -unseen
-        reach = frontier
-        unseen ^= frontier
-        while frontier:
-            grown = 0
-            for v in iter_bits(unseen):
-                if g.adj_bits[v] & frontier:
-                    grown |= 1 << v
-            reach |= grown
-            unseen ^= grown
-            frontier = grown
-    return edges == verts - comps
+    adj = g.adj_bits
+    edges = sum((adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+    comps = sum(1 for depth, _ in bfs_layers(adj, mask) if not depth)
+    return edges == mask.bit_count() - comps
 
 
 def _minimal_cds_samples(g: Graph, rng: random.Random, tries: int = 4):
@@ -232,22 +196,11 @@ def _minimal_cds_samples(g: Graph, rng: random.Random, tries: int = 4):
             changed = False
             for v in order:
                 if v in current and len(current) > 1:
-                    mask = 0
-                    for w in current:
-                        if w != v:
-                            mask |= 1 << w
-                    if eval_property_mask(SubsetProperty.CDOM, g, mask):
+                    if eval_property(SubsetProperty.CDOM, g, current - {v}):
                         current.discard(v)
                         changed = True
         samples.add(tuple(sorted(current)))
     return sorted(samples)
-
-
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +302,10 @@ def suite_mop_claims(seed: int = DEFAULT_SEED) -> SuiteResult:
             bad_value.append((g.name, got, want))
         cds_samples = _minimal_cds_samples(g, rng)
         for cds in cds_samples:
-            mask = g.full_mask & ~_mask_of(cds)
+            mask = g.full_mask & ~sum(1 << v for v in cds)
             if not _induced_is_forest(g, mask):
                 bad_acyclic.append((g.name, cds))
-            complement = [v for v in range(g.n) if v not in cds]
-            if not any(
-                g.has_edge(u, v) for u, v in itertools.combinations(complement, 2)
-            ):
+            if mask_independent(g.adj_bits, mask):
                 bad_minimal.append((g.name, cds))
         # every chord cover over chord endpoints is a connected dominating set
         chords = mop_chords(g)
@@ -363,7 +313,7 @@ def suite_mop_claims(seed: int = DEFAULT_SEED) -> SuiteResult:
         for size in range(1, len(endpoints) + 1):
             for combo in itertools.combinations(endpoints, size):
                 if is_chord_cover(g, combo):
-                    if not eval_property_mask(SubsetProperty.CDOM, g, _mask_of(combo)):
+                    if not eval_property(SubsetProperty.CDOM, g, combo):
                         bad_cover.append((g.name, combo))
     result.add(
         "mops: connectivity value is connected domination number + 2",
@@ -408,45 +358,30 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
         for k in range(1, min(4, g.n) + 1):
             for colors, masks in _iter_canonical(g, k):
                 colorings_checked += 1
-                classes = [tuple(iter_bits(m)) for m in masks]
-                if _dom_compelled(g, masks) != _naive_compelled(
-                    g, classes, SubsetProperty.DOM
-                ):
+                classes = _classes_from_masks(masks)
+
+                def naive(prop: SubsetProperty) -> bool:
+                    return _find_violating_committee(g, classes, prop) is None
+
+                if _dom_compelled(g, masks) != naive(SubsetProperty.DOM):
                     violations["dom"].append((g.name, tuple(colors)))
-                tdom_naive = _naive_compelled(g, classes, SubsetProperty.TDOM)
+                tdom_naive = naive(SubsetProperty.TDOM)
                 if _tdom_compelled(g, masks) != tdom_naive:
                     violations["tdom"].append((g.name, tuple(colors)))
-                if (
-                    _naive_compelled(g, classes, SubsetProperty.ISOLATE_FREE)
-                    != tdom_naive
-                ):
+                if naive(SubsetProperty.ISOLATE_FREE) != tdom_naive:
                     violations["if"].append((g.name, tuple(colors)))
                 if conn_with_edge:
-                    if _naive_compelled(
-                        g, classes, SubsetProperty.CONNECTED
-                    ) != _naive_compelled(g, classes, SubsetProperty.CDOM):
+                    if naive(SubsetProperty.CONNECTED) != naive(SubsetProperty.CDOM):
                         violations["conn"].append((g.name, tuple(colors)))
     detail = f"{len(corpus)} graphs, {colorings_checked} colorings"
-    result.add(
-        "dominator coloring matches domination compelling",
-        not violations["dom"],
-        detail if not violations["dom"] else f"violations={violations['dom'][:3]}",
-    )
-    result.add(
-        "total dominator coloring matches total-domination compelling",
-        not violations["tdom"],
-        detail if not violations["tdom"] else f"violations={violations['tdom'][:3]}",
-    )
-    result.add(
-        "isolate-free compelling matches total-domination compelling",
-        not violations["if"],
-        detail if not violations["if"] else f"violations={violations['if'][:3]}",
-    )
-    result.add(
-        "connectivity compelling matches connected-domination compelling",
-        not violations["conn"],
-        detail if not violations["conn"] else f"violations={violations['conn'][:3]}",
-    )
+    for key, name in (
+        ("dom", "dominator coloring matches domination compelling"),
+        ("tdom", "total dominator coloring matches total-domination compelling"),
+        ("if", "isolate-free compelling matches total-domination compelling"),
+        ("conn", "connectivity compelling matches connected-domination compelling"),
+    ):
+        bad = violations[key]
+        result.add(name, not bad, f"violations={bad[:3]}" if bad else detail)
     return result
 
 
@@ -455,7 +390,6 @@ def suite_bounds(seed: int = DEFAULT_SEED) -> SuiteResult:
     chromatic/connected-domination bounds for connectivity."""
     result = SuiteResult("bounds")
     corpus = main_corpus(seed)
-    cache = shared_cache(seed)
     up_props = (
         SubsetProperty.DOM,
         SubsetProperty.TDOM,
@@ -465,17 +399,17 @@ def suite_bounds(seed: int = DEFAULT_SEED) -> SuiteResult:
     bad_general = []
     bad_conn = []
     for g in corpus:
-        chi = cache.chi(g)
+        chi = _chi(g)
         for prop in up_props:
-            m = cache.m_p(g, prop)
+            m = _m_p(g, prop)
             if m is None:
                 continue
-            value = cache.chi_p(g, prop)
+            value = _chi_p(g, prop)
             if value is None or not max(m, chi) <= value <= m + chi:
                 bad_general.append((g.name, prop.value, value, m, chi))
-        if g.n >= 2 and cache.connected(g):
-            gamma = cache.gamma_c(g)
-            value = cache.chi_p(g, SubsetProperty.CONNECTED)
+        if g.n >= 2 and _connected(g):
+            gamma = _gamma_c(g)
+            value = _chi_p(g, SubsetProperty.CONNECTED)
             if value is None or not max(chi, gamma) <= value <= chi + gamma:
                 bad_conn.append((g.name, value, gamma, chi))
     result.add(
@@ -536,7 +470,6 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
     of the edge-compelling value."""
     result = SuiteResult("extremal")
     corpus = [g for g in main_corpus(seed) if g.n <= 7]
-    cache = shared_cache(seed)
     bad_edge2 = []
     bad_conn2 = []
     bad_connn = []
@@ -544,9 +477,9 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
     probe_hits: dict[tuple, list[str]] = {}
     for g in corpus:
         cb = is_complete_bipartite(g)
-        edge = cache.chi_p(g, SubsetProperty.EDGE)
-        conn = cache.chi_p(g, SubsetProperty.CONNECTED)
-        chi = cache.chi(g)
+        edge = _chi_p(g, SubsetProperty.EDGE)
+        conn = _chi_p(g, SubsetProperty.CONNECTED)
+        chi = _chi(g)
         if (edge == 2) != cb:
             bad_edge2.append((g.name, edge, cb))
         if (conn == 2) != cb:
@@ -556,7 +489,7 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
         if 2 * chi >= g.n + 2 and edge != chi:
             bad_high.append((g.name, chi, edge))
         if 2 * chi == g.n + 1 and edge != chi:
-            shape = "connected" if cache.connected(g) else "disconnected"
+            shape = "connected" if _connected(g) else "disconnected"
             probe_hits.setdefault((shape, g.n, chi, edge), []).append(g.name)
     for (shape, n, chi, edge), names in sorted(probe_hits.items()):
         result.notes.append(
@@ -594,13 +527,12 @@ def suite_diameter(seed: int = DEFAULT_SEED) -> SuiteResult:
     graphs, where diameter is defined)."""
     result = SuiteResult("diameter")
     corpus = main_corpus(seed)
-    cache = shared_cache(seed)
     bad = []
     hits = 0
     for g in corpus:
-        if not cache.connected(g):
+        if not _connected(g):
             continue
-        if cache.chi_p(g, SubsetProperty.EDGE) == 3:
+        if _chi_p(g, SubsetProperty.EDGE) == 3:
             hits += 1
             if diameter(g) > 5:
                 bad.append((g.name, diameter(g)))
@@ -654,7 +586,7 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
         if any(not g.adj[v] for v in range(g.n)):
             brute = False
         else:
-            brute = any(_tdc_masks(g, masks) for _, masks in _iter_canonical(g, 3))
+            brute = any(_tdom_compelled(g, masks) for _, masks in _iter_canonical(g, 3))
         if (witness is not None) != brute:
             bad_agree.append((g.name, witness is not None, brute))
     result.add(
@@ -672,12 +604,11 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
         slow < 1.0,
         f"max={slow * 1000:.1f}ms",
     )
-    cache = shared_cache(seed)
     bad_conn3 = []
     for g in main_corpus(seed):
-        if g.n < 2 or not cache.connected(g):
+        if g.n < 2 or not _connected(g):
             continue
-        want = cache.chi_p(g, SubsetProperty.CONNECTED) == 3
+        want = _chi_p(g, SubsetProperty.CONNECTED) == 3
         if chi_connected_is_3(g) != want:
             bad_conn3.append((g.name, want))
     result.add(

@@ -43,6 +43,34 @@ def induces_connected(g: Graph, s: set[int]) -> bool:
     return seen == s
 
 
+def distances(g: Graph, root: int) -> dict[int, int]:
+    """Distance from ``root`` to every vertex of its component."""
+    dist = {root: 0}
+    queue = [root]
+    for u in queue:
+        for v in g.adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
+    """The two parts by distance parity from the lowest vertex of each
+    component (that vertex in part 0), or None when an edge joins two
+    vertices of equal parity."""
+    parity: dict[int, int] = {}
+    for root in range(g.n):
+        if root not in parity:
+            parity.update((v, d % 2) for v, d in distances(g, root).items())
+    if any(parity[u] == parity[v] for u, v in g.edges):
+        return None
+    return (
+        {v for v in range(g.n) if parity[v] == 0},
+        {v for v in range(g.n) if parity[v] == 1},
+    )
+
+
 def set_property(prop: SubsetProperty, g: Graph, s: set[int]) -> bool:
     """Set-level restatement of each property definition."""
     if not s:

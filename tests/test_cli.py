@@ -95,6 +95,26 @@ def test_chi_timeout_exits_one(capsys, tmp_path):
     assert "timeout" in err
 
 
+def test_chi_on_a_long_cycle_times_out_without_a_traceback(capsys, tmp_path):
+    # the bounds run a chromatic number search one level per vertex
+    path = tmp_path / "c1501.graph"
+    path.write_text(format_graph(make_cycle(1501)))
+    code, _, err = run(
+        capsys,
+        "chi",
+        str(path),
+        "--property",
+        "edge",
+        "--max-n",
+        "2000",
+        "--timeout-secs",
+        "5",
+    )
+    assert code == 1
+    assert err.startswith("timeout:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

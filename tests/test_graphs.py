@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compelling import (
     Graph,
@@ -32,7 +34,14 @@ from compelling import (
     parse_graph,
     radius,
 )
-from oracles import brute_chromatic_number, induces_connected, is_dominating
+from compelling.graphs import eccentricities, iter_bits, mask_connected
+from oracles import (
+    bipartition,
+    brute_chromatic_number,
+    distances,
+    induces_connected,
+    is_dominating,
+)
 
 
 def small_corpus(count=30, max_n=7, seed=99):
@@ -273,6 +282,9 @@ def test_chromatic_examples():
     edges.append((0, 5))
     g = Graph.from_edges(6, edges)
     assert chromatic_number(g) == 4
+    # crown graph, sides interleaved: greedy needs 5 colors, the search 2
+    crown = [(2 * i, 2 * j + 1) for i in range(5) for j in range(5) if i != j]
+    assert chromatic_number(Graph.from_edges(10, crown)) == 2
 
 
 def test_chromatic_number_matches_bruteforce_oracle():
@@ -283,6 +295,11 @@ def test_chromatic_number_matches_bruteforce_oracle():
 def test_chromatic_number_cap():
     with pytest.raises(ValueError):
         chromatic_number(make_path(9), max_n=8)
+
+
+def test_chromatic_number_has_no_depth_limit():
+    # one search level per vertex, far past the interpreter's recursion limit
+    assert chromatic_number(make_cycle(1501), max_n=2000) == 3
 
 
 def test_connected_domination_examples():
@@ -337,6 +354,75 @@ def test_bipartite_parts():
 def test_components():
     g = disjoint_union(make_path(3), make_complete(2))
     assert components(g) == [frozenset({0, 1, 2}), frozenset({3, 4})]
+
+
+# ---------------------------------------------------------------------------
+# The shared bitmask BFS against the set-based oracles
+# ---------------------------------------------------------------------------
+
+BFS_SETTINGS = settings(max_examples=200, deadline=None)
+EDGELESS = make_empty(6)
+SCATTERED = disjoint_union(disjoint_union(make_cycle(5), make_empty(1)), make_path(4))
+
+
+@st.composite
+def graphs_up_to_10(draw):
+    """A graph on at most 10 vertices, as G(n, p) over a range of densities
+    or edge by edge; edgeless and disconnected graphs are included."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from((0.0, 0.1, 0.2, 0.35, 0.6)))
+        return make_random_graph(n, density, draw(st.integers(0, 2**20)))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@BFS_SETTINGS
+@given(graphs_up_to_10())
+@example(EDGELESS)
+@example(SCATTERED)
+def test_is_bipartite_matches_parity_oracle(g):
+    parts = bipartition(g)
+    if parts is None:
+        assert is_bipartite(g) == (False, None)
+    else:
+        assert is_bipartite(g) == (True, (frozenset(parts[0]), frozenset(parts[1])))
+
+
+@BFS_SETTINGS
+@given(graphs_up_to_10())
+@example(EDGELESS)
+@example(SCATTERED)
+def test_components_match_connectivity_oracle(g):
+    comps = components(g)
+    assert sorted(v for c in comps for v in c) == list(range(g.n))
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+    for c in comps:
+        # connected, and no edge leaves it: a maximal connected set
+        assert induces_connected(g, set(c))
+        assert all(g.adj[v] <= c for v in c)
+
+
+@BFS_SETTINGS
+@given(graphs_up_to_10(), st.integers(1, 2**10 - 1))
+@example(EDGELESS, 0b100100)
+@example(SCATTERED, 2**10 - 1)
+def test_mask_connected_matches_oracle(g, bits):
+    mask = bits & g.full_mask or g.full_mask  # a nonempty vertex set of g
+    want = induces_connected(g, set(iter_bits(mask)))
+    assert mask_connected(g.adj_bits, mask) == want
+
+
+@BFS_SETTINGS
+@given(graphs_up_to_10())
+def test_eccentricities_match_distance_oracle(g):
+    if not is_connected(g):
+        with pytest.raises(ValueError):
+            eccentricities(g)
+        return
+    want = [max(distances(g, v).values()) for v in range(g.n)]
+    assert eccentricities(g) == want
 
 
 # ---------------------------------------------------------------------------

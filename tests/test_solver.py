@@ -122,6 +122,14 @@ def test_all_distinct_colors_compel_edge():
     assert report.compelling
 
 
+def test_independent_committee_search_has_no_depth_limit():
+    # one search level per class, far past the interpreter's recursion limit
+    n = 1200
+    report = is_compelling(make_empty(n), Coloring(tuple(range(n))), P.EDGE)
+    assert not report.compelling
+    assert report.counterexample == tuple(range(n))
+
+
 def test_is_compelling_rejects_bad_colorings():
     with pytest.raises(ValueError):
         is_compelling(make_path(2), Coloring((0, 0)), P.DOM)

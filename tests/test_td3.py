@@ -25,8 +25,7 @@ from compelling import (
     make_path,
     make_random_graph,
 )
-from compelling.solver import _iter_canonical
-from compelling.td3 import _tdc_masks
+from compelling.solver import _iter_canonical, _tdom_compelled
 
 P = SubsetProperty
 
@@ -35,7 +34,7 @@ def exists_tdc3_bruteforce(g):
     """Independent 3-class enumeration (used to validate the tester)."""
     if any(not g.adj[v] for v in range(g.n)):
         return False
-    return any(_tdc_masks(g, masks) for _, masks in _iter_canonical(g, 3))
+    return any(_tdom_compelled(g, masks) for _, masks in _iter_canonical(g, 3))
 
 
 def td3_test_corpus(count=80, max_n=9, seed=17):
