@@ -9,7 +9,9 @@ larger searches deliberately.
 
 Every breadth-first search over a vertex bitmask goes through
 :func:`bfs_layers`: connectivity, components and bipartitions here, and the
-induced-subgraph checks of the other modules.
+induced-subgraph checks of the other modules.  Every least dominating-type
+set (domination, total and connected domination) comes from one pruned
+subset search, :func:`least_covering_set`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +28,10 @@ from pathlib import Path
 # max_n explicitly; the defaults keep accidental huge searches from hanging.
 EXACT_CHROMATIC_CAP = 16
 SUBSET_ENUM_CAP = 20
+
+
+class SearchTimeout(RuntimeError):
+    """Raised when an exact search exceeds its time budget."""
 
 
 def iter_bits(mask: int):
@@ -577,32 +584,110 @@ def chromatic_number(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int:
         colors[v] = -1
 
 
-def connected_domination_number(g: Graph, max_n: int = SUBSET_ENUM_CAP) -> int:
+def least_covering_set(
+    cover: tuple[int, ...],
+    adj_bits: tuple[int, ...] | None = None,
+    *,
+    deadline: float | None = None,
+) -> tuple[int, ...] | None:
+    """First vertex subset in size-then-lex order whose ``cover`` bitmasks
+    together hold every vertex, or None when no subset does.
+
+    With ``adj_bits`` the subset must also induce a connected subgraph, and
+    each ``cover[v]`` must hold v and its neighbours in ``adj_bits``; the
+    closed neighbourhoods give connected domination.
+
+    Each size is searched depth-first with the picks in ascending order, so
+    the first hit is the subset ``itertools.combinations`` meets first.
+    Three cuts drop only branches that hold no qualifying subset:
+
+    - stranded vertex: an uncovered vertex that no candidate from the next
+      pick on covers can never be covered;
+    - count bound: the uncovered vertices cannot outnumber the picks left
+      times the largest cover among the candidates left, which at the root
+      rules out every size below n over the largest cover;
+    - connected sets: each of the s - 1 edges of a spanning tree of the
+      subset puts both its ends in both their covers, so s vertices with
+      covers of at most M vertices cover at most s(M - 2) + 2; smaller
+      sizes are skipped.
+
+    Both of the first two only get stronger as the candidate index grows,
+    so when one fails every later candidate at that depth fails too.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
+    """
+    n = len(cover)
+    full = (1 << n) - 1
+    # dead[v]: the vertices that no candidate at index v or later covers;
+    # most[v]: the largest cover among those candidates
+    dead = [full] * (n + 1)
+    most = [0] * (n + 1)
+    later = 0
+    for v in range(n - 1, -1, -1):
+        later |= cover[v]
+        dead[v] = full & ~later
+        most[v] = max(most[v + 1], cover[v].bit_count())
+    top = most[0]
+    steps = 0
+    for size in range(1, n + 1):
+        if adj_bits is not None and size * (top - 2) + 2 < n:
+            continue
+        picks = [0] * size
+        # uncovered[i]: the vertices the first i picks leave uncovered
+        uncovered = [full] * (size + 1)
+        i = 0
+        v = 0  # the next candidate for pick i
+        while True:
+            rest = uncovered[i]
+            left = size - i
+            if (
+                v <= n - left
+                and not rest & dead[v]
+                and rest.bit_count() <= left * most[v]
+            ):
+                if deadline is not None:
+                    steps += 1
+                    if not steps & 0x3FF and time.monotonic() > deadline:
+                        raise SearchTimeout(
+                            f"the deadline passed in the subset search at size {size}"
+                        )
+                picks[i] = v
+                rest &= ~cover[v]
+                v += 1
+                if left > 1:
+                    i += 1
+                    uncovered[i] = rest
+                    continue
+                if not rest and (
+                    adj_bits is None
+                    or mask_connected(adj_bits, sum(1 << p for p in picks))
+                ):
+                    return tuple(picks)
+                continue
+            if not i:
+                break
+            i -= 1
+            v = picks[i] + 1
+    return None
+
+
+def connected_domination_number(
+    g: Graph, max_n: int = SUBSET_ENUM_CAP, *, deadline: float | None = None
+) -> int:
     """Minimum size of a connected dominating set; connected input required."""
-    return len(minimum_connected_dominating_set(g, max_n=max_n))
+    return len(minimum_connected_dominating_set(g, max_n=max_n, deadline=deadline))
 
 
 def minimum_connected_dominating_set(
-    g: Graph, max_n: int = SUBSET_ENUM_CAP
+    g: Graph, max_n: int = SUBSET_ENUM_CAP, *, deadline: float | None = None
 ) -> tuple[int, ...]:
     """First minimum connected dominating set in size-then-lex order."""
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
     if not is_connected(g):
         raise ValueError("connected domination requires a connected graph")
-    closed = g.closed_bits
-    adj_bits = g.adj_bits
-    full = g.full_mask
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            cover = 0
-            mask = 0
-            for v in combo:
-                cover |= closed[v]
-                mask |= 1 << v
-            if cover == full and mask_connected(adj_bits, mask):
-                return combo
-    raise AssertionError("unreachable: the whole vertex set always qualifies")
+    return least_covering_set(g.closed_bits, g.adj_bits, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from functools import cached_property
 from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
+    SearchTimeout,
     chromatic_number,
     connected_domination_number,
     is_connected,
@@ -47,10 +48,6 @@ from .properties import (
     eval_property_mask,
     min_property_size,
 )
-
-
-class SearchTimeout(RuntimeError):
-    """Raised when an exact search exceeds its time budget."""
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,11 @@ def _classes_from_masks(masks) -> list[tuple[int, ...]]:
 
 
 def chi_bounds(
-    g: Graph, prop: SubsetProperty, max_n: int = EXACT_CHROMATIC_CAP
+    g: Graph,
+    prop: SubsetProperty,
+    max_n: int = EXACT_CHROMATIC_CAP,
+    *,
+    deadline: float | None = None,
 ) -> tuple[int, int | None] | None:
     """General bounds on the compelling chromatic number.
 
@@ -413,13 +414,17 @@ def chi_bounds(
     plus the chromatic number for upwards-closed properties, the connected
     domination analogue for CONNECTED, else n when the whole vertex set
     qualifies and unknown otherwise.
+
+    A ``deadline`` (a ``time.monotonic()`` value) bounds the subset
+    searches, which raise SearchTimeout once it is passed; the chromatic
+    number search has no deadline.
     """
-    m = min_property_size(prop, g, max_n=max_n)
+    m = min_property_size(prop, g, max_n=max_n, deadline=deadline)
     if m is None:
         return None
     chi = chromatic_number(g, max_n=max_n)
     if prop is SubsetProperty.CONNECTED and g.n >= 2 and is_connected(g):
-        gamma_c = connected_domination_number(g, max_n=max_n)
+        gamma_c = connected_domination_number(g, max_n=max_n, deadline=deadline)
         return max(chi, gamma_c), chi + gamma_c
     lower = max(m, chi)
     if prop.upwards_closed:
@@ -473,17 +478,21 @@ def compelling_chromatic_number(
     go through the committee search, and EDGE leaves through the
     independent-committee search.  The cut drops only colorings that do not
     compel, so the witness is the one the uncut scan finds.
+
+    ``timeout_s`` bounds the subset searches of the bounds phase and the
+    enumeration, which raise SearchTimeout once it has passed; the
+    chromatic number search in the bounds phase is not bounded.
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
-    bounds = chi_bounds(g, prop, max_n=max_n)
-    if bounds is None:
-        return ChiResult(None, None, None, None)
-    lower, upper = bounds
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    cover = _search_cover(g, prop)
-    committees = prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
     try:
+        bounds = chi_bounds(g, prop, max_n=max_n, deadline=deadline)
+        if bounds is None:
+            return ChiResult(None, None, None, None)
+        lower, upper = bounds
+        cover = _search_cover(g, prop)
+        committees = prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
         for k in range(lower, g.n + 1):
             for colors, masks in _iter_canonical(g, k, cover, deadline):
                 if prop is SubsetProperty.EDGE:

@@ -90,13 +90,20 @@ def set_property(prop: SubsetProperty, g: Graph, s: set[int]) -> bool:
     raise AssertionError(prop)
 
 
-def brute_min_size(prop: SubsetProperty, g: Graph) -> int | None:
-    """Minimum qualifying subset size by plain subset enumeration."""
+def brute_min_witness(prop: SubsetProperty, g: Graph) -> tuple[int, ...] | None:
+    """First qualifying subset in size-then-lex order by plain subset
+    enumeration, or None when none qualifies."""
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             if set_property(prop, g, set(combo)):
-                return size
+                return combo
     return None
+
+
+def brute_min_size(prop: SubsetProperty, g: Graph) -> int | None:
+    """Minimum qualifying subset size by plain subset enumeration."""
+    witness = brute_min_witness(prop, g)
+    return None if witness is None else len(witness)
 
 
 def brute_compelling(g: Graph, colors, prop: SubsetProperty) -> bool:

@@ -1,8 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from compelling import format_graph, make_complete_bipartite, make_cycle, make_empty, make_path
+import compelling
+from compelling import (
+    format_graph,
+    make_complete_bipartite,
+    make_cycle,
+    make_empty,
+    make_path,
+    make_random_graph,
+)
 from compelling.cli import main, parse_family_csv, render_family_csv
 
 
@@ -109,6 +121,26 @@ def test_chi_on_a_long_cycle_times_out_without_a_traceback(capsys, tmp_path):
         "2000",
         "--timeout-secs",
         "5",
+    )
+    assert code == 1
+    assert err.startswith("timeout:")
+    assert "Traceback" not in err
+
+
+def test_chi_times_out_in_the_bounds_without_a_traceback(capsys, tmp_path):
+    # the connected domination search of the bounds outlasts the deadline
+    path = tmp_path / "g30.graph"
+    path.write_text(format_graph(make_random_graph(30, 0.1, 4)))
+    code, _, err = run(
+        capsys,
+        "chi",
+        str(path),
+        "--property",
+        "cdom",
+        "--max-n",
+        "40",
+        "--timeout-secs",
+        "0",
     )
     assert code == 1
     assert err.startswith("timeout:")
@@ -296,3 +328,23 @@ def test_check_json(capsys, c5_file, c5_coloring):
     report = json.loads(out)
     assert report["results"][0]["compelling"] is False
     assert report["results"][0]["counterexample"] == [2, 1, 4]
+
+
+# ---------------------------------------------------------------------------
+# python -m compelling
+# ---------------------------------------------------------------------------
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(compelling.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-m", "compelling", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "family-table" in done.stdout

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from compelling import (
     Graph,
+    SubsetProperty,
     chromatic_number,
     components,
     connected_domination_number,
@@ -34,10 +35,16 @@ from compelling import (
     parse_graph,
     radius,
 )
-from compelling.graphs import eccentricities, iter_bits, mask_connected
+from compelling.graphs import (
+    eccentricities,
+    iter_bits,
+    least_covering_set,
+    mask_connected,
+)
 from oracles import (
     bipartition,
     brute_chromatic_number,
+    brute_min_witness,
     distances,
     induces_connected,
     is_dominating,
@@ -337,6 +344,12 @@ def test_minimum_cds_is_valid_and_deterministic():
     assert cds == minimum_connected_dominating_set(g)
 
 
+def test_least_covering_set_reports_an_uncoverable_vertex():
+    # vertex 2 lies in no cover, then in the cover of vertex 2 alone
+    assert least_covering_set((0b011, 0b011, 0b000)) is None
+    assert least_covering_set((0b011, 0b011, 0b100)) == (0, 2)
+
+
 def test_distance_parameters():
     assert diameter(make_path(7)) == 6
     assert radius(make_path(7)) == 3
@@ -412,6 +425,19 @@ def test_mask_connected_matches_oracle(g, bits):
     mask = bits & g.full_mask or g.full_mask  # a nonempty vertex set of g
     want = induces_connected(g, set(iter_bits(mask)))
     assert mask_connected(g.adj_bits, mask) == want
+
+
+@BFS_SETTINGS
+@given(graphs_up_to_10())
+@example(make_path(1))
+@example(SCATTERED)
+def test_minimum_cds_matches_size_lex_oracle(g):
+    if not is_connected(g):
+        with pytest.raises(ValueError):
+            minimum_connected_dominating_set(g)
+        return
+    want = brute_min_witness(SubsetProperty.CDOM, g)
+    assert minimum_connected_dominating_set(g) == want
 
 
 @BFS_SETTINGS

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compelling import (
+    Graph,
     SubsetProperty,
     connected_domination_number,
     disjoint_union,
@@ -15,11 +17,13 @@ from compelling import (
     make_empty,
     make_path,
     make_random_graph,
+    make_random_mop,
+    make_random_tree,
     make_star,
     min_property_size,
     min_property_witness,
 )
-from oracles import brute_min_size, set_property
+from oracles import brute_min_size, brute_min_witness, set_property
 
 P = SubsetProperty
 
@@ -140,6 +144,43 @@ def test_min_witness_is_first_in_size_lex_order():
     assert min_property_witness(P.EDGE, g) == (0, 1)
     assert min_property_witness(P.CONNECTED, g) == (0,)
     assert min_property_witness(P.CDOM, g) == (1, 2, 3)
+
+
+SCATTERED = disjoint_union(disjoint_union(make_cycle(5), make_empty(1)), make_path(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=10))
+@example(make_path(1))
+@example(make_empty(6))
+@example(SCATTERED)
+def test_min_witness_matches_size_lex_oracle(g):
+    for prop in P:
+        assert min_property_witness(prop, g) == brute_min_witness(prop, g), prop
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+FAMILIES = {
+    "path": make_path,
+    "cycle": make_cycle,
+    "tree": lambda n: make_random_tree(n, seed=n),
+    "mop": lambda n: make_random_mop(n, seed=n),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_domination_witnesses_on_relabelled_families(family, n):
+    # paths and cycles need connected dominating sets of n - 2 vertices,
+    # so the connected-set bound skips nearly every size on them
+    g = relabelled(FAMILIES[family](n), seed=n)
+    for prop in (P.DOM, P.TDOM, P.CDOM):
+        assert min_property_witness(prop, g) == brute_min_witness(prop, g), prop
 
 
 def test_min_size_cap():

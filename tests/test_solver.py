@@ -285,6 +285,14 @@ def test_chi_timeout_on_cut_search(g, prop):
         compelling_chromatic_number(g, prop, timeout_s=0.0)
 
 
+def test_chi_timeout_covers_the_bounds_phase():
+    # the connected domination number alone takes well over 1024 search
+    # steps here, so the deadline passes inside the bounds
+    g = make_random_graph(30, 0.1, 4)
+    with pytest.raises(SearchTimeout, match="within 0.0s: .*subset search"):
+        compelling_chromatic_number(g, P.CDOM, max_n=40, timeout_s=0.0)
+
+
 def test_deadline_counts_search_steps_not_leaves():
     # dom at 7 colors on P16: every branch is cut, no coloring comes out
     g = make_path(16)
