@@ -201,7 +201,11 @@ def cmd_check(args) -> int:
     g = _load_graph(args.graph)
     coloring = _load_coloring(args.coloring, g)
     prop = _parse_property(args.property)
-    report = is_compelling(g, coloring, prop)
+    try:
+        report = is_compelling(g, coloring, prop, timeout_s=args.timeout_secs)
+    except SearchTimeout as exc:
+        print(f"timeout: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         out = RunReport(
             command=f"check {args.graph} {args.coloring} {prop.value}",
@@ -458,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("graph")
     p_check.add_argument("coloring", help="coloring file, one 'vertex color' per line")
     p_check.add_argument("--property", required=True)
+    p_check.add_argument("--timeout-secs", type=float, default=None)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(func=cmd_check)
 

@@ -531,13 +531,18 @@ def _greedy_coloring(g: Graph) -> tuple[int, list[int]]:
     return used, colors
 
 
-def chromatic_number(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int:
+def chromatic_number(
+    g: Graph, max_n: int = EXACT_CHROMATIC_CAP, *, deadline: float | None = None
+) -> int:
     """Exact chromatic number by branch and bound.
 
     A greedy clique seeds both the lower bound and a fixed pre-coloring; the
     search assigns remaining vertices in degree order under the canonical
     new-color rule, pruning against the best coloring found so far.  The
     search is a loop, not a recursion, so any order fits under ``max_n``.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
@@ -560,11 +565,18 @@ def chromatic_number(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int:
     used_at = [lower] * (n + 1)
     idx = start
     c = 0
+    steps = 0
     while True:
         used = used_at[idx]
         if idx == n:
             best = min(best, used)
         elif used < best:
+            if deadline is not None:
+                steps += 1
+                if not steps & 0x3FF and time.monotonic() > deadline:
+                    raise SearchTimeout(
+                        "the deadline passed in the chromatic number search"
+                    )
             v = order[idx]
             taken = {colors[u] for u in g.adj[v]}
             limit = min(used + 1, best - 1)

@@ -10,11 +10,23 @@ Each property has one verdict kernel here, shared by the checker, the
 search, the total dominator tester and the verification suites.  DOM,
 TDOM and ISOLATE_FREE admit per-vertex tests (a vertex must dominate some
 color class, or be adjacent to all of some other class), EDGE is decided
-by a pruned search for a multicolored independent set, and every other
-verdict comes from the one committee scanner, which stops at the first
-violating committee.  Reported counterexamples are always the
-lexicographically least violating committee under class-index-then-vertex
-order, so results are reproducible.
+by a pruned search for a multicolored independent set, and CONNECTED and
+CDOM by a pruned committee search.  The plain committee scanner, which
+stops at the first violating committee, finds the counterexamples of the
+per-vertex kernels, checks the committee leaves of the exact search, and is
+the reference the other two searches are tested against.  Reported
+counterexamples are always the lexicographically least violating committee
+under class-index-then-vertex order, so results are reproducible.
+
+The committee search for CONNECTED and CDOM walks the classes in index
+order, each class's vertices ascending, so its leaves come in the scanner's
+order.  It cuts a subtree once the picks so far, P, are known to induce a
+connected subgraph and either every vertex of the classes still to pick is
+adjacent to P (CONNECTED) or P dominates the graph (CDOM).  Every later
+pick is then adjacent to P, so each completion stays connected (and
+dominating), and the cut loses no violating committee: the first violating
+leaf is the least one.  Below a pick not known to be connected nothing is
+cut, and the scanner walks the committees there.
 
 The exact search applies the per-vertex tests inside the canonical
 enumeration, cutting every subtree in which some vertex can no longer have
@@ -42,6 +54,7 @@ from .graphs import (
     connected_domination_number,
     is_connected,
     iter_bits,
+    mask_connected,
 )
 from .properties import (
     SubsetProperty,
@@ -200,7 +213,9 @@ def _tdom_compelled(g: Graph, class_masks) -> bool:
     return True
 
 
-def _find_independent_committee(g: Graph, class_masks) -> tuple[int, ...] | None:
+def _find_independent_committee(
+    g: Graph, class_masks, deadline: float | None = None
+) -> tuple[int, ...] | None:
     """Least committee (class-index-then-vertex order) that is an
     independent set, or None when every committee contains an edge.
 
@@ -208,6 +223,9 @@ def _find_independent_committee(g: Graph, class_masks) -> tuple[int, ...] | None
     in ascending order; a branch dies as soon as some remaining class has
     no vertex nonadjacent to the partial pick.  The stack is explicit, so
     any number of classes fits.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
     """
     adj = g.adj_bits
     k = len(class_masks)
@@ -216,6 +234,7 @@ def _find_independent_committee(g: Graph, class_masks) -> tuple[int, ...] | None
     # todo[i]: the vertices of class i not yet tried after pick[:i]
     avail = [g.full_mask]
     todo: list[int] = []
+    steps = 0
     while True:
         i = len(pick)
         if i == k:
@@ -233,6 +252,12 @@ def _find_independent_committee(g: Graph, class_masks) -> tuple[int, ...] | None
                 return None
             pick.pop()
             avail.pop()
+        if deadline is not None:
+            steps += 1
+            if not steps & 0x3FF and time.monotonic() > deadline:
+                raise SearchTimeout(
+                    "the deadline passed in the independent committee search"
+                )
         low = todo[-1] & -todo[-1]
         todo[-1] ^= low
         v = low.bit_length() - 1
@@ -241,10 +266,19 @@ def _find_independent_committee(g: Graph, class_masks) -> tuple[int, ...] | None
 
 
 def _find_violating_committee(
-    g: Graph, classes, prop: SubsetProperty
+    g: Graph, classes, prop: SubsetProperty, deadline: float | None = None
 ) -> tuple[int, ...] | None:
-    """Least committee whose vertex set fails ``prop``, or None."""
+    """Least committee whose vertex set fails ``prop``, or None.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the scan raises
+    SearchTimeout once it is passed, checked every 1024 committees.
+    """
+    steps = 0
     for committee in itertools.product(*classes):
+        if deadline is not None:
+            steps += 1
+            if not steps & 0x3FF and time.monotonic() > deadline:
+                raise SearchTimeout("the deadline passed in the committee scan")
         mask = 0
         for v in committee:
             mask |= 1 << v
@@ -253,28 +287,141 @@ def _find_violating_committee(
     return None
 
 
-def is_compelling(g: Graph, coloring: Coloring, prop: SubsetProperty) -> CompellingReport:
+def _committee_search(
+    g: Graph, class_masks, prop: SubsetProperty, deadline: float | None = None
+) -> tuple[int, ...] | None:
+    """Least committee (class-index-then-vertex order) that fails
+    CONNECTED, or CDOM when ``prop`` is CDOM; None when every committee
+    qualifies.  The answer is the one :func:`_find_violating_committee`
+    gives.
+
+    Depth-first over the classes of two or more vertices, in index order
+    and each class's vertices ascending; the singleton classes are in every
+    committee and start the pick.  The pick P is known connected when the
+    singletons induce a connected subgraph (or there are none) and each
+    later vertex was adjacent to the vertices picked before it.  A known
+    connected P ends its subtree when every vertex of the classes still to
+    pick is adjacent to P (CONNECTED) or when N[P] is every vertex (CDOM):
+    each later pick is then adjacent to P, so every completion is connected
+    (and dominating).  Nothing below a pick not known to be connected is
+    cut, so the plain scan walks that subtree with the picks fixed, at the
+    scan's cost.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
+    SearchTimeout once it is passed, checked every 1024 search steps and
+    after every subtree handed to the scan.
+    """
+    adj = g.adj_bits
+    closed = g.closed_bits
+    full = g.full_mask
+    cdom = prop is SubsetProperty.CDOM
+    classes = _classes_from_masks(class_masks)
+    base = reach = 0
+    slots = []  # the indices of the classes of two or more vertices
+    for c, m in enumerate(class_masks):
+        if m & (m - 1):
+            slots.append(c)
+        else:
+            base |= m
+            reach |= closed[m.bit_length() - 1]
+    k = len(slots)
+    # later[i]: the vertices of the classes at slots[i:]
+    later = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        later[i] = later[i + 1] | class_masks[slots[i]]
+    # For the pick P of the singletons and pick[:i]: inside[i] is P,
+    # near[i] is N[P] and known[i] says that P is known to be connected.
+    pick: list[int] = []
+    inside = [base]
+    near = [reach]
+    known = [not base or mask_connected(adj, base)]
+    todo: list[int] = []  # todo[i]: the vertices of class slots[i] not yet tried
+    steps = 0
+    while True:
+        i = len(pick)
+        p = inside[i]
+        r = near[i]
+        if known[i] and p and (r == full if cdom else not later[i] & ~r):
+            todo.append(0)  # every completion qualifies
+        elif known[i] and i < k:
+            todo.append(class_masks[slots[i]])
+        else:
+            # a pick not known to be connected, or a connected committee
+            # that does not dominate: the plain scan walks what is left
+            fixed = list(classes)
+            for c, v in zip(slots, pick):
+                fixed[c] = (v,)
+            cx = _find_violating_committee(g, fixed, prop, deadline)
+            if cx is not None:
+                return cx
+            steps |= 0x3FF  # the next step checks the deadline
+            todo.append(0)
+        while not todo[-1]:
+            todo.pop()
+            if not todo:
+                return None
+            pick.pop()
+            inside.pop()
+            near.pop()
+            known.pop()
+        if deadline is not None:
+            steps += 1
+            if not steps & 0x3FF and time.monotonic() > deadline:
+                raise SearchTimeout("the deadline passed in the committee search")
+        low = todo[-1] & -todo[-1]
+        todo[-1] ^= low
+        v = low.bit_length() - 1
+        p = inside[-1]
+        r = near[-1]
+        pick.append(v)
+        known.append(not p or bool(r & low))
+        inside.append(p | low)
+        near.append(r | closed[v])
+
+
+def is_compelling(
+    g: Graph,
+    coloring: Coloring,
+    prop: SubsetProperty,
+    *,
+    timeout_s: float | None = None,
+) -> CompellingReport:
     """Decide whether ``coloring`` compels ``prop`` on ``g``.
 
     On failure the report carries the least violating rainbow committee.
     EDGE is decided by the independent-committee search.  DOM, TDOM and
     ISOLATE_FREE are decided by their per-vertex kernel, and only a
     negative verdict scans the committees for the least counterexample.
-    CONNECTED and CDOM scan the committees outright.
+    CONNECTED and CDOM run the committee search, which cuts a subtree once
+    the vertices picked so far are connected and every completion must stay
+    connected (and dominating), and hands the subtrees it cannot cut to the
+    scan; it returns the least violating committee the full scan would.
+
+    ``timeout_s`` bounds the whole check: the searches raise SearchTimeout
+    once it has passed.
     """
     validate_coloring(g, coloring)
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
     masks = coloring.class_masks
-    if prop is SubsetProperty.EDGE:
-        cx = _find_independent_committee(g, masks)
-        return CompellingReport(cx is None, cx, "rc-search")
-    if prop is SubsetProperty.DOM:
-        method, fast = "per-vertex-fast", _dom_compelled(g, masks)
-    elif prop in (SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE):
-        method, fast = "per-vertex-fast", _tdom_compelled(g, masks)
-    else:
-        method, fast = "rc-search", False
-    cx = None if fast else _find_violating_committee(g, coloring.classes, prop)
-    return CompellingReport(cx is None, cx, method)
+    try:
+        if prop is SubsetProperty.EDGE:
+            cx = _find_independent_committee(g, masks, deadline)
+            return CompellingReport(cx is None, cx, "rc-search")
+        if prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM):
+            cx = _committee_search(g, masks, prop, deadline)
+            return CompellingReport(cx is None, cx, "rc-search")
+        if prop is SubsetProperty.DOM:
+            fast = _dom_compelled(g, masks)
+        else:
+            fast = _tdom_compelled(g, masks)
+        cx = None
+        if not fast:
+            cx = _find_violating_committee(g, coloring.classes, prop, deadline)
+    except SearchTimeout as exc:
+        raise SearchTimeout(
+            f"no verdict for {g.name or 'graph'} within {timeout_s}s: {exc}"
+        ) from None
+    return CompellingReport(cx is None, cx, "per-vertex-fast")
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +563,13 @@ def chi_bounds(
     qualifies and unknown otherwise.
 
     A ``deadline`` (a ``time.monotonic()`` value) bounds the subset
-    searches, which raise SearchTimeout once it is passed; the chromatic
-    number search has no deadline.
+    searches and the chromatic number search, which raise SearchTimeout
+    once it is passed.
     """
     m = min_property_size(prop, g, max_n=max_n, deadline=deadline)
     if m is None:
         return None
-    chi = chromatic_number(g, max_n=max_n)
+    chi = chromatic_number(g, max_n=max_n, deadline=deadline)
     if prop is SubsetProperty.CONNECTED and g.n >= 2 and is_connected(g):
         gamma_c = connected_domination_number(g, max_n=max_n, deadline=deadline)
         return max(chi, gamma_c), chi + gamma_c
@@ -479,9 +626,9 @@ def compelling_chromatic_number(
     independent-committee search.  The cut drops only colorings that do not
     compel, so the witness is the one the uncut scan finds.
 
-    ``timeout_s`` bounds the subset searches of the bounds phase and the
-    enumeration, which raise SearchTimeout once it has passed; the
-    chromatic number search in the bounds phase is not bounded.
+    ``timeout_s`` bounds the whole call: the subset and chromatic number
+    searches of the bounds phase, the enumeration and the leaf checks raise
+    SearchTimeout once it has passed.
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
@@ -492,15 +639,16 @@ def compelling_chromatic_number(
             return ChiResult(None, None, None, None)
         lower, upper = bounds
         cover = _search_cover(g, prop)
+        edge = prop is SubsetProperty.EDGE
         committees = prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
         for k in range(lower, g.n + 1):
             for colors, masks in _iter_canonical(g, k, cover, deadline):
-                if prop is SubsetProperty.EDGE:
-                    if _find_independent_committee(g, masks) is not None:
+                if edge:
+                    if _find_independent_committee(g, masks, deadline) is not None:
                         continue
                 elif committees:
                     classes = _classes_from_masks(masks)
-                    if _find_violating_committee(g, classes, prop) is not None:
+                    if _find_violating_committee(g, classes, prop, deadline) is not None:
                         continue
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
     except SearchTimeout as exc:

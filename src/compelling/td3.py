@@ -21,7 +21,10 @@ Every candidate is re-validated with the full TDC definition before being
 returned, so any slack in the case analysis cannot produce a bad witness.
 The scan order (case 1 vertices ascending, case 2.2 pairs, case 2.1
 pairs-of-pairs, all lexicographic) makes the returned witness
-deterministic.
+deterministic.  Cases 2.2 and 2.1 try each guessed class once, under the
+first pair in that order that gives it: the witness stays the same, and
+the scan costs one try per distinct guessed class, not one per pair (or
+pair of pairs).
 """
 
 from __future__ import annotations
@@ -142,15 +145,26 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
             if witness is not None:
                 return witness
 
-    # Case 2.2: red pair (u, v); the other two classes pair off against
-    # each other, so N(u) union N(v) must induce complete bipartite.
-    pair_reds: list[tuple[int, int, int]] = []
+    # Cases 2.2 and 2.1 guess red as the vertices adjacent to neither of a
+    # pair (u, v).  A candidate depends only on the guessed masks, so each
+    # independent mask is tried once, under the first pair that gives it:
+    # the first pair (or pair of pairs) to succeed is the first occurrence
+    # of its masks, and the witness is the one the scan over all pairs finds.
+    firsts: dict[int, tuple[int, int]] = {}
     for u in range(n):
         for v in range(u + 1, n):
-            pair_reds.append((u, v, full & ~(adj[u] | adj[v])))
-    for u, v, red in pair_reds:
+            firsts.setdefault(full & ~(adj[u] | adj[v]), (u, v))
+    reds = [
+        (red, pair)
+        for red, pair in firsts.items()
+        if red and mask_independent(adj, red)
+    ]
+
+    # Case 2.2: the other two classes pair off against each other, so
+    # N(u) union N(v) must induce complete bipartite.
+    for red, uv in reds:
         rest = full & ~red
-        if red == 0 or rest == 0:
+        if rest == 0:
             continue
         split = _split_bipartition(g, rest)
         if split is None:
@@ -163,23 +177,19 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
                 break
         if not complete:
             continue
-        witness = _witness_from_masks(g, (red, side_a, side_b), "case22", (u, v))
+        witness = _witness_from_masks(g, (red, side_a, side_b), "case22", uv)
         if witness is not None:
             return witness
 
     # Case 2.1: guessed pairs determine red and blue outright.
-    for u, v, red in pair_reds:
-        if red == 0:
-            continue
-        for x, y, blue in pair_reds:
-            if blue == 0 or red & blue:
+    for red, uv in reds:
+        for blue, xy in reds:
+            if red & blue:
                 continue
             green = full & ~(red | blue)
             if green == 0:
                 continue
-            witness = _witness_from_masks(
-                g, (red, blue, green), "case21", (u, v, x, y)
-            )
+            witness = _witness_from_masks(g, (red, blue, green), "case21", uv + xy)
             if witness is not None:
                 return witness
     return None

@@ -55,19 +55,29 @@ def distances(g: Graph, root: int) -> dict[int, int]:
     return dist
 
 
-def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
-    """The two parts by distance parity from the lowest vertex of each
-    component (that vertex in part 0), or None when an edge joins two
-    vertices of equal parity."""
+def bipartition(
+    g: Graph, within: set[int] | None = None
+) -> tuple[set[int], set[int]] | None:
+    """The two parts of the subgraph induced by ``within`` (every vertex by
+    default) by distance parity from the lowest vertex of each component
+    (that vertex in part 0), or None when an edge joins two vertices of
+    equal parity."""
+    verts = set(range(g.n)) if within is None else within
     parity: dict[int, int] = {}
-    for root in range(g.n):
+    for root in sorted(verts):
         if root not in parity:
-            parity.update((v, d % 2) for v, d in distances(g, root).items())
-    if any(parity[u] == parity[v] for u, v in g.edges):
+            parity[root] = 0
+            queue = [root]
+            for u in queue:
+                for v in g.adj[u] & verts:
+                    if v not in parity:
+                        parity[v] = parity[u] ^ 1
+                        queue.append(v)
+    if any(parity[u] == parity[v] for u in verts for v in g.adj[u] & verts):
         return None
     return (
-        {v for v in range(g.n) if parity[v] == 0},
-        {v for v in range(g.n) if parity[v] == 1},
+        {v for v in verts if parity[v] == 0},
+        {v for v in verts if parity[v] == 1},
     )
 
 
@@ -114,3 +124,77 @@ def brute_compelling(g: Graph, colors, prop: SubsetProperty) -> bool:
         set_property(prop, g, set(committee))
         for committee in itertools.product(*classes)
     )
+
+
+def tdc3_pair_scan(g: Graph):
+    """The three-class total dominator coloring search of ``td3.has_tdc3``
+    run over every guess: case 1 for each vertex, then case 2.2 for each
+    pair and case 2.1 for each pair of pairs, all in lexicographic order,
+    with every candidate checked in full.  Returns (colors, case tag,
+    guessed vertices) of the first candidate that passes, or None."""
+    n = g.n
+    if n < 3 or any(not g.adj[v] for v in range(n)):
+        return None
+    everything = set(range(n))
+
+    def witness(classes, tag, guessed):
+        if any(not c for c in classes) or sum(map(len, classes)) != n:
+            return None
+        if set().union(*classes) != everything:
+            return None
+        if any(g.adj[v] & c for c in classes for v in c):
+            return None
+        if not all(any(c <= g.adj[v] for c in classes) for v in range(n)):
+            return None
+        color = {v: i for i, c in enumerate(classes) for v in c}
+        relabel: dict[int, int] = {}
+        colors = tuple(relabel.setdefault(color[v], len(relabel)) for v in range(n))
+        return colors, tag, tuple(guessed)
+
+    def two_sides(rest):
+        parts = bipartition(g, rest)
+        if parts is None:
+            return None
+        a, b = parts
+        if not b:
+            if len(a) < 2:
+                return None
+            low = min(a)
+            a, b = a - {low}, {low}
+        return a, b
+
+    for v in range(n):
+        rest = set(g.adj[v])
+        red = everything - rest
+        if rest and all(g.adj[w] == rest for w in red):
+            sides = two_sides(rest)
+            if sides is not None:
+                found = witness((red, *sides), "case1", (v,))
+                if found is not None:
+                    return found
+    pairs = [
+        (u, v, everything - g.adj[u] - g.adj[v])
+        for u, v in itertools.combinations(range(n), 2)
+    ]
+    for u, v, red in pairs:
+        rest = everything - red
+        if not red or not rest:
+            continue
+        sides = two_sides(rest)
+        if sides is None:
+            continue
+        a, b = sides
+        if all(g.adj[w] & rest == b for w in a):
+            found = witness((red, a, b), "case22", (u, v))
+            if found is not None:
+                return found
+    for u, v, red in pairs:
+        for x, y, blue in pairs:
+            if not red or not blue or red & blue:
+                continue
+            green = everything - red - blue
+            if green:
+                found = witness((red, blue, green), "case21", (u, v, x, y))
+                if found is not None:
+                    return found
+    return None

@@ -8,6 +8,7 @@ import pytest
 
 import compelling
 from compelling import (
+    Graph,
     format_graph,
     make_complete_bipartite,
     make_cycle,
@@ -187,6 +188,53 @@ def test_check_gap_coloring_rejected(capsys, c5_file, tmp_path):
     code, _, err = run(capsys, "check", c5_file, str(bad), "--property", "dom")
     assert code == 2
     assert "unused" in err
+
+
+def class_coloring_files(tmp_path, parts, size, edge):
+    """Files of a graph on ``parts`` classes of ``size`` consecutive
+    vertices, with the edge uv (u < v, in different classes) exactly when
+    ``edge(u, v)``, and of its class coloring."""
+    n = parts * size
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if u // size != v // size and edge(u, v)
+    ]
+    graph = tmp_path / "classes.graph"
+    graph.write_text(format_graph(Graph.from_edges(n, edges)))
+    coloring = tmp_path / "classes.coloring"
+    coloring.write_text("".join(f"{v} {v // size}\n" for v in range(n)))
+    return str(graph), str(coloring)
+
+
+@pytest.mark.parametrize("prop", ["connected", "cdom"])
+def test_check_ten_classes_of_six_within_the_timeout(capsys, tmp_path, prop):
+    # the complete multipartite graph: 6^10 committees, and the committee
+    # search cuts after at most two picks
+    graph, coloring = class_coloring_files(tmp_path, 10, 6, lambda u, v: True)
+    code, out, _ = run(
+        capsys, "check", graph, coloring, "--property", prop, "--timeout-secs", "5"
+    )
+    assert code == 0
+    assert out.strip() == "COMPELLING"
+
+
+def test_check_timeout_exits_one_without_a_traceback(capsys, tmp_path):
+    # each class joined to the next only: the committee search cuts at the
+    # last class, after 21,844 steps
+    graph, coloring = class_coloring_files(
+        tmp_path, 8, 4, lambda u, v: v // 4 - u // 4 == 1
+    )
+    code, out, err = run(
+        capsys, "check", graph, coloring, "--property", "connected",
+        "--timeout-secs", "0",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("timeout:")
+    assert "committee search" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from compelling import (
     Graph,
+    SearchTimeout,
     SubsetProperty,
     chromatic_number,
     components,
@@ -302,6 +304,15 @@ def test_chromatic_number_matches_bruteforce_oracle():
 def test_chromatic_number_cap():
     with pytest.raises(ValueError):
         chromatic_number(make_path(9), max_n=8)
+
+
+def test_chromatic_number_deadline():
+    # greedy needs more colors than the clique it finds, so the search runs
+    # well past 1024 steps here
+    g = make_random_graph(30, 0.5, 2)
+    assert chromatic_number(g, max_n=30) == 7
+    with pytest.raises(SearchTimeout, match="chromatic number search"):
+        chromatic_number(g, max_n=30, deadline=time.monotonic() - 1)
 
 
 def test_chromatic_number_has_no_depth_limit():

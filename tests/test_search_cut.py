@@ -1,9 +1,13 @@
-"""The per-vertex cut inside the canonical enumeration.
+"""The cuts inside the searches.
 
 ``compelling_chromatic_number`` cuts subtrees of the canonical search with
-per-vertex neighbourhood tests.  Every test here compares it against a
+per-vertex neighbourhood tests.  Those tests compare it against a
 leaf-only reference: the uncut enumeration from the lower bound up, with
 each completed coloring judged by the set-level oracle.
+
+The committee search behind ``is_compelling`` for CONNECTED and CDOM cuts
+subtrees whose completions all qualify; it is compared against the plain
+committee scan and the set-level oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from compelling import (
     make_random_graph,
     make_random_mop,
 )
-from compelling.solver import _iter_canonical, _search_cover
+from compelling.solver import (
+    _classes_from_masks,
+    _committee_search,
+    _find_violating_committee,
+    _iter_canonical,
+    _search_cover,
+)
 from compelling.verify import main_corpus
 from oracles import brute_compelling
 
@@ -152,3 +162,23 @@ def test_frontier_instances():
     res = compelling_chromatic_number(g, P.DOM)
     assert res.witness.k == res.value
     assert brute_compelling(g, res.witness.colors, P.DOM)
+
+
+# ---------------------------------------------------------------------------
+# The committee search for CONNECTED and CDOM
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(), st.data())
+def test_committee_search_matches_the_scan(g, data):
+    k = data.draw(st.integers(1, g.n))
+    colorings = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k)]
+    if not colorings:
+        return
+    colors, masks = colorings[data.draw(st.integers(0, len(colorings) - 1))]
+    classes = _classes_from_masks(masks)
+    for prop in (P.CONNECTED, P.CDOM):
+        cx = _committee_search(g, masks, prop)
+        assert cx == _find_violating_committee(g, classes, prop)
+        assert (cx is None) == brute_compelling(g, colors, prop)

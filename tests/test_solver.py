@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from compelling import (
     Coloring,
+    Graph,
     SearchTimeout,
     SubsetProperty,
     canonical_colorings,
@@ -128,6 +129,52 @@ def test_independent_committee_search_has_no_depth_limit():
     report = is_compelling(make_empty(n), Coloring(tuple(range(n))), P.EDGE)
     assert not report.compelling
     assert report.counterexample == tuple(range(n))
+
+
+def class_graph(parts, size, edge):
+    """A graph on ``parts`` classes of ``size`` consecutive vertices, with
+    the edge uv (u < v, in different classes) exactly when ``edge(u, v)``,
+    and its class coloring."""
+    n = parts * size
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if u // size != v // size and edge(u, v)
+    ]
+    return Graph.from_edges(n, edges), Coloring(tuple(v // size for v in range(n)))
+
+
+def test_committee_search_on_ten_classes_of_six():
+    g, coloring = class_graph(10, 6, lambda u, v: True)
+    for prop in (P.CONNECTED, P.CDOM):
+        report = is_compelling(g, coloring, prop, timeout_s=5)
+        assert report == is_compelling(g, coloring, prop)
+        assert report.compelling
+
+
+@pytest.mark.parametrize(
+    "g, coloring, prop, search",
+    [
+        # each class joined to the next only: every pick is connected, and
+        # the cut waits for the last class, after 21,844 steps
+        (*class_graph(8, 4, lambda u, v: v // 4 - u // 4 == 1), P.CONNECTED,
+         "committee search"),
+        # classes 0 and 1 unjoined: the plain scan walks each subtree below
+        # a pick of both, 4^6 committees
+        (*class_graph(8, 4, lambda u, v: v // 4 > 1), P.CONNECTED, "committee scan"),
+        # vertex 0 misses the last vertex of every class, so the least
+        # undominating committee, (1, 7, 11, ..., 31), comes after 32,767
+        # others in committee order
+        (*class_graph(8, 4, lambda u, v: u or v % 4 != 3), P.DOM, "committee scan"),
+        # 1200 singleton classes, one search step each
+        (make_empty(1200), Coloring(tuple(range(1200))), P.EDGE, "independent"),
+    ],
+    ids=["connected-chain", "connected-unjoined", "dom", "edge"],
+)
+def test_check_timeout(g, coloring, prop, search):
+    with pytest.raises(SearchTimeout, match=f"within 0s: .*{search}"):
+        is_compelling(g, coloring, prop, timeout_s=0)
 
 
 def test_is_compelling_rejects_bad_colorings():
@@ -291,6 +338,14 @@ def test_chi_timeout_covers_the_bounds_phase():
     g = make_random_graph(30, 0.1, 4)
     with pytest.raises(SearchTimeout, match="within 0.0s: .*subset search"):
         compelling_chromatic_number(g, P.CDOM, max_n=40, timeout_s=0.0)
+
+
+def test_chi_timeout_covers_the_chromatic_number_search():
+    # the least edge is found at once, then the chromatic number search
+    # runs past 1024 steps
+    g = make_random_graph(30, 0.5, 2)
+    with pytest.raises(SearchTimeout, match="within 0.0s: .*chromatic number search"):
+        compelling_chromatic_number(g, P.EDGE, max_n=40, timeout_s=0.0)
 
 
 def test_deadline_counts_search_steps_not_leaves():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from compelling import (
     Coloring,
+    Graph,
     SubsetProperty,
     chi_connected_is_3,
     chi_td_bruteforce,
@@ -24,8 +26,12 @@ from compelling import (
     make_empty,
     make_path,
     make_random_graph,
+    make_random_mop,
+    make_split_graph,
 )
 from compelling.solver import _iter_canonical, _tdom_compelled
+from compelling.verify import named_families, td3_corpus
+from oracles import tdc3_pair_scan
 
 P = SubsetProperty
 
@@ -123,6 +129,48 @@ def test_has_tdc3_deterministic_witness():
     first = has_tdc3(g)
     second = has_tdc3(g)
     assert first == second
+
+
+def planted_tdc3(n, extra, seed):
+    """A graph with a planted three-class total dominator coloring: each
+    vertex is joined to the whole of a random other class, and each other
+    pair of differently colored vertices to probability ``extra``.  Case
+    2.1 of the tester finds most of their witnesses, which the random and
+    named graphs above never reach."""
+    rng = random.Random(seed)
+    color = [v % 3 for v in range(n)]
+    rng.shuffle(color)
+    edges = set()
+    for v in range(n):
+        target = rng.choice([c for c in range(3) if c != color[v]])
+        edges.update((min(v, w), max(v, w)) for w in range(n) if color[w] == target)
+    for u, w in itertools.combinations(range(n), 2):
+        if color[u] != color[w] and rng.random() < extra:
+            edges.add((u, w))
+    return Graph.from_edges(n, sorted(edges), name=f"T3({n},{extra};{seed})")
+
+
+def test_has_tdc3_witnesses_match_the_pair_scan():
+    # the tester tries each guessed class once; the reference tries every
+    # pair and pair of pairs, and both must return the same witness
+    graphs = list(td3_corpus()) + named_families(9)
+    graphs += [make_split_graph(m) for m in (2, 3, 4, 5, 8, 11, 15)]
+    graphs += [make_random_mop(n, n) for n in (6, 10, 15, 20, 25, 30)]
+    graphs += [
+        planted_tdc3(n, extra, seed)
+        for n in (6, 7, 8, 9, 12, 16, 20, 30)
+        for extra in (0.0, 0.3)
+        for seed in range(6)
+    ]
+    tags = set()
+    for g in graphs:
+        witness = has_tdc3(g)
+        got = None
+        if witness is not None:
+            got = (witness.coloring.colors, witness.case_tag, witness.guessed_vertices)
+            tags.add(witness.case_tag)
+        assert got == tdc3_pair_scan(g), g.name
+    assert tags == {"case1", "case21", "case22"}
 
 
 @settings(max_examples=40, deadline=None)
