@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -133,6 +134,20 @@ def _parse_range(text: str) -> tuple[int, int]:
             except ValueError:
                 break
     raise CliError(f"bad range {text!r}, expected like 3:12")
+
+
+def _timeout_secs(text: str) -> float:
+    """A ``--timeout-secs`` value: a finite number of seconds, zero or more.
+    NaN would never compare past a deadline, so it is refused too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds, zero or more, not {text!r}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chi.add_argument("graph", help="graph file ('n m' header then edge lines)")
     p_chi.add_argument("--property", required=True, help="dom|tdom|if|edge|connected|cdom")
     p_chi.add_argument("--max-n", type=int, default=EXACT_CHROMATIC_CAP)
-    p_chi.add_argument("--timeout-secs", type=float, default=None)
+    p_chi.add_argument("--timeout-secs", type=_timeout_secs, default=None)
     p_chi.add_argument("--format", choices=("text", "json"), default="text")
     p_chi.set_defaults(func=cmd_chi)
 
@@ -462,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("graph")
     p_check.add_argument("coloring", help="coloring file, one 'vertex color' per line")
     p_check.add_argument("--property", required=True)
-    p_check.add_argument("--timeout-secs", type=float, default=None)
+    p_check.add_argument("--timeout-secs", type=_timeout_secs, default=None)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(func=cmd_check)
 
@@ -476,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--property", required=True)
     p_table.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_table.add_argument("--max-n", type=int, default=EXACT_CHROMATIC_CAP)
-    p_table.add_argument("--timeout-secs", type=float, default=None)
+    p_table.add_argument("--timeout-secs", type=_timeout_secs, default=None)
     p_table.add_argument("--format", choices=("csv", "text", "json"), default="csv")
     p_table.set_defaults(func=cmd_family_table)
 

@@ -28,13 +28,26 @@ dominating), and the cut loses no violating committee: the first violating
 leaf is the least one.  Below a pick not known to be connected nothing is
 cut, and the scanner walks the committees there.
 
-The exact search applies the per-vertex tests inside the canonical
-enumeration, cutting every subtree in which some vertex can no longer have
-a whole class inside its neighbourhood.  CDOM, and CONNECTED on a connected
-graph with at least two vertices, are cut with the DOM test, since a
-coloring compelling them also compels domination; CONNECTED on other
-graphs and EDGE are not cut.  Only the colorings that survive the cut reach
-the committee searches, and the witness is the one the uncut search finds.
+The exact search applies three cuts inside the canonical enumeration, each
+dropping only subtrees in which no coloring compels the property:
+
+* the per-vertex test cuts every subtree in which some vertex can no
+  longer have a whole class inside its neighbourhood.  CDOM, and CONNECTED
+  on a connected graph with at least two vertices, are cut with the DOM
+  test, since a coloring compelling them also compels domination;
+* the separator test (CONNECTED and CDOM, any graph) cuts once a vertex x
+  has a second vertex in its class while two components of G - x hold
+  vertices of different colors (or G is disconnected and two of its
+  components do): the committee through those two that avoids x is
+  disconnected.  It is the local form of the tree result that every
+  interior vertex of a tree is a singleton class, and 2-connected graphs
+  get nothing from it;
+* the EDGE test cuts, once all k colors are open, when some committee
+  through the vertex just placed is independent, which it stays in every
+  completion.  So no leaf that survives has an independent committee.
+
+Only the colorings that survive reach the leaf checks, and the witness is
+the one the uncut search finds.
 
 Everything here is a pure function; single-threaded execution throughout.
 """
@@ -50,6 +63,7 @@ from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
     SearchTimeout,
+    bfs_layers,
     chromatic_number,
     connected_domination_number,
     is_connected,
@@ -429,7 +443,14 @@ def is_compelling(
 # ---------------------------------------------------------------------------
 
 
-def _iter_canonical(g: Graph, k: int, cover=None, deadline: float | None = None):
+def _iter_canonical(
+    g: Graph,
+    k: int,
+    cover=None,
+    deadline: float | None = None,
+    separators=None,
+    edge: bool = False,
+):
     """Yield every canonical proper coloring of g with exactly k colors.
 
     Canonical means a vertex may take color c only when c is at most one
@@ -444,9 +465,28 @@ def _iter_canonical(g: Graph, k: int, cover=None, deadline: float | None = None)
     is the set of vertices whose cover holds all of c.  Classes only grow,
     so a vertex in no ``inside[c]`` stays uncovered unless a class is still
     to be opened inside its cover: the branch is cut once all k colors are
-    in use or no unassigned vertex is left in that cover.  The cut drops
-    whole subtrees and nothing else, so leaves come in the same order as
-    without it.
+    in use or no unassigned vertex is left in that cover.
+
+    ``separators`` (the table of :func:`_search_separators`) turns on the
+    separator cut, valid for CONNECTED and CDOM: a branch is cut once two
+    colors are in use and some vertex x armed at the vertex just placed
+    lies in a class of two or more vertices.  Armed means that two
+    components of G - x hold placed vertices (bit n stands for no x at
+    all, on a disconnected graph, and needs no class).  The placed vertices
+    other than x then carry two colors, so two of those components hold
+    vertices u and w of different colors, and the committee through u and
+    w that avoids x is disconnected in every completion.
+
+    ``edge`` turns on the EDGE cut: once all k colors are open, the branch
+    is cut when some committee through the vertex v just placed is
+    independent, searched by :func:`_find_independent_committee` with v's
+    class cut to v and every other class to the non-neighbours of v.
+    Classes only grow, so that committee is in every completion.  Every
+    independent committee of a coloring has a last-placed vertex, at which
+    all k colors are open, so every leaf that survives has none.
+
+    Each cut drops whole subtrees in which no leaf compels the property
+    and nothing else, so leaves come in the same order as without it.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
@@ -458,6 +498,7 @@ def _iter_canonical(g: Graph, k: int, cover=None, deadline: float | None = None)
     full = g.full_mask
     if cover is None:
         cover = (full,) * n  # every class fits: nothing is cut
+    rules = separators is not None or edge
     colors = [0] * n
     masks = [0] * k
     inside = [0] * k  # 0 while the class is not open
@@ -471,10 +512,13 @@ def _iter_canonical(g: Graph, k: int, cover=None, deadline: float | None = None)
     # Depth-first over the vertices in index order with an explicit stack.
     # On reaching vertex v: used_at[v] colors are open and loose_at[v] holds
     # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
-    # inside[c] of v's class c before v joined it.
+    # inside[c] of v's class c before v joined it.  With the separator or
+    # EDGE cut on, multi_at[v] holds the vertices in classes of two or more
+    # vertices, and bit n, the separator bit that needs no class.
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
+    multi_at = [1 << n] * (n + 1)
     steps = 0
     v = 0
     c = 0  # the next color to try at v
@@ -518,6 +562,20 @@ def _iter_canonical(g: Graph, k: int, cover=None, deadline: float | None = None)
                     break
                 c += 1
             if c <= top:
+                if rules:
+                    multi = multi_at[v]
+                    if c < used:
+                        multi |= masks[c] | 1 << v
+                    cut = now_used > 1 and separators and multi & separators[v]
+                    if not cut and edge and now_used == k:
+                        part = [m & ~nb for m in masks]
+                        part[c] = 1 << v
+                        cut = _find_independent_committee(g, part, deadline) is not None
+                    if cut:  # come back to v for the next color
+                        inside[c] = held
+                        c += 1
+                        continue
+                    multi_at[v + 1] = multi
                 colors[v] = c
                 masks[c] |= 1 << v
                 held_at[v] = held
@@ -604,6 +662,46 @@ def _search_cover(g: Graph, prop: SubsetProperty):
     return None
 
 
+def _search_separators(
+    g: Graph, prop: SubsetProperty, deadline: float | None = None
+):
+    """Arming table of the separator cut of :func:`_iter_canonical` for
+    CONNECTED and CDOM, or None when the cut never fires on ``g`` or
+    ``prop`` is another property.
+
+    Entry v has bit x set when two components of G - x meet the vertices
+    0..v, and bit n set when G itself is disconnected and two of its
+    components meet them.  A coloring in which two components of G - x hold
+    vertices of different colors, with a second vertex in x's class, has a
+    committee that avoids x and meets both components, so it is
+    disconnected: the local form of the tree result that every interior
+    vertex is a singleton class.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) it raises
+    SearchTimeout once that is passed, checked before each of the n + 1
+    searches for components.
+    """
+    if prop not in (SubsetProperty.CONNECTED, SubsetProperty.CDOM):
+        return None
+    n = g.n
+    adj = g.adj_bits
+    armed = [0] * n
+    for x in range(n + 1):  # x == n removes no vertex
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout("the deadline passed building the separator table")
+        rest = g.full_mask & ~(1 << x)
+        starts = (layer for depth, layer in bfs_layers(adj, rest) if not depth)
+        next(starts, None)
+        second = next(starts, 0)
+        if second:
+            # the vertices 0..v meet two components once v reaches the
+            # lowest vertex of the second one
+            armed[second.bit_length() - 1] |= 1 << x
+    for v in range(1, n):
+        armed[v] |= armed[v - 1]
+    return tuple(armed) if armed and armed[-1] else None
+
+
 def compelling_chromatic_number(
     g: Graph,
     prop: SubsetProperty,
@@ -620,11 +718,14 @@ def compelling_chromatic_number(
 
     DOM, TDOM, ISOLATE_FREE and CDOM, and CONNECTED on a connected graph
     with n >= 2, cut subtrees inside the enumeration with the per-vertex
-    test of :func:`_search_cover`.  Every DOM, TDOM and ISOLATE_FREE leaf
-    that survives the cut is compelling; CONNECTED and CDOM leaves still
-    go through the committee search, and EDGE leaves through the
-    independent-committee search.  The cut drops only colorings that do not
-    compel, so the witness is the one the uncut scan finds.
+    test of :func:`_search_cover`; CONNECTED and CDOM also with the
+    separator test of :func:`_search_separators`, and EDGE with the
+    independent committee test (see :func:`_iter_canonical`).  Every DOM,
+    TDOM and ISOLATE_FREE leaf that survives is compelling, and so is every
+    EDGE leaf; CONNECTED and CDOM leaves still go through the committee
+    scan, and EDGE leaves through the independent-committee search.  The
+    cuts drop only colorings that do not compel, so the witness is the one
+    the uncut scan finds.
 
     ``timeout_s`` bounds the whole call: the subset and chromatic number
     searches of the bounds phase, the enumeration and the leaf checks raise
@@ -639,10 +740,12 @@ def compelling_chromatic_number(
             return ChiResult(None, None, None, None)
         lower, upper = bounds
         cover = _search_cover(g, prop)
+        separators = _search_separators(g, prop, deadline)
         edge = prop is SubsetProperty.EDGE
         committees = prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
         for k in range(lower, g.n + 1):
-            for colors, masks in _iter_canonical(g, k, cover, deadline):
+            leaves = _iter_canonical(g, k, cover, deadline, separators, edge)
+            for colors, masks in leaves:
                 if edge:
                     if _find_independent_committee(g, masks, deadline) is not None:
                         continue

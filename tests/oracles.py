@@ -55,6 +55,25 @@ def distances(g: Graph, root: int) -> dict[int, int]:
     return dist
 
 
+def components(g: Graph, without: int | None = None) -> list[set[int]]:
+    """The components of G - ``without`` (of G when it is None), each a
+    vertex set, in order of their lowest vertex."""
+    rest = set(range(g.n)) - {without}
+    comps = []
+    while rest:
+        root = min(rest)
+        comp = {root}
+        stack = [root]
+        while stack:
+            for v in g.adj[stack.pop()] & rest:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(comp)
+        rest -= comp
+    return comps
+
+
 def bipartition(
     g: Graph, within: set[int] | None = None
 ) -> tuple[set[int], set[int]] | None:

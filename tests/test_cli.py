@@ -16,6 +16,7 @@ from compelling import (
     make_path,
     make_random_graph,
 )
+from compelling.closed_forms import chi_edge_cycle
 from compelling.cli import main, parse_family_csv, render_family_csv
 
 
@@ -99,10 +100,12 @@ def test_chi_json_format(capsys, c5_file):
 
 
 def test_chi_timeout_exits_one(capsys, tmp_path):
-    path = tmp_path / "p12.graph"
-    path.write_text(format_graph(make_path(12)))
+    # cycles have no cut vertex, so the search at 10 colors runs past
+    # 1024 steps
+    path = tmp_path / "c12.graph"
+    path.write_text(format_graph(make_cycle(12)))
     code, _, err = run(
-        capsys, "chi", str(path), "--property", "edge", "--timeout-secs", "0"
+        capsys, "chi", str(path), "--property", "connected", "--timeout-secs", "0"
     )
     assert code == 1
     assert "timeout" in err
@@ -121,10 +124,30 @@ def test_chi_on_a_long_cycle_times_out_without_a_traceback(capsys, tmp_path):
         "--max-n",
         "2000",
         "--timeout-secs",
-        "5",
+        "0",
     )
     assert code == 1
     assert err.startswith("timeout:")
+    assert "Traceback" not in err
+
+
+def test_chi_on_a_long_cycle_finishes(capsys, tmp_path):
+    # the EDGE cut ends every branch at once, so the search finishes
+    path = tmp_path / "c1501.graph"
+    path.write_text(format_graph(make_cycle(1501)))
+    code, out, err = run(
+        capsys,
+        "chi",
+        str(path),
+        "--property",
+        "edge",
+        "--max-n",
+        "2000",
+        "--timeout-secs",
+        "60",
+    )
+    assert code == 0
+    assert f"chi: {chi_edge_cycle(1501)}" in out
     assert "Traceback" not in err
 
 
@@ -237,6 +260,39 @@ def test_check_timeout_exits_one_without_a_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+BAD_TIMEOUTS = ("nan", "inf", "-inf", "-1", "soon")
+
+
+def run_usage_error(capsys, *argv):
+    """Run the CLI on arguments argparse must refuse; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", BAD_TIMEOUTS)
+def test_chi_rejects_a_bad_timeout(capsys, c5_file, value):
+    err = run_usage_error(
+        capsys, "chi", c5_file, "--property", "dom", f"--timeout-secs={value}"
+    )
+    assert "--timeout-secs" in err
+
+
+@pytest.mark.parametrize("value", BAD_TIMEOUTS)
+def test_check_rejects_a_bad_timeout(capsys, c5_file, c5_coloring, value):
+    err = run_usage_error(
+        capsys,
+        "check",
+        c5_file,
+        c5_coloring,
+        "--property",
+        "dom",
+        f"--timeout-secs={value}",
+    )
+    assert "--timeout-secs" in err
+
+
 # ---------------------------------------------------------------------------
 # family-table
 # ---------------------------------------------------------------------------
@@ -279,6 +335,30 @@ def test_family_table_random_mops(capsys):
     rows = parse_family_csv(out)
     assert len(rows) == 9
     assert all(r["match"] is True for r in rows)
+
+
+@pytest.mark.parametrize("value", BAD_TIMEOUTS)
+def test_family_table_rejects_a_bad_timeout(capsys, value):
+    err = run_usage_error(
+        capsys,
+        "family-table",
+        "path",
+        "--n-range",
+        "2:6",
+        "--property",
+        "edge",
+        f"--timeout-secs={value}",
+    )
+    assert "--timeout-secs" in err
+
+
+def test_zero_timeout_is_accepted(capsys, c5_file):
+    # zero is a valid budget: the search stops at its first deadline check
+    code, out, _ = run(
+        capsys, "chi", c5_file, "--property", "dom", "--timeout-secs", "0"
+    )
+    assert code == 0
+    assert "chi: 3" in out
 
 
 def test_family_table_csv_roundtrip(capsys):

@@ -1,7 +1,8 @@
 """The cuts inside the searches.
 
 ``compelling_chromatic_number`` cuts subtrees of the canonical search with
-per-vertex neighbourhood tests.  Those tests compare it against a
+per-vertex neighbourhood tests, the separator test (CONNECTED, CDOM) and
+the independent committee test (EDGE).  Those tests compare it against a
 leaf-only reference: the uncut enumeration from the lower bound up, with
 each completed coloring judged by the set-level oracle.
 
@@ -12,6 +13,9 @@ committee scan and the set-level oracle.
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,41 +24,47 @@ from compelling import (
     ChiResult,
     Coloring,
     Graph,
+    SearchTimeout,
     SubsetProperty,
     chi_bounds,
     closed_forms,
     compelling_chromatic_number,
     disjoint_union,
     make_complete,
+    make_cycle,
     make_empty,
     make_path,
     make_random_graph,
     make_random_mop,
+    make_random_tree,
 )
 from compelling.solver import (
     _classes_from_masks,
     _committee_search,
+    _find_independent_committee,
     _find_violating_committee,
     _iter_canonical,
     _search_cover,
+    _search_separators,
 )
 from compelling.verify import main_corpus
-from oracles import brute_compelling
+from oracles import brute_compelling, components
 
 P = SubsetProperty
 
 CUT_SETTINGS = settings(max_examples=200, deadline=None)
 
 
-def leaf_only_chi(g: Graph, prop: SubsetProperty) -> ChiResult:
-    """The search without the cut: every canonical coloring from the lower
-    bound up, each judged at its leaf by the set-level oracle."""
+def leaf_only_chi(g: Graph, prop: SubsetProperty, **cut) -> ChiResult:
+    """The search without the cuts: every canonical coloring from the lower
+    bound up, each judged at its leaf by the set-level oracle.  ``cut``
+    passes one cut's arguments to the enumerator, to test that cut alone."""
     bounds = chi_bounds(g, prop)
     if bounds is None:
         return ChiResult(None, None, None, None)
     lower, upper = bounds
     for k in range(lower, g.n + 1):
-        for colors, _ in _iter_canonical(g, k):
+        for colors, _ in _iter_canonical(g, k, **cut):
             if brute_compelling(g, colors, prop):
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
     return ChiResult(None, None, lower, upper)
@@ -62,6 +72,20 @@ def leaf_only_chi(g: Graph, prop: SubsetProperty) -> ChiResult:
 
 def every_vertex_holds_a_class(cover, masks) -> bool:
     return all(any(not m & ~cover[u] for m in masks) for u in range(len(cover)))
+
+
+def separated(g: Graph, colors) -> bool:
+    """Some x (or no vertex, on a disconnected graph) has a second vertex in
+    its class and two components of G - x holding vertices of different
+    colors: the coloring the separator cut drops, tested at its leaf."""
+    for x in [None, *range(g.n)]:
+        if x is not None and colors.count(colors[x]) < 2:
+            continue
+        seen = [{colors[u] for u in comp} for comp in components(g, x)]
+        for s, t in itertools.combinations(seen, 2):
+            if any(a != b for a in s for b in t):
+                return True
+    return False
 
 
 @st.composite
@@ -109,6 +133,89 @@ def test_chi_matches_leaf_only_reference_on_main_corpus():
 
 
 # ---------------------------------------------------------------------------
+# The separator cut (CONNECTED, CDOM) and the EDGE cut
+# ---------------------------------------------------------------------------
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.sampled_from((P.CONNECTED, P.CDOM)))
+def test_separator_cut_matches_leaf_only_reference(g, prop):
+    want = leaf_only_chi(g, prop)
+    assert leaf_only_chi(g, prop, separators=_search_separators(g, prop)) == want
+    assert compelling_chromatic_number(g, prop) == want
+
+
+@CUT_SETTINGS
+@given(small_graphs())
+def test_edge_cut_matches_leaf_only_reference(g):
+    want = leaf_only_chi(g, P.EDGE)
+    assert leaf_only_chi(g, P.EDGE, edge=True) == want
+    assert compelling_chromatic_number(g, P.EDGE) == want
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.booleans(), st.data())
+def test_separator_cut_leaves_are_filtered_uncut_leaves(g, with_cover, data):
+    k = data.draw(st.integers(1, g.n))
+    cover = g.closed_bits if with_cover else None
+    separators = _search_separators(g, P.CONNECTED)
+    assert separators == _search_separators(g, P.CDOM)
+    cut = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k, cover, separators=separators)
+    ]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k)
+        if not separated(g, c)
+        and (cover is None or every_vertex_holds_a_class(cover, m))
+    ]
+    assert cut == kept
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.data())
+def test_edge_cut_leaves_are_filtered_uncut_leaves(g, data):
+    k = data.draw(st.integers(1, g.n))
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, edge=True)]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k)
+        if brute_compelling(g, c, P.EDGE)
+    ]
+    assert cut == kept
+
+
+@CUT_SETTINGS
+@given(small_graphs())
+def test_edge_leaves_that_survive_have_no_independent_committee(g):
+    # so the EDGE leaf check of compelling_chromatic_number never fails
+    for k in range(1, g.n + 1):
+        for _, masks in _iter_canonical(g, k, edge=True):
+            assert _find_independent_committee(g, masks) is None
+
+
+def test_separator_table_deadline():
+    with pytest.raises(SearchTimeout, match="separator table"):
+        _search_separators(make_path(8), P.CONNECTED, deadline=time.monotonic() - 1)
+
+
+def test_separator_tables():
+    # P4: removing 1 leaves {0} and {2, 3}, which vertices 0..2 meet;
+    # removing 2 leaves {0, 1} and {3}, met once 3 is placed
+    assert _search_separators(make_path(4), P.CONNECTED) == (0, 0, 0b10, 0b110)
+    # K2 + K1: bit 3 stands for removing no vertex; every vertex but the
+    # isolated one splits the graph, and all are armed once 2 is placed
+    g = disjoint_union(make_complete(2), make_empty(1))
+    assert _search_separators(g, P.CONNECTED) == (0, 0, 0b1011)
+    # two-connected graphs, K1 and other properties have no table
+    for h in (make_complete(4), make_empty(1)):
+        assert _search_separators(h, P.CONNECTED) is None
+    for prop in (P.DOM, P.TDOM, P.ISOLATE_FREE, P.EDGE):
+        assert _search_separators(make_path(4), prop) is None
+
+
+# ---------------------------------------------------------------------------
 # CONNECTED is cut only on connected graphs with at least two vertices
 # ---------------------------------------------------------------------------
 
@@ -150,6 +257,26 @@ def test_cover_tables():
 # ---------------------------------------------------------------------------
 # Instances the uncut search could not finish in a minute
 # ---------------------------------------------------------------------------
+
+
+T16_3, T20_3, T20_8 = (make_random_tree(n, s) for n, s in ((16, 3), (20, 3), (20, 8)))
+FRONTIER = {
+    "T(16;3)-connected": (T16_3, P.CONNECTED, closed_forms.chi_conn_tree(T16_3)),
+    "T(20;3)-connected": (T20_3, P.CONNECTED, closed_forms.chi_conn_tree(T20_3)),
+    "T(20;8)-edge": (T20_8, P.EDGE, closed_forms.chi_edge_tree(T20_8)),
+    "C20-edge": (make_cycle(20), P.EDGE, closed_forms.chi_edge_cycle(20)),
+}
+
+
+@pytest.mark.parametrize("name", FRONTIER)
+def test_frontier_trees_and_cycles(name):
+    # the separator and EDGE cuts bring these from 1-30 s or more to a
+    # second or less
+    g, prop, want = FRONTIER[name]
+    res = compelling_chromatic_number(g, prop, max_n=40, timeout_s=10)
+    assert res.value == want
+    assert res.witness.k == res.value
+    assert brute_compelling(g, res.witness.colors, prop)
 
 
 def test_frontier_instances():

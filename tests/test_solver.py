@@ -21,9 +21,11 @@ from compelling import (
     make_empty,
     make_path,
     make_random_graph,
+    make_random_tree,
     rainbow_committees,
     validate_coloring,
 )
+from compelling.closed_forms import chi_conn_path, chi_edge_path
 from compelling.solver import _iter_canonical
 from oracles import brute_compelling
 
@@ -318,18 +320,35 @@ def test_chi_size_cap():
 
 
 def test_chi_timeout():
+    # the EDGE cut leaves over 1024 search steps at 4 colors here
     with pytest.raises(SearchTimeout):
-        compelling_chromatic_number(make_path(12), P.EDGE, timeout_s=0.0)
+        compelling_chromatic_number(
+            make_random_tree(20, 8), P.EDGE, max_n=40, timeout_s=0.0
+        )
 
 
 @pytest.mark.parametrize(
     "g, prop",
-    [(make_path(14), P.CONNECTED), (make_random_graph(16, 0.3, 3), P.DOM)],
-    ids=["P14-connected", "G16-dom"],
+    [(make_cycle(14), P.CONNECTED), (make_random_graph(16, 0.3, 3), P.DOM)],
+    ids=["C14-connected", "G16-dom"],
 )
 def test_chi_timeout_on_cut_search(g, prop):
     with pytest.raises(SearchTimeout, match="within 0.0s"):
         compelling_chromatic_number(g, prop, timeout_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "g, prop, want",
+    [
+        (make_path(12), P.EDGE, chi_edge_path(12)),
+        (make_path(14), P.CONNECTED, chi_conn_path(14)),
+    ],
+    ids=["P12-edge", "P14-connected"],
+)
+def test_chi_finishes_where_it_used_to_time_out(g, prop, want):
+    # these searches took thousands of steps before the separator and EDGE
+    # cuts, and a zero timeout stopped them
+    assert compelling_chromatic_number(g, prop, timeout_s=5).value == want
 
 
 def test_chi_timeout_covers_the_bounds_phase():
