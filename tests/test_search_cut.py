@@ -14,6 +14,7 @@ committee scan and the set-level oracle.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import pytest
@@ -39,7 +40,6 @@ from compelling import (
     make_random_tree,
 )
 from compelling.solver import (
-    _classes_from_masks,
     _committee_search,
     _find_independent_committee,
     _find_violating_committee,
@@ -189,7 +189,8 @@ def test_edge_cut_leaves_are_filtered_uncut_leaves(g, data):
 @CUT_SETTINGS
 @given(small_graphs())
 def test_edge_leaves_that_survive_have_no_independent_committee(g):
-    # so the EDGE leaf check of compelling_chromatic_number never fails
+    # so compelling_chromatic_number can take every EDGE leaf it reaches
+    # as compelling
     for k in range(1, g.n + 1):
         for _, masks in _iter_canonical(g, k, edge=True):
             assert _find_independent_committee(g, masks) is None
@@ -279,6 +280,15 @@ def test_frontier_trees_and_cycles(name):
     assert brute_compelling(g, res.witness.colors, prop)
 
 
+def test_frontier_long_cycle_edge():
+    # the witness has classes of 750, 749, 1 and 1 vertices; the EDGE cut
+    # leaves no independent committee in it, so nothing walks their pairs
+    g = make_cycle(1501)
+    res = compelling_chromatic_number(g, P.EDGE, max_n=2000, timeout_s=1)
+    assert res.value == closed_forms.chi_edge_cycle(1501) == 4
+    assert sorted(map(len, res.witness.classes)) == [1, 1, 749, 750]
+
+
 def test_frontier_instances():
     mop = make_random_mop(16, 5)
     want = closed_forms.chi_conn_mop(mop)
@@ -296,16 +306,48 @@ def test_frontier_instances():
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=400, deadline=None)
-@given(small_graphs(), st.data())
-def test_committee_search_matches_the_scan(g, data):
-    k = data.draw(st.integers(1, g.n))
-    colorings = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k)]
+@st.composite
+def canonical_colorings(draw):
+    """A small graph and one of its canonical colorings."""
+    g = draw(small_graphs())
+    k = draw(st.integers(1, g.n))
+    colorings = [tuple(c) for c, _ in _iter_canonical(g, k)]
     if not colorings:
+        return g, None
+    return g, colorings[draw(st.integers(0, len(colorings) - 1))]
+
+
+@st.composite
+def class_colorings(draw):
+    """Up to 8 classes of up to 3 vertices, on shuffled vertex labels, with
+    each pair of classes joined fully, not at all or edge by edge at random.
+    Picks here can stay disconnected for several classes and then join."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    order = [c for c, size in enumerate(sizes) for _ in range(size)]
+    labels = draw(st.permutations(range(len(order))))
+    colors = [0] * len(order)
+    for c, v in zip(order, labels):
+        colors[v] = c
+    joins = {}
+    for a, b in itertools.combinations(range(len(sizes)), 2):
+        joins[a, b] = joins[b, a] = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(len(colors)), 2)
+        if colors[u] != colors[v] and rng.random() < joins[colors[u], colors[v]]
+    ]
+    return Graph.from_edges(len(colors), edges), tuple(colors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(canonical_colorings(), class_colorings()))
+def test_committee_search_matches_the_scan(case):
+    g, colors = case
+    if colors is None:
         return
-    colors, masks = colorings[data.draw(st.integers(0, len(colorings) - 1))]
-    classes = _classes_from_masks(masks)
+    coloring = Coloring(colors)
     for prop in (P.CONNECTED, P.CDOM):
-        cx = _committee_search(g, masks, prop)
-        assert cx == _find_violating_committee(g, classes, prop)
+        cx = _committee_search(g, coloring.class_masks, prop)
+        assert cx == _find_violating_committee(g, coloring.classes, prop)
         assert (cx is None) == brute_compelling(g, colors, prop)

@@ -162,9 +162,10 @@ def test_committee_search_on_ten_classes_of_six():
         # the cut waits for the last class, after 21,844 steps
         (*class_graph(8, 4, lambda u, v: v // 4 - u // 4 == 1), P.CONNECTED,
          "committee search"),
-        # classes 0 and 1 unjoined: the plain scan walks each subtree below
-        # a pick of both, 4^6 committees
-        (*class_graph(8, 4, lambda u, v: v // 4 > 1), P.CONNECTED, "committee scan"),
+        # class 0 joined only to class 7: every pick stays disconnected
+        # until the last class, so the search reaches all 4^8 committees
+        (*class_graph(8, 4, lambda u, v: u > 3 or v > 27), P.CONNECTED,
+         "committee search"),
         # vertex 0 misses the last vertex of every class, so the least
         # undominating committee, (1, 7, 11, ..., 31), comes after 32,767
         # others in committee order
@@ -177,6 +178,13 @@ def test_committee_search_on_ten_classes_of_six():
 def test_check_timeout(g, coloring, prop, search):
     with pytest.raises(SearchTimeout, match=f"within 0s: .*{search}"):
         is_compelling(g, coloring, prop, timeout_s=0)
+
+
+def test_committee_search_cuts_once_a_pick_reconnects():
+    # classes 0 and 1 unjoined: a pick of both is disconnected, and the
+    # third pick joins it, after which every completion is connected
+    g, coloring = class_graph(8, 4, lambda u, v: v // 4 > 1)
+    assert is_compelling(g, coloring, P.CONNECTED, timeout_s=0).compelling
 
 
 def test_is_compelling_rejects_bad_colorings():
