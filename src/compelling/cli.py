@@ -90,6 +90,8 @@ def _load_coloring(path: str, g: Graph) -> Coloring:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read coloring file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"bad coloring file {path}: {exc}")
     assigned: dict[int, int] = {}
     for raw in text.splitlines():
         line = raw.strip()

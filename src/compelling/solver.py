@@ -9,23 +9,27 @@ infeasible when none exists at any number of colors.
 Each property has one verdict kernel here, shared by the checker, the
 search, the total dominator tester and the verification suites.  DOM,
 TDOM and ISOLATE_FREE admit per-vertex tests (a vertex must dominate some
-color class, or be adjacent to all of some other class), EDGE is decided
-by a pruned search for a multicolored independent set, and CONNECTED and
-CDOM by a pruned committee search.  The plain committee scanner, which
-stops at the first violating committee, finds the counterexamples of the
-per-vertex kernels, judges the CONNECTED and CDOM leaves of the exact
-search, and is the reference the other two searches are tested against.
-Reported counterexamples are always the lexicographically least violating
-committee under class-index-then-vertex order, so results are reproducible.
+color class, or be adjacent to all of some other class), and EDGE,
+CONNECTED and CDOM are decided by one pruned committee search.  The plain
+committee scanner, which stops at the first violating committee, finds the
+counterexamples of the per-vertex kernels, judges the CONNECTED and CDOM
+leaves of the exact search, and is the reference the committee search is
+tested against.  Reported counterexamples are always the lexicographically
+least violating committee under class-index-then-vertex order, so results
+are reproducible.
 
-The committee search for CONNECTED and CDOM walks the classes in index
-order, each class's vertices ascending, so its leaves come in the scanner's
-order.  It tracks whether the picks so far, P, induce a connected subgraph,
-and cuts a subtree once P is connected and either every vertex of the
-classes still to pick is adjacent to P (CONNECTED) or P dominates the graph
-(CDOM).  Every later pick is then adjacent to P, so each completion stays
-connected (and dominating), and the cut loses no violating committee: the
-first leaf it does not cut violates the property and is the least one.
+The committee search walks the classes in index order, each class's
+vertices ascending, so its leaves come in the scanner's order; the
+singleton classes, in every committee, are picked first.  For EDGE it
+looks for an independent committee: it picks only vertices outside the
+closed neighbourhood of the picks so far, P, and cuts a subtree once some
+class still to pick lies inside it.  For CONNECTED and CDOM it tracks
+whether P induces a connected subgraph, and cuts a subtree once P is
+connected and either every vertex of the classes still to pick is adjacent
+to P (CONNECTED) or P dominates the graph (CDOM).  Every later pick is then
+adjacent to P, so each completion stays connected (and dominating).  No
+cut loses a violating committee: the first leaf reached violates the
+property and is the least one.
 
 The exact search applies three cuts inside the canonical enumeration, each
 dropping only subtrees in which no coloring compels the property:
@@ -41,9 +45,10 @@ dropping only subtrees in which no coloring compels the property:
   disconnected.  It is the local form of the tree result that every
   interior vertex of a tree is a singleton class, and 2-connected graphs
   get nothing from it;
-* the EDGE test cuts, once all k colors are open, when some committee
-  through the vertex just placed is independent, which it stays in every
-  completion.  So no leaf that survives has an independent committee.
+* the EDGE test cuts, once all k colors are open, when the committee
+  search finds an independent committee through the vertex just placed,
+  which it stays in every completion.  So no leaf that survives has an
+  independent committee.
 
 Only the CONNECTED and CDOM colorings that survive are checked at the
 leaf, and the witness is the one the uncut search finds.
@@ -75,6 +80,9 @@ from .properties import (
     min_property_size,
 )
 
+_EDGE = SubsetProperty.EDGE
+_CDOM = SubsetProperty.CDOM
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -85,13 +93,12 @@ class Coloring:
     def __post_init__(self) -> None:
         if not self.colors:
             raise ValueError("coloring must assign at least one vertex")
-        k = max(self.colors) + 1
-        seen = set(self.colors)
         if min(self.colors) < 0:
             raise ValueError("negative color index")
-        missing = [c for c in range(k) if c not in seen]
-        if missing:
-            raise ValueError(f"color {missing[0]} is unused; colors must be 0..k-1")
+        seen = set(self.colors)
+        if max(self.colors) >= len(seen):  # so some color below it is unused
+            missing = next(c for c in itertools.count() if c not in seen)
+            raise ValueError(f"color {missing} is unused; colors must be 0..k-1")
 
     @cached_property
     def k(self) -> int:
@@ -226,58 +233,6 @@ def _tdom_compelled(g: Graph, class_masks) -> bool:
     return True
 
 
-def _find_independent_committee(
-    g: Graph, class_masks, deadline: float | None = None
-) -> tuple[int, ...] | None:
-    """Least committee (class-index-then-vertex order) that is an
-    independent set, or None when every committee contains an edge.
-
-    Depth-first over classes in index order, trying each class's vertices
-    in ascending order; a branch dies as soon as some remaining class has
-    no vertex nonadjacent to the partial pick.  The stack is explicit, so
-    any number of classes fits.
-
-    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
-    SearchTimeout once it is passed, checked every 1024 search steps.
-    """
-    adj = g.adj_bits
-    k = len(class_masks)
-    pick: list[int] = []
-    # avail[i]: the vertices nonadjacent to pick[:i] and not in it;
-    # todo[i]: the vertices of class i not yet tried after pick[:i]
-    avail = [g.full_mask]
-    todo: list[int] = []
-    steps = 0
-    while True:
-        i = len(pick)
-        if i == k:
-            return tuple(pick)
-        free = avail[i]
-        for m in class_masks[i:]:
-            if not m & free:
-                todo.append(0)
-                break
-        else:
-            todo.append(class_masks[i] & free)
-        while not todo[-1]:
-            todo.pop()
-            if not todo:
-                return None
-            pick.pop()
-            avail.pop()
-        if deadline is not None:
-            steps += 1
-            if not steps & 0x3FF and time.monotonic() > deadline:
-                raise SearchTimeout(
-                    "the deadline passed in the independent committee search"
-                )
-        low = todo[-1] & -todo[-1]
-        todo[-1] ^= low
-        v = low.bit_length() - 1
-        pick.append(v)
-        avail.append(avail[-1] & ~adj[v] & ~low)
-
-
 def _find_violating_committee(
     g: Graph, classes, prop: SubsetProperty, deadline: float | None = None
 ) -> tuple[int, ...] | None:
@@ -303,22 +258,25 @@ def _find_violating_committee(
 def _committee_search(
     g: Graph, class_masks, prop: SubsetProperty, deadline: float | None = None
 ) -> tuple[int, ...] | None:
-    """Least committee (class-index-then-vertex order) that fails
-    CONNECTED, or CDOM when ``prop`` is CDOM; None when every committee
-    qualifies.  The answer is the one :func:`_find_violating_committee`
-    gives.
+    """Least committee (class-index-then-vertex order) that fails ``prop``,
+    one of EDGE, CONNECTED and CDOM; None when every committee qualifies or
+    some class is empty.  The answer is the one
+    :func:`_find_violating_committee` gives.
 
     Depth-first over the classes of two or more vertices, in index order
     and each class's vertices ascending; the singleton classes are in every
-    committee and start the pick.  Whether the pick P is connected follows
-    from the parent pick: the empty P is, P + v is not when v has no
-    neighbour in P, and is when v has one and P is connected; only a vertex
-    that touches a disconnected P costs a BFS.  A connected P ends its
-    subtree when every vertex of the classes still to pick is adjacent to P
-    (CONNECTED) or when N[P] is every vertex (CDOM): each later pick is then
-    adjacent to P, so every completion is connected (and dominating).  A
-    whole committee that escapes this cut fails the property, and the first
-    one reached is the least.
+    committee and start the pick P.  For EDGE a violating committee is an
+    independent one: two singletons in N[ ] of each other put an edge in
+    every committee, picks come only from outside N[P], and a subtree ends
+    once some class still to pick lies inside N[P].  For CONNECTED and CDOM,
+    whether P is connected follows from the parent pick: the empty P is,
+    P + v is not when v has no neighbour in P, and is when v has one and P
+    is connected; only a vertex that touches a disconnected P costs a BFS.
+    A connected P ends its subtree when every vertex of the classes still to
+    pick is adjacent to P (CONNECTED) or when N[P] is every vertex (CDOM):
+    each later pick is then adjacent to P, so every completion is connected
+    (and dominating).  A whole committee that escapes these cuts fails the
+    property, and the first one reached is the least.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
@@ -326,49 +284,67 @@ def _committee_search(
     adj = g.adj_bits
     closed = g.closed_bits
     full = g.full_mask
-    cdom = prop is SubsetProperty.CDOM
+    edge = prop is _EDGE
+    cdom = prop is _CDOM
     base = reach = 0
+    committee = list(class_masks)  # the singletons' vertices go in now
     slots = []  # the indices of the classes of two or more vertices
+    picks = []  # and those classes
     for c, m in enumerate(class_masks):
+        if not m:
+            return None  # no committee at all
         if m & (m - 1):
             slots.append(c)
+            picks.append(m)
+        elif edge and m & reach:
+            return None  # every committee holds this edge
         else:
+            u = committee[c] = m.bit_length() - 1
             base |= m
-            reach |= closed[m.bit_length() - 1]
+            reach |= closed[u]
     k = len(slots)
-    # later[i]: the vertices of the classes at slots[i:]
+    # later[i]: the vertices of the classes at slots[i:], for CONNECTED
     later = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        later[i] = later[i + 1] | class_masks[slots[i]]
-    # For the pick P of the singletons and pick[:i]: inside[i] is P,
-    # near[i] is N[P] and conn[i] says whether P is connected.
+    if not (edge or cdom):
+        for i in range(k - 1, -1, -1):
+            later[i] = later[i + 1] | picks[i]
+    # For the pick P of the singletons and pick[:i]: near[i] is N[P], and
+    # for CONNECTED and CDOM inside[i] is P and conn[i] says whether P is
+    # connected.
     pick: list[int] = []
-    inside = [base]
     near = [reach]
-    conn = [not base or mask_connected(adj, base)]
+    inside = [base]
+    conn = [edge or not base or mask_connected(adj, base)]
     todo: list[int] = []  # todo[i]: the vertices of class slots[i] not yet tried
     steps = 0
     while True:
         i = len(pick)
-        p = inside[i]
         r = near[i]
-        if conn[i] and p and (r == full if cdom else not later[i] & ~r):
+        if edge:
+            free = full & ~r  # an independent committee picks outside N[P]
+            for m in picks[i:]:
+                if not m & free:
+                    todo.append(0)  # every completion holds an edge
+                    break
+            else:
+                if i == k:
+                    break
+                todo.append(picks[i] & free)
+        elif conn[i] and inside[i] and (r == full if cdom else not later[i] & ~r):
             todo.append(0)  # every completion qualifies
         elif i < k:
-            todo.append(class_masks[slots[i]])
-        else:  # a disconnected (or, for CDOM, undominating) committee
-            committee = [m.bit_length() - 1 for m in class_masks]
-            for c, v in zip(slots, pick):
-                committee[c] = v
-            return tuple(committee)
+            todo.append(picks[i])
+        else:
+            break
         while not todo[-1]:
             todo.pop()
             if not todo:
                 return None
             pick.pop()
-            inside.pop()
             near.pop()
-            conn.pop()
+            if not edge:
+                inside.pop()
+                conn.pop()
         if deadline is not None:
             steps += 1
             if not steps & 0x3FF and time.monotonic() > deadline:
@@ -376,12 +352,19 @@ def _committee_search(
         low = todo[-1] & -todo[-1]
         todo[-1] ^= low
         v = low.bit_length() - 1
-        p = inside[-1]
         r = near[-1]
         pick.append(v)
-        conn.append(not p or bool(r & low) and (conn[-1] or mask_connected(adj, p | low)))
-        inside.append(p | low)
         near.append(r | closed[v])
+        if not edge:
+            p = inside[-1]
+            conn.append(
+                not p or bool(r & low) and (conn[-1] or mask_connected(adj, p | low))
+            )
+            inside.append(p | low)
+    # an independent, disconnected or undominating committee
+    for c, v in zip(slots, pick):
+        committee[c] = v
+    return tuple(committee)
 
 
 def is_compelling(
@@ -394,13 +377,12 @@ def is_compelling(
     """Decide whether ``coloring`` compels ``prop`` on ``g``.
 
     On failure the report carries the least violating rainbow committee.
-    EDGE is decided by the independent-committee search.  DOM, TDOM and
-    ISOLATE_FREE are decided by their per-vertex kernel, and only a
-    negative verdict scans the committees for the least counterexample.
-    CONNECTED and CDOM run the committee search, which cuts a subtree once
-    the vertices picked so far are connected and every completion must stay
-    connected (and dominating); it returns the least violating committee
-    the full scan would.
+    DOM, TDOM and ISOLATE_FREE are decided by their per-vertex kernel, and
+    only a negative verdict scans the committees for the least
+    counterexample.  EDGE, CONNECTED and CDOM run the committee search
+    (:func:`_committee_search`), which cuts every subtree whose completions
+    all qualify, or for EDGE all hold an edge; it returns the least
+    violating committee the full scan would.
 
     ``timeout_s`` bounds the whole check: the searches raise SearchTimeout
     once it has passed.
@@ -409,10 +391,7 @@ def is_compelling(
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     masks = coloring.class_masks
     try:
-        if prop is SubsetProperty.EDGE:
-            cx = _find_independent_committee(g, masks, deadline)
-            return CompellingReport(cx is None, cx, "rc-search")
-        if prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM):
+        if prop in (_EDGE, SubsetProperty.CONNECTED, _CDOM):
             cx = _committee_search(g, masks, prop, deadline)
             return CompellingReport(cx is None, cx, "rc-search")
         if prop is SubsetProperty.DOM:
@@ -470,8 +449,8 @@ def _iter_canonical(
 
     ``edge`` turns on the EDGE cut: once all k colors are open, the branch
     is cut when some committee through the vertex v just placed is
-    independent, searched by :func:`_find_independent_committee` with v's
-    class cut to v and every other class to the non-neighbours of v.
+    independent, searched by :func:`_committee_search` with v's class cut
+    to v, so that every pick avoids the neighbours of v.
     Classes only grow, so that committee is in every completion.  Every
     independent committee of a coloring has a last-placed vertex, at which
     all k colors are open, so every leaf that survives has none.
@@ -559,9 +538,9 @@ def _iter_canonical(
                         multi |= masks[c] | 1 << v
                     cut = now_used > 1 and separators and multi & separators[v]
                     if not cut and edge and now_used == k:
-                        part = [m & ~nb for m in masks]
+                        part = masks.copy()
                         part[c] = 1 << v
-                        cut = _find_independent_committee(g, part, deadline) is not None
+                        cut = _committee_search(g, part, _EDGE, deadline) is not None
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -711,11 +690,11 @@ def compelling_chromatic_number(
     with n >= 2, cut subtrees inside the enumeration with the per-vertex
     test of :func:`_search_cover`; CONNECTED and CDOM also with the
     separator test of :func:`_search_separators`, and EDGE with the
-    independent committee test (see :func:`_iter_canonical`).  Every DOM,
-    TDOM, ISOLATE_FREE and EDGE leaf that survives is compelling; CONNECTED
-    and CDOM leaves still go through the committee scan.  The cuts drop
-    only colorings that do not compel, so the witness is the one the uncut
-    scan finds.
+    committee search for an independent committee through the vertex just
+    placed (see :func:`_iter_canonical`).  Every DOM, TDOM, ISOLATE_FREE
+    and EDGE leaf that survives is compelling; CONNECTED and CDOM leaves
+    still go through the committee scan.  The cuts drop only colorings that
+    do not compel, so the witness is the one the uncut scan finds.
 
     ``timeout_s`` bounds the whole call: the subset and chromatic number
     searches of the bounds phase, the enumeration and the leaf checks raise

@@ -205,6 +205,14 @@ def test_check_partial_coloring_rejected(capsys, c5_file, tmp_path):
     assert "partial" in err
 
 
+def test_check_undecodable_coloring_rejected(capsys, c5_file, tmp_path):
+    bad = tmp_path / "binary.coloring"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "check", c5_file, str(bad), "--property", "dom")
+    assert code == 2
+    assert "bad coloring file" in err
+
+
 def test_check_gap_coloring_rejected(capsys, c5_file, tmp_path):
     bad = tmp_path / "gap.coloring"
     bad.write_text("0 0\n1 2\n2 0\n3 2\n4 3\n")

@@ -2,13 +2,15 @@
 
 ``compelling_chromatic_number`` cuts subtrees of the canonical search with
 per-vertex neighbourhood tests, the separator test (CONNECTED, CDOM) and
-the independent committee test (EDGE).  Those tests compare it against a
-leaf-only reference: the uncut enumeration from the lower bound up, with
-each completed coloring judged by the set-level oracle.
+the EDGE test, which asks the committee search for an independent
+committee.  Those tests compare it against a leaf-only reference: the
+uncut enumeration from the lower bound up, with each completed coloring
+judged by the set-level oracle.
 
-The committee search behind ``is_compelling`` for CONNECTED and CDOM cuts
-subtrees whose completions all qualify; it is compared against the plain
-committee scan and the set-level oracle.
+The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
+cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
+it is compared against the plain committee scan and the set-level oracle,
+on whole colorings and on the partial class masks the EDGE cut passes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from compelling import (
     closed_forms,
     compelling_chromatic_number,
     disjoint_union,
+    is_compelling,
     make_complete,
     make_cycle,
     make_empty,
@@ -40,8 +43,8 @@ from compelling import (
     make_random_tree,
 )
 from compelling.solver import (
+    _classes_from_masks,
     _committee_search,
-    _find_independent_committee,
     _find_violating_committee,
     _iter_canonical,
     _search_cover,
@@ -53,6 +56,7 @@ from oracles import brute_compelling, components
 P = SubsetProperty
 
 CUT_SETTINGS = settings(max_examples=200, deadline=None)
+COMMITTEE_PROPS = (P.EDGE, P.CONNECTED, P.CDOM)
 
 
 def leaf_only_chi(g: Graph, prop: SubsetProperty, **cut) -> ChiResult:
@@ -193,7 +197,7 @@ def test_edge_leaves_that_survive_have_no_independent_committee(g):
     # as compelling
     for k in range(1, g.n + 1):
         for _, masks in _iter_canonical(g, k, edge=True):
-            assert _find_independent_committee(g, masks) is None
+            assert _committee_search(g, masks, P.EDGE) is None
 
 
 def test_separator_table_deadline():
@@ -289,6 +293,14 @@ def test_frontier_long_cycle_edge():
     assert sorted(map(len, res.witness.classes)) == [1, 1, 749, 750]
 
 
+def test_long_cycle_edge_witness_check():
+    # the two singleton classes of the witness are adjacent, so every
+    # committee holds that edge and the check ends before any pick
+    g = make_cycle(1501)
+    witness = compelling_chromatic_number(g, P.EDGE, max_n=2000, timeout_s=1).witness
+    assert is_compelling(g, witness, P.EDGE, timeout_s=1).compelling
+
+
 def test_frontier_instances():
     mop = make_random_mop(16, 5)
     want = closed_forms.chi_conn_mop(mop)
@@ -302,7 +314,7 @@ def test_frontier_instances():
 
 
 # ---------------------------------------------------------------------------
-# The committee search for CONNECTED and CDOM
+# The committee search for EDGE, CONNECTED and CDOM
 # ---------------------------------------------------------------------------
 
 
@@ -347,7 +359,26 @@ def test_committee_search_matches_the_scan(case):
     if colors is None:
         return
     coloring = Coloring(colors)
-    for prop in (P.CONNECTED, P.CDOM):
+    for prop in COMMITTEE_PROPS:
         cx = _committee_search(g, coloring.class_masks, prop)
         assert cx == _find_violating_committee(g, coloring.classes, prop)
         assert (cx is None) == brute_compelling(g, colors, prop)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(), st.data())
+def test_committee_search_on_partial_masks(g, data):
+    # partial class masks, as the EDGE cut passes them: many classes are
+    # singletons, and some may be empty, which leaves no committee at all
+    k = data.draw(st.integers(1, 6))
+    masks = [0] * k
+    for v in range(g.n):
+        c = data.draw(st.integers(-1, k - 1))  # -1: v is not placed
+        if c >= 0:
+            masks[c] |= 1 << v
+    for prop in COMMITTEE_PROPS:
+        cx = _committee_search(g, masks, prop)
+        if not all(masks):
+            assert cx is None
+        else:
+            assert cx == _find_violating_committee(g, _classes_from_masks(masks), prop)

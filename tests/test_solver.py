@@ -65,6 +65,9 @@ def test_coloring_rejects_gaps_and_negatives():
         Coloring((-1, 0))
     with pytest.raises(ValueError):
         Coloring(())
+    # only the first unused color is looked for, not every one below the max
+    with pytest.raises(ValueError, match="color 1 is unused"):
+        Coloring((0, 10**12, 0))
 
 
 def test_coloring_classes():
@@ -126,9 +129,21 @@ def test_all_distinct_colors_compel_edge():
 
 
 def test_independent_committee_search_has_no_depth_limit():
-    # one search level per class, far past the interpreter's recursion limit
+    # one search level per class of two, far past the interpreter's
+    # recursion limit
+    n = 2400
+    coloring = Coloring(tuple(v // 2 for v in range(n)))
+    report = is_compelling(make_empty(n), coloring, P.EDGE)
+    assert not report.compelling
+    assert report.counterexample == tuple(range(0, n, 2))
+
+
+def test_singleton_classes_take_no_search_step():
+    # singleton classes start the pick, so an edgeless graph with every
+    # vertex its own class is settled before the first deadline check
     n = 1200
-    report = is_compelling(make_empty(n), Coloring(tuple(range(n))), P.EDGE)
+    coloring = Coloring(tuple(range(n)))
+    report = is_compelling(make_empty(n), coloring, P.EDGE, timeout_s=0)
     assert not report.compelling
     assert report.counterexample == tuple(range(n))
 
@@ -170,8 +185,9 @@ def test_committee_search_on_ten_classes_of_six():
         # undominating committee, (1, 7, 11, ..., 31), comes after 32,767
         # others in committee order
         (*class_graph(8, 4, lambda u, v: u or v % 4 != 3), P.DOM, "committee scan"),
-        # 1200 singleton classes, one search step each
-        (make_empty(1200), Coloring(tuple(range(1200))), P.EDGE, "independent"),
+        # 1200 classes of two, one search step each
+        (make_empty(2400), Coloring(tuple(v // 2 for v in range(2400))), P.EDGE,
+         "committee search"),
     ],
     ids=["connected-chain", "connected-unjoined", "dom", "edge"],
 )
