@@ -132,9 +132,12 @@ def _parse_range(text: str) -> tuple[int, int]:
         if sep in text:
             lo, hi = text.split(sep, 1)
             try:
-                return int(lo), int(hi)
+                low, high = int(lo), int(hi)
             except ValueError:
                 break
+            if low <= high:
+                return low, high
+            raise CliError(f"bad range {text!r}: {low} is above {high}")
     raise CliError(f"bad range {text!r}, expected like 3:12")
 
 

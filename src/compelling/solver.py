@@ -12,11 +12,10 @@ TDOM and ISOLATE_FREE admit per-vertex tests (a vertex must dominate some
 color class, or be adjacent to all of some other class), and EDGE,
 CONNECTED and CDOM are decided by one pruned committee search.  The plain
 committee scanner, which stops at the first violating committee, finds the
-counterexamples of the per-vertex kernels, judges the CONNECTED and CDOM
-leaves of the exact search, and is the reference the committee search is
-tested against.  Reported counterexamples are always the lexicographically
-least violating committee under class-index-then-vertex order, so results
-are reproducible.
+counterexamples of the per-vertex kernels and is the reference the
+committee search is tested against.  Reported counterexamples are always
+the lexicographically least violating committee under
+class-index-then-vertex order, so results are reproducible.
 
 The committee search walks the classes in index order, each class's
 vertices ascending, so its leaves come in the scanner's order; the
@@ -45,13 +44,14 @@ dropping only subtrees in which no coloring compels the property:
   disconnected.  It is the local form of the tree result that every
   interior vertex of a tree is a singleton class, and 2-connected graphs
   get nothing from it;
-* the EDGE test cuts, once all k colors are open, when the committee
-  search finds an independent committee through the vertex just placed,
-  which it stays in every completion.  So no leaf that survives has an
-  independent committee.
+* the committee test (EDGE, CONNECTED and CDOM) cuts, once all k colors
+  are open, when the committee search finds a violating committee through
+  the vertex just placed, which stays a committee, with the same vertex
+  set, in every completion.  Every violating committee has a last-placed
+  vertex, so no leaf that survives has one.
 
-Only the CONNECTED and CDOM colorings that survive are checked at the
-leaf, and the witness is the one the uncut search finds.
+So every leaf that survives compels the property, none is checked again,
+and the witness is the one the uncut search finds.
 
 Everything here is a pure function; single-threaded execution throughout.
 """
@@ -82,6 +82,9 @@ from .properties import (
 
 _EDGE = SubsetProperty.EDGE
 _CDOM = SubsetProperty.CDOM
+# the properties decided by the committee search, in the checker and the
+# exact search alike
+_COMMITTEE_PROPS = (_EDGE, SubsetProperty.CONNECTED, _CDOM)
 
 
 @dataclass(frozen=True)
@@ -391,7 +394,7 @@ def is_compelling(
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     masks = coloring.class_masks
     try:
-        if prop in (_EDGE, SubsetProperty.CONNECTED, _CDOM):
+        if prop in _COMMITTEE_PROPS:
             cx = _committee_search(g, masks, prop, deadline)
             return CompellingReport(cx is None, cx, "rc-search")
         if prop is SubsetProperty.DOM:
@@ -419,7 +422,7 @@ def _iter_canonical(
     cover=None,
     deadline: float | None = None,
     separators=None,
-    edge: bool = False,
+    committee: SubsetProperty | None = None,
 ):
     """Yield every canonical proper coloring of g with exactly k colors.
 
@@ -447,13 +450,14 @@ def _iter_canonical(
     vertices u and w of different colors, and the committee through u and
     w that avoids x is disconnected in every completion.
 
-    ``edge`` turns on the EDGE cut: once all k colors are open, the branch
-    is cut when some committee through the vertex v just placed is
-    independent, searched by :func:`_committee_search` with v's class cut
-    to v, so that every pick avoids the neighbours of v.
-    Classes only grow, so that committee is in every completion.  Every
-    independent committee of a coloring has a last-placed vertex, at which
-    all k colors are open, so every leaf that survives has none.
+    ``committee`` (EDGE, CONNECTED or CDOM) turns on the committee cut:
+    once all k colors are open, the branch is cut when some committee
+    through the vertex v just placed fails that property, searched by
+    :func:`_committee_search` with v's class cut to v.  Classes only grow,
+    so that committee, and its vertex set, is in every completion.  Every
+    violating committee of a coloring has a last-placed vertex, at which
+    all k colors are open, so every leaf that survives compels the
+    property.
 
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
@@ -468,7 +472,7 @@ def _iter_canonical(
     full = g.full_mask
     if cover is None:
         cover = (full,) * n  # every class fits: nothing is cut
-    rules = separators is not None or edge
+    rules = separators is not None or committee is not None
     colors = [0] * n
     masks = [0] * k
     inside = [0] * k  # 0 while the class is not open
@@ -483,8 +487,8 @@ def _iter_canonical(
     # On reaching vertex v: used_at[v] colors are open and loose_at[v] holds
     # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
     # inside[c] of v's class c before v joined it.  With the separator or
-    # EDGE cut on, multi_at[v] holds the vertices in classes of two or more
-    # vertices, and bit n, the separator bit that needs no class.
+    # committee cut on, multi_at[v] holds the vertices in classes of two or
+    # more vertices, and bit n, the separator bit that needs no class.
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
@@ -537,10 +541,10 @@ def _iter_canonical(
                     if c < used:
                         multi |= masks[c] | 1 << v
                     cut = now_used > 1 and separators and multi & separators[v]
-                    if not cut and edge and now_used == k:
+                    if not cut and committee is not None and now_used == k:
                         part = masks.copy()
                         part[c] = 1 << v
-                        cut = _committee_search(g, part, _EDGE, deadline) is not None
+                        cut = _committee_search(g, part, committee, deadline)
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -689,16 +693,16 @@ def compelling_chromatic_number(
     DOM, TDOM, ISOLATE_FREE and CDOM, and CONNECTED on a connected graph
     with n >= 2, cut subtrees inside the enumeration with the per-vertex
     test of :func:`_search_cover`; CONNECTED and CDOM also with the
-    separator test of :func:`_search_separators`, and EDGE with the
-    committee search for an independent committee through the vertex just
-    placed (see :func:`_iter_canonical`).  Every DOM, TDOM, ISOLATE_FREE
-    and EDGE leaf that survives is compelling; CONNECTED and CDOM leaves
-    still go through the committee scan.  The cuts drop only colorings that
-    do not compel, so the witness is the one the uncut scan finds.
+    separator test of :func:`_search_separators`, and EDGE, CONNECTED and
+    CDOM with the committee search for a violating committee through the
+    vertex just placed (see :func:`_iter_canonical`).  Every leaf that
+    survives is compelling, so the answer is the first leaf at the
+    smallest k.  The cuts drop only colorings that do not compel, so the
+    witness is the one the uncut scan finds.
 
     ``timeout_s`` bounds the whole call: the subset and chromatic number
-    searches of the bounds phase, the enumeration and the leaf checks raise
-    SearchTimeout once it has passed.
+    searches of the bounds phase and the enumeration raise SearchTimeout
+    once it has passed.
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
@@ -710,20 +714,10 @@ def compelling_chromatic_number(
         lower, upper = bounds
         cover = _search_cover(g, prop)
         separators = _search_separators(g, prop, deadline)
-        edge = prop is SubsetProperty.EDGE
-        committees = prop in (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
+        committee = prop if prop in _COMMITTEE_PROPS else None
         for k in range(lower, g.n + 1):
-            leaves = _iter_canonical(g, k, cover, deadline, separators, edge)
-            for colors, masks in leaves:
-                # The plain scan, not the committee search: on these small
-                # leaves of mostly singleton classes it is the faster one.
-                # Median of 7 passes, CPython 3.11.7, 2 cores: the 1,112
-                # leaves of C12 `connected` take 16.2 ms against 20.8 ms,
-                # the 1,595 of MOP12-1002 32.3 ms against 36.7 ms.
-                if committees:
-                    classes = _classes_from_masks(masks)
-                    if _find_violating_committee(g, classes, prop, deadline) is not None:
-                        continue
+            leaves = _iter_canonical(g, k, cover, deadline, separators, committee)
+            for colors, _ in leaves:
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
     except SearchTimeout as exc:
         raise SearchTimeout(

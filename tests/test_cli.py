@@ -410,6 +410,15 @@ def test_family_table_bad_range(capsys):
     assert code == 2
 
 
+def test_family_table_reversed_range(capsys):
+    code, out, err = run(
+        capsys, "family-table", "path", "--n-range", "5:3", "--property", "edge"
+    )
+    assert code == 2
+    assert not out
+    assert "5 is above 3" in err
+
+
 def test_family_table_seed_reproducible(capsys):
     args = (
         "family-table",

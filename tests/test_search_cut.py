@@ -2,15 +2,16 @@
 
 ``compelling_chromatic_number`` cuts subtrees of the canonical search with
 per-vertex neighbourhood tests, the separator test (CONNECTED, CDOM) and
-the EDGE test, which asks the committee search for an independent
-committee.  Those tests compare it against a leaf-only reference: the
-uncut enumeration from the lower bound up, with each completed coloring
-judged by the set-level oracle.
+the committee test (EDGE, CONNECTED, CDOM), which asks the committee
+search for a violating committee.  Those tests compare it against a
+leaf-only reference: the uncut enumeration from the lower bound up, with
+each completed coloring judged by the set-level oracle.
 
 The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
 cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
 it is compared against the plain committee scan and the set-level oracle,
-on whole colorings and on the partial class masks the EDGE cut passes.
+on whole colorings and on the partial class masks the committee cut
+passes.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def test_chi_matches_leaf_only_reference_on_main_corpus():
 
 
 # ---------------------------------------------------------------------------
-# The separator cut (CONNECTED, CDOM) and the EDGE cut
+# The separator cut (CONNECTED, CDOM) and the committee cut (EDGE,
+# CONNECTED, CDOM)
 # ---------------------------------------------------------------------------
 
 
@@ -150,11 +152,11 @@ def test_separator_cut_matches_leaf_only_reference(g, prop):
 
 
 @CUT_SETTINGS
-@given(small_graphs())
-def test_edge_cut_matches_leaf_only_reference(g):
-    want = leaf_only_chi(g, P.EDGE)
-    assert leaf_only_chi(g, P.EDGE, edge=True) == want
-    assert compelling_chromatic_number(g, P.EDGE) == want
+@given(small_graphs(), st.sampled_from(COMMITTEE_PROPS))
+def test_edge_cut_matches_leaf_only_reference(g, prop):
+    want = leaf_only_chi(g, prop)
+    assert leaf_only_chi(g, prop, committee=prop) == want
+    assert compelling_chromatic_number(g, prop) == want
 
 
 @CUT_SETTINGS
@@ -178,26 +180,26 @@ def test_separator_cut_leaves_are_filtered_uncut_leaves(g, with_cover, data):
 
 
 @CUT_SETTINGS
-@given(small_graphs(), st.data())
-def test_edge_cut_leaves_are_filtered_uncut_leaves(g, data):
+@given(small_graphs(), st.sampled_from(COMMITTEE_PROPS), st.data())
+def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
     k = data.draw(st.integers(1, g.n))
-    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, edge=True)]
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, committee=prop)]
     kept = [
         (tuple(c), tuple(m))
         for c, m in _iter_canonical(g, k)
-        if brute_compelling(g, c, P.EDGE)
+        if brute_compelling(g, c, prop)
     ]
     assert cut == kept
 
 
 @CUT_SETTINGS
-@given(small_graphs())
-def test_edge_leaves_that_survive_have_no_independent_committee(g):
-    # so compelling_chromatic_number can take every EDGE leaf it reaches
-    # as compelling
+@given(small_graphs(), st.sampled_from(COMMITTEE_PROPS))
+def test_edge_leaves_that_survive_have_no_independent_committee(g, prop):
+    # so compelling_chromatic_number can take every EDGE, CONNECTED and
+    # CDOM leaf it reaches as compelling
     for k in range(1, g.n + 1):
-        for _, masks in _iter_canonical(g, k, edge=True):
-            assert _committee_search(g, masks, P.EDGE) is None
+        for _, masks in _iter_canonical(g, k, committee=prop):
+            assert _committee_search(g, masks, prop) is None
 
 
 def test_separator_table_deadline():
@@ -265,17 +267,20 @@ def test_cover_tables():
 
 
 T16_3, T20_3, T20_8 = (make_random_tree(n, s) for n, s in ((16, 3), (20, 3), (20, 8)))
+MOP20_5 = make_random_mop(20, 5)
 FRONTIER = {
     "T(16;3)-connected": (T16_3, P.CONNECTED, closed_forms.chi_conn_tree(T16_3)),
     "T(20;3)-connected": (T20_3, P.CONNECTED, closed_forms.chi_conn_tree(T20_3)),
     "T(20;8)-edge": (T20_8, P.EDGE, closed_forms.chi_edge_tree(T20_8)),
     "C20-edge": (make_cycle(20), P.EDGE, closed_forms.chi_edge_cycle(20)),
+    "MOP(20;5)-connected": (MOP20_5, P.CONNECTED, closed_forms.chi_conn_mop(MOP20_5)),
+    "MOP(20;5)-cdom": (MOP20_5, P.CDOM, closed_forms.chi_conn_mop(MOP20_5)),
 }
 
 
 @pytest.mark.parametrize("name", FRONTIER)
 def test_frontier_trees_and_cycles(name):
-    # the separator and EDGE cuts bring these from 1-30 s or more to a
+    # the separator and committee cuts bring these from 1-30 s or more to a
     # second or less
     g, prop, want = FRONTIER[name]
     res = compelling_chromatic_number(g, prop, max_n=40, timeout_s=10)
@@ -368,7 +373,7 @@ def test_committee_search_matches_the_scan(case):
 @settings(max_examples=400, deadline=None)
 @given(small_graphs(), st.data())
 def test_committee_search_on_partial_masks(g, data):
-    # partial class masks, as the EDGE cut passes them: many classes are
+    # partial class masks, as the committee cut passes them: many classes are
     # singletons, and some may be empty, which leaves no committee at all
     k = data.draw(st.integers(1, 6))
     masks = [0] * k
