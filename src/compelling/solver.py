@@ -22,13 +22,13 @@ vertices ascending, so its leaves come in the scanner's order; the
 singleton classes, in every committee, are picked first.  For EDGE it
 looks for an independent committee: it picks only vertices outside the
 closed neighbourhood of the picks so far, P, and cuts a subtree once some
-class still to pick lies inside it.  For CONNECTED and CDOM it tracks
-whether P induces a connected subgraph, and cuts a subtree once P is
-connected and either every vertex of the classes still to pick is adjacent
-to P (CONNECTED) or P dominates the graph (CDOM).  Every later pick is then
-adjacent to P, so each completion stays connected (and dominating).  No
-cut loses a violating committee: the first leaf reached violates the
-property and is the least one.
+class still to pick lies inside it.  For CONNECTED and CDOM it keeps the
+components of P, and cuts a subtree once every vertex of the classes still
+to pick is adjacent to every component, P is connected or a pick remains,
+and (CDOM) P dominates the graph.  The next pick then joins the components
+and every later one is adjacent to them, so each completion is connected
+(and dominating).  No cut loses a violating committee: the first leaf
+reached violates the property and is the least one.
 
 The exact search applies three cuts inside the canonical enumeration, each
 dropping only subtrees in which no coloring compels the property:
@@ -48,7 +48,13 @@ dropping only subtrees in which no coloring compels the property:
   are open, when the committee search finds a violating committee through
   the vertex just placed, which stays a committee, with the same vertex
   set, in every completion.  Every violating committee has a last-placed
-  vertex, so no leaf that survives has one.
+  vertex, so no leaf that survives has one.  For CONNECTED and CDOM it
+  also cuts earlier, once the vertex just placed joins an open class
+  while two to k - 1 colors are in use: with U the vertices not yet
+  placed, it cuts when P + U is disconnected or (CDOM) not dominating for
+  some P of one placed vertex per open class.  Every completion then has
+  a violating committee inside P + U that keeps P, or all of P but one
+  vertex together with a vertex of a component of P + U that lies in U.
 
 So every leaf that survives compels the property, none is checked again,
 and the witness is the one the uncut search finds.
@@ -72,7 +78,6 @@ from .graphs import (
     connected_domination_number,
     is_connected,
     iter_bits,
-    mask_connected,
 )
 from .properties import (
     SubsetProperty,
@@ -258,6 +263,20 @@ def _find_violating_committee(
     return None
 
 
+def _join(parts, low: int, nb: int) -> list[int]:
+    """The components of P + v from those of P, each given by the vertices
+    adjacent to it: v's neighbourhood ``nb`` merges every component it
+    touches (those holding ``low``, v's bit) into one."""
+    out = []
+    for m in parts:
+        if m & low:
+            nb |= m
+        else:
+            out.append(m)
+    out.append(nb)
+    return out
+
+
 def _committee_search(
     g: Graph, class_masks, prop: SubsetProperty, deadline: float | None = None
 ) -> tuple[int, ...] | None:
@@ -266,30 +285,19 @@ def _committee_search(
     some class is empty.  The answer is the one
     :func:`_find_violating_committee` gives.
 
-    Depth-first over the classes of two or more vertices, in index order
-    and each class's vertices ascending; the singleton classes are in every
-    committee and start the pick P.  For EDGE a violating committee is an
-    independent one: two singletons in N[ ] of each other put an edge in
-    every committee, picks come only from outside N[P], and a subtree ends
-    once some class still to pick lies inside N[P].  For CONNECTED and CDOM,
-    whether P is connected follows from the parent pick: the empty P is,
-    P + v is not when v has no neighbour in P, and is when v has one and P
-    is connected; only a vertex that touches a disconnected P costs a BFS.
-    A connected P ends its subtree when every vertex of the classes still to
-    pick is adjacent to P (CONNECTED) or when N[P] is every vertex (CDOM):
-    each later pick is then adjacent to P, so every completion is connected
-    (and dominating).  A whole committee that escapes these cuts fails the
-    property, and the first one reached is the least.
+    The singleton classes are in every committee and start the pick; two
+    of them in N[ ] of each other put an edge in every committee, so EDGE
+    has no violating one.  :func:`_committee_walk` picks from the other
+    classes.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
     adj = g.adj_bits
     closed = g.closed_bits
-    full = g.full_mask
     edge = prop is _EDGE
-    cdom = prop is _CDOM
-    base = reach = 0
+    reach = 0
+    parts: list[int] = []
     committee = list(class_masks)  # the singletons' vertices go in now
     slots = []  # the indices of the classes of two or more vertices
     picks = []  # and those classes
@@ -303,22 +311,65 @@ def _committee_search(
             return None  # every committee holds this edge
         else:
             u = committee[c] = m.bit_length() - 1
-            base |= m
             reach |= closed[u]
-    k = len(slots)
-    # later[i]: the vertices of the classes at slots[i:], for CONNECTED
-    later = [0] * (k + 1)
-    if not (edge or cdom):
-        for i in range(k - 1, -1, -1):
-            later[i] = later[i + 1] | picks[i]
-    # For the pick P of the singletons and pick[:i]: near[i] is N[P], and
-    # for CONNECTED and CDOM inside[i] is P and conn[i] says whether P is
-    # connected.
+            if not edge:
+                parts = _join(parts, m, adj[u])
+    pick = _committee_walk(g, prop, picks, reach, parts, deadline)
+    if pick is None:
+        return None
+    # an independent, disconnected or undominating committee
+    for c, v in zip(slots, pick):
+        committee[c] = v
+    return tuple(committee)
+
+
+def _committee_walk(
+    g: Graph,
+    prop: SubsetProperty,
+    picks,
+    reach: int,
+    parts,
+    deadline: float | None = None,
+) -> list[int] | None:
+    """Least pick, one vertex from each class of ``picks`` in order, that
+    with a fixed base set B of vertices makes a set failing ``prop`` (EDGE,
+    CONNECTED or CDOM); None when there is none.  ``reach`` is N[B] and
+    ``parts`` holds, per component of B, the vertices adjacent to it (EDGE
+    does not use it, and B is independent there).
+
+    Depth-first over the classes, each class's vertices ascending, with the
+    pick so far P (B included).  For EDGE a violating set is an independent
+    one: picks come only from outside N[P], and a subtree ends once some
+    class still to pick lies inside N[P].  For CONNECTED and CDOM the walk
+    keeps the components of P, each as the set of vertices adjacent to it;
+    a new pick merges those it touches (:func:`_join`), so no BFS runs.  A
+    subtree ends when every vertex of the classes still to pick is adjacent
+    to every component of P, P is connected or at least one pick remains,
+    and (CDOM) N[P] is every vertex: the next pick then joins all the
+    components and each later one is adjacent to them, so every completion
+    is connected (and dominating).  A whole pick that escapes these cuts
+    fails the property, and the first one reached is the least.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the walk raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
+    """
+    adj = g.adj_bits
+    closed = g.closed_bits
+    full = g.full_mask
+    edge = prop is _EDGE
+    cdom = prop is _CDOM
+    k = len(picks)
+    # For the pick P of B and pick[:i]: near[i] is N[P], and for CONNECTED
+    # and CDOM comps[i] holds, per component of P, the vertices adjacent to
+    # it, and later[i] the vertices of the classes picks[i:].
     pick: list[int] = []
     near = [reach]
-    inside = [base]
-    conn = [edge or not base or mask_connected(adj, base)]
-    todo: list[int] = []  # todo[i]: the vertices of class slots[i] not yet tried
+    comps = [parts]
+    later = [0] * (k + 1)
+    if not edge:
+        for i in range(k - 1, -1, -1):
+            later[i] = later[i + 1] | picks[i]
+    todo: list[int] = []  # todo[i]: the vertices of picks[i] not yet tried
     steps = 0
     while True:
         i = len(pick)
@@ -331,14 +382,24 @@ def _committee_search(
                     break
             else:
                 if i == k:
-                    break
+                    return pick
                 todo.append(picks[i] & free)
-        elif conn[i] and inside[i] and (r == full if cdom else not later[i] & ~r):
-            todo.append(0)  # every completion qualifies
-        elif i < k:
-            todo.append(picks[i])
         else:
-            break
+            parts = comps[i]
+            joins = full  # the vertices adjacent to every component of P
+            for m in parts:
+                joins &= m
+            if (
+                parts
+                and (i < k or len(parts) == 1)
+                and not later[i] & ~joins
+                and (r == full or not cdom)
+            ):
+                todo.append(0)  # every completion qualifies
+            elif i < k:
+                todo.append(picks[i])
+            else:
+                return pick
         while not todo[-1]:
             todo.pop()
             if not todo:
@@ -346,8 +407,7 @@ def _committee_search(
             pick.pop()
             near.pop()
             if not edge:
-                inside.pop()
-                conn.pop()
+                comps.pop()
         if deadline is not None:
             steps += 1
             if not steps & 0x3FF and time.monotonic() > deadline:
@@ -355,19 +415,10 @@ def _committee_search(
         low = todo[-1] & -todo[-1]
         todo[-1] ^= low
         v = low.bit_length() - 1
-        r = near[-1]
         pick.append(v)
-        near.append(r | closed[v])
+        near.append(near[-1] | closed[v])
         if not edge:
-            p = inside[-1]
-            conn.append(
-                not p or bool(r & low) and (conn[-1] or mask_connected(adj, p | low))
-            )
-            inside.append(p | low)
-    # an independent, disconnected or undominating committee
-    for c, v in zip(slots, pick):
-        committee[c] = v
-    return tuple(committee)
+            comps.append(_join(comps[-1], low, adj[v]))
 
 
 def is_compelling(
@@ -459,6 +510,25 @@ def _iter_canonical(
     all k colors are open, so every leaf that survives compels the
     property.
 
+    For CONNECTED and CDOM the cut also fires before all k colors are open.
+    With U the vertices after v, take the open classes (v in its own) and
+    each vertex of U as a class of its own: every committee of that
+    coloring is P + U, with P one placed vertex per open class.  When v
+    joins an open class, two colors or more are in use and fewer than k,
+    :func:`_committee_walk` looks for a P for which P + U is disconnected
+    or (CDOM) not dominating, and the branch is cut when there is one.  In
+    a completion each new class lies in U, so P plus one vertex of each
+    new class is a committee inside P + U that keeps P.  If P meets two
+    components of P + U, that committee is disconnected; if not, some
+    component of P + U lies in U, and with a vertex u of it picked for u's
+    class (in place of P's vertex there, when u joins an open class; P
+    keeps another vertex, as two colors are open) the committee meets it
+    and P's component, so it is disconnected.  A vertex that P + U does
+    not dominate is dominated by none of them.  The walk is skipped when v
+    opens a class, which leaves those committees as they were, and while
+    at most one placed vertex has joined an open class, which is the
+    separator cut's case.
+
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
 
@@ -473,6 +543,11 @@ def _iter_canonical(
     if cover is None:
         cover = (full,) * n  # every class fits: nothing is cut
     rules = separators is not None or committee is not None
+    # the committee cut before all k colors are open (CONNECTED, CDOM), and
+    # its tables, built when it first runs
+    early = committee is not None and committee is not _EDGE
+    closed = g.closed_bits
+    unplaced_reach = unplaced_parts = None
     colors = [0] * n
     masks = [0] * k
     inside = [0] * k  # 0 while the class is not open
@@ -545,6 +620,24 @@ def _iter_canonical(
                         part = masks.copy()
                         part[c] = 1 << v
                         cut = _committee_search(g, part, committee, deadline)
+                    elif not cut and early and c < used and 1 < used < v:
+                        if unplaced_parts is None:
+                            unplaced_reach, unplaced_parts = _unplaced_tables(g)
+                        reach = unplaced_reach[v]
+                        parts = unplaced_parts[v]
+                        picks = []
+                        for d in range(used):
+                            m = masks[d] | 1 << v if d == c else masks[d]
+                            if m & (m - 1):
+                                picks.append(m)
+                            else:
+                                u = m.bit_length() - 1
+                                reach |= closed[u]
+                                parts = _join(parts, m, adj[u])
+                        found = _committee_walk(
+                            g, committee, picks, reach, parts, deadline
+                        )
+                        cut = found is not None
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -565,6 +658,18 @@ def _iter_canonical(
         masks[c] &= ~(1 << v)
         inside[c] = held_at[v]
         c += 1
+
+
+def _unplaced_tables(g: Graph):
+    """For each vertex v, with U the vertices after v: N[U], and per
+    component of U the vertices adjacent to it."""
+    n = g.n
+    reach = [0] * n
+    parts: list[list[int]] = [[]] * n
+    for u in range(n - 1, 0, -1):
+        reach[u - 1] = reach[u] | g.closed_bits[u]
+        parts[u - 1] = _join(parts[u], 1 << u, g.adj_bits[u])
+    return reach, parts
 
 
 def canonical_colorings(g: Graph, k: int):
@@ -695,8 +800,14 @@ def compelling_chromatic_number(
     test of :func:`_search_cover`; CONNECTED and CDOM also with the
     separator test of :func:`_search_separators`, and EDGE, CONNECTED and
     CDOM with the committee search for a violating committee through the
-    vertex just placed (see :func:`_iter_canonical`).  Every leaf that
-    survives is compelling, so the answer is the first leaf at the
+    vertex just placed once all k colors are open (see
+    :func:`_iter_canonical`).  CONNECTED and CDOM run that search earlier
+    too, when the vertex just placed joins an open class: on the open
+    classes plus each vertex not yet placed as a class of its own, whose
+    violating committees leave one in every completion.  On a cycle of
+    five vertices or more that settles the infeasible level of n - 2
+    colors once two placed vertices have joined open classes.  Every leaf
+    that survives is compelling, so the answer is the first leaf at the
     smallest k.  The cuts drop only colorings that do not compel, so the
     witness is the one the uncut scan finds.
 

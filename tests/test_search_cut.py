@@ -3,7 +3,9 @@
 ``compelling_chromatic_number`` cuts subtrees of the canonical search with
 per-vertex neighbourhood tests, the separator test (CONNECTED, CDOM) and
 the committee test (EDGE, CONNECTED, CDOM), which asks the committee
-search for a violating committee.  Those tests compare it against a
+search for a violating committee once all k colors are open, and for
+CONNECTED and CDOM also before, with each unplaced vertex as a class of
+its own.  Those tests compare it against a
 leaf-only reference: the uncut enumeration from the lower bound up, with
 each completed coloring judged by the set-level oracle.
 
@@ -43,6 +45,7 @@ from compelling import (
     make_random_mop,
     make_random_tree,
 )
+from compelling import solver
 from compelling.solver import (
     _classes_from_masks,
     _committee_search,
@@ -193,6 +196,62 @@ def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
 
 
 @CUT_SETTINGS
+@given(small_graphs(), st.sampled_from((P.CONNECTED, P.CDOM)), st.data())
+def test_search_leaves_are_the_compelling_uncut_leaves(g, prop, data):
+    # the enumerator as compelling_chromatic_number runs it, every cut on:
+    # per-vertex, separator, and committee both before and once all k
+    # colors are open
+    k = data.draw(st.integers(1, g.n))
+    cover = _search_cover(g, prop)
+    separators = _search_separators(g, prop)
+    cut = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k, cover, None, separators, prop)
+    ]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k)
+        if brute_compelling(g, c, prop)
+    ]
+    assert cut == kept
+
+
+def test_committee_cut_fires_before_all_colors_are_open(monkeypatch):
+    # C10 has no coloring with 8 colors that compels connectivity; the walk
+    # over the open classes and the unplaced vertices as classes of their
+    # own cuts its branches before the eighth color opens
+    g = make_cycle(10)
+    prop = P.CONNECTED
+    search, walk = solver._committee_search, solver._committee_walk
+    in_search = []
+    opened = []  # the colors open at each cut of the early walk
+
+    def search_spy(*args):
+        in_search.append(True)
+        try:
+            return search(*args)
+        finally:
+            in_search.pop()
+
+    def walk_spy(g, prop, picks, reach, parts, deadline=None):
+        pick = walk(g, prop, picks, reach, parts, deadline)
+        if pick is not None and not in_search:
+            # the vertex just placed is the last vertex of the picks; every
+            # placed vertex outside them is a class of its own
+            placed = max(m.bit_length() for m in picks)
+            opened.append(len(picks) + placed - sum(m.bit_count() for m in picks))
+        return pick
+
+    monkeypatch.setattr(solver, "_committee_search", search_spy)
+    monkeypatch.setattr(solver, "_committee_walk", walk_spy)
+    cover = _search_cover(g, prop)
+    separators = _search_separators(g, prop)
+    assert not list(_iter_canonical(g, 8, cover, None, separators, prop))
+    assert opened
+    assert max(opened) < 8
+
+
+@CUT_SETTINGS
 @given(small_graphs(), st.sampled_from(COMMITTEE_PROPS))
 def test_edge_leaves_that_survive_have_no_independent_committee(g, prop):
     # so compelling_chromatic_number can take every EDGE, CONNECTED and
@@ -273,6 +332,7 @@ FRONTIER = {
     "T(20;3)-connected": (T20_3, P.CONNECTED, closed_forms.chi_conn_tree(T20_3)),
     "T(20;8)-edge": (T20_8, P.EDGE, closed_forms.chi_edge_tree(T20_8)),
     "C20-edge": (make_cycle(20), P.EDGE, closed_forms.chi_edge_cycle(20)),
+    "C18-connected": (make_cycle(18), P.CONNECTED, closed_forms.chi_conn_cycle(18)),
     "MOP(20;5)-connected": (MOP20_5, P.CONNECTED, closed_forms.chi_conn_mop(MOP20_5)),
     "MOP(20;5)-cdom": (MOP20_5, P.CDOM, closed_forms.chi_conn_mop(MOP20_5)),
 }
@@ -374,13 +434,20 @@ def test_committee_search_matches_the_scan(case):
 @given(small_graphs(), st.data())
 def test_committee_search_on_partial_masks(g, data):
     # partial class masks, as the committee cut passes them: many classes are
-    # singletons, and some may be empty, which leaves no committee at all
+    # singletons, and some may be empty, which leaves no committee at all.
+    # Before all k colors are open the cut adds each vertex not placed as a
+    # class of its own.
     k = data.draw(st.integers(1, 6))
     masks = [0] * k
+    unplaced = []
     for v in range(g.n):
         c = data.draw(st.integers(-1, k - 1))  # -1: v is not placed
         if c >= 0:
             masks[c] |= 1 << v
+        else:
+            unplaced.append(1 << v)
+    if data.draw(st.booleans()):
+        masks += unplaced
     for prop in COMMITTEE_PROPS:
         cx = _committee_search(g, masks, prop)
         if not all(masks):

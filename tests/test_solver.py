@@ -178,7 +178,8 @@ def test_committee_search_on_ten_classes_of_six():
         (*class_graph(8, 4, lambda u, v: v // 4 - u // 4 == 1), P.CONNECTED,
          "committee search"),
         # class 0 joined only to class 7: every pick stays disconnected
-        # until the last class, so the search reaches all 4^8 committees
+        # until the last class, whose vertices each join both components,
+        # so the search cuts there after 21,844 steps
         (*class_graph(8, 4, lambda u, v: u > 3 or v > 27), P.CONNECTED,
          "committee search"),
         # vertex 0 misses the last vertex of every class, so the least
@@ -200,6 +201,15 @@ def test_committee_search_cuts_once_a_pick_reconnects():
     # classes 0 and 1 unjoined: a pick of both is disconnected, and the
     # third pick joins it, after which every completion is connected
     g, coloring = class_graph(8, 4, lambda u, v: v // 4 > 1)
+    assert is_compelling(g, coloring, P.CONNECTED, timeout_s=0).compelling
+
+
+def test_committee_search_cuts_a_pick_every_later_vertex_joins():
+    # class 0 joined only to class 4: every pick stays disconnected until
+    # the last class, each of whose vertices joins both components, so the
+    # search cuts before it, after 340 steps instead of visiting all 1,024
+    # committees
+    g, coloring = class_graph(5, 4, lambda u, v: u > 3 or v > 15)
     assert is_compelling(g, coloring, P.CONNECTED, timeout_s=0).compelling
 
 
