@@ -173,7 +173,11 @@ def mop_chords(g: Graph) -> list[tuple[int, int]]:
 
 
 def is_chord_cover(g: Graph, members) -> bool:
-    """True when the vertex set meets every chord of the graph."""
+    """True when the vertex set meets every chord of the graph.
+
+    Each call recognizes the graph as a MOP again (O(n^2)); a loop over
+    many vertex sets of one graph should compute ``mop_chords`` once and
+    test against it."""
     s = set(members)
     return all(u in s or v in s for u, v in mop_chords(g))
 

@@ -24,7 +24,9 @@ pairs-of-pairs, all lexicographic) makes the returned witness
 deterministic.  Cases 2.2 and 2.1 try each guessed class once, under the
 first pair in that order that gives it: the witness stays the same, and
 the scan costs one try per distinct guessed class, not one per pair (or
-pair of pairs).
+pair of pairs).  Case 2.1 skips a pair of guesses whose third class (the
+vertices in neither) is not independent before the full check, which
+would reject it anyway.
 """
 
 from __future__ import annotations
@@ -161,21 +163,19 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
     ]
 
     # Case 2.2: the other two classes pair off against each other, so
-    # N(u) union N(v) must induce complete bipartite.
+    # N(u) union N(v) must induce a connected complete bipartite graph.  Its
+    # sides are then the neighbours of its lowest vertex and the rest, which
+    # is the split a breadth-first 2-coloring from that vertex gives.
     for red, uv in reds:
         rest = full & ~red
         if rest == 0:
             continue
-        split = _split_bipartition(g, rest)
-        if split is None:
+        low = rest & -rest
+        side_b = adj[low.bit_length() - 1] & rest
+        side_a = rest ^ side_b
+        if side_b == 0 or not mask_independent(adj, side_b):
             continue
-        side_a, side_b = split
-        complete = True
-        for w in iter_bits(side_a):
-            if adj[w] & rest != side_b:
-                complete = False
-                break
-        if not complete:
+        if any(adj[w] & rest != side_b for w in iter_bits(side_a)):
             continue
         witness = _witness_from_masks(g, (red, side_a, side_b), "case22", uv)
         if witness is not None:
@@ -187,7 +187,7 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
             if red & blue:
                 continue
             green = full & ~(red | blue)
-            if green == 0:
+            if green == 0 or not mask_independent(adj, green):
                 continue
             witness = _witness_from_masks(g, (red, blue, green), "case21", uv + xy)
             if witness is not None:

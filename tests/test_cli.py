@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -462,6 +463,48 @@ def test_verify_json(capsys):
     assert code == 0
     report = json.loads(out)
     assert all(r["passed"] for r in report["results"])
+
+
+# Reports of `verify td3` and `verify mop-claims --seed 1729 --format json`,
+# which a rerun must reproduce.  Checks named after a time limit ("under 1s")
+# carry a measured time as their detail, and elapsed_s is a measured time, so
+# both are masked.
+_TIMED_CHECK = re.compile(r"\bunder \d+(s|min)\b")
+_PINNED_VERIFY_REPORTS = {
+    "td3": [
+        ("tester agrees with brute-force 3-class existence", "543 graphs"),
+        ("tester witnesses are valid total dominator colorings", ""),
+        ("tester under 1s per graph at order 9", "<time>"),
+        ("connectivity-equals-3 matches the exact solver", ""),
+    ],
+    "mop-claims": [
+        ("mops: connectivity value is connected domination number + 2", "30 mops"),
+        ("mops: removing a connected dominating set leaves a forest", ""),
+        ("mops: chord covers are connected dominating sets", ""),
+        ("mops: complement of a minimal connected dominating set has an edge", ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_PINNED_VERIFY_REPORTS))
+def test_seeded_verify_report_is_pinned(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--seed", "1729", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    report["elapsed_s"] = 0.0
+    for row in report["results"]:
+        if _TIMED_CHECK.search(row["check"]):
+            row["detail"] = "<time>"
+    assert report == {
+        "command": f"verify {suite}",
+        "elapsed_s": 0.0,
+        "notes": [],
+        "results": [
+            {"check": check, "detail": detail, "passed": True, "suite": suite}
+            for check, detail in _PINNED_VERIFY_REPORTS[suite]
+        ],
+        "seed": 1729,
+    }
 
 
 def test_check_json(capsys, c5_file, c5_coloring):

@@ -150,6 +150,14 @@ def planted_tdc3(n, extra, seed):
     return Graph.from_edges(n, sorted(edges), name=f"T3({n},{extra};{seed})")
 
 
+def _tester_and_pair_scan(g):
+    witness = has_tdc3(g)
+    got = None
+    if witness is not None:
+        got = (witness.coloring.colors, witness.case_tag, witness.guessed_vertices)
+    return got, tdc3_pair_scan(g)
+
+
 def test_has_tdc3_witnesses_match_the_pair_scan():
     # the tester tries each guessed class once; the reference tries every
     # pair and pair of pairs, and both must return the same witness
@@ -164,13 +172,25 @@ def test_has_tdc3_witnesses_match_the_pair_scan():
     ]
     tags = set()
     for g in graphs:
-        witness = has_tdc3(g)
-        got = None
-        if witness is not None:
-            got = (witness.coloring.colors, witness.case_tag, witness.guessed_vertices)
-            tags.add(witness.case_tag)
-        assert got == tdc3_pair_scan(g), g.name
+        got, want = _tester_and_pair_scan(g)
+        assert got == want, g.name
+        if got is not None:
+            tags.add(got[1])
     assert tags == {"case1", "case21", "case22"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12), st.sampled_from((0.3, 0.5, 0.7)), st.integers(0, 2**20))
+def test_has_tdc3_matches_the_pair_scan_on_random_graphs(n, p, seed):
+    got, want = _tester_and_pair_scan(make_random_graph(n, p, seed))
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12), st.sampled_from((0.0, 0.3, 0.5)), st.integers(0, 2**20))
+def test_has_tdc3_matches_the_pair_scan_on_planted_graphs(n, extra, seed):
+    got, want = _tester_and_pair_scan(planted_tdc3(n, extra, seed))
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)
