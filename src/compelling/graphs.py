@@ -504,9 +504,8 @@ def is_complete_bipartite(g: Graph) -> bool:
     return len(a) >= 1 and len(b) >= 1 and g.edge_count == len(a) * len(b)
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    """Greedy clique, largest degree first; a chromatic lower bound."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _greedy_clique(g: Graph, order) -> list[int]:
+    """Greedy clique, taking vertices in ``order``; a chromatic lower bound."""
     clique: list[int] = []
     cand = set(range(g.n))
     for v in order:
@@ -516,9 +515,9 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _greedy_coloring(g: Graph) -> tuple[int, list[int]]:
-    """Largest-first greedy coloring; an upper bound for the exact search."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _greedy_coloring(g: Graph, order) -> int:
+    """Colors of the greedy coloring in ``order``; an upper bound for the
+    exact search."""
     colors = [-1] * g.n
     used = 0
     for v in order:
@@ -528,7 +527,7 @@ def _greedy_coloring(g: Graph) -> tuple[int, list[int]]:
             c += 1
         colors[v] = c
         used = max(used, c + 1)
-    return used, colors
+    return used
 
 
 def chromatic_number(
@@ -546,14 +545,15 @@ def chromatic_number(
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
-    clique = _greedy_clique(g)
+    # largest degree first, for the greedy bounds and then the search
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    clique = _greedy_clique(g, order)
     lower = len(clique)
-    upper, _ = _greedy_coloring(g)
+    upper = _greedy_coloring(g, order)
     if lower == upper:
         return lower
     in_clique = set(clique)
-    rest = sorted((v for v in range(g.n) if v not in in_clique), key=lambda v: (-g.degree(v), v))
-    order = clique + rest
+    order = clique + [v for v in order if v not in in_clique]
     colors = [-1] * g.n
     for i, v in enumerate(clique):
         colors[v] = i

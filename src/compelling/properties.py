@@ -9,12 +9,12 @@ when both component restrictions do).
 
 The least DOM, TDOM and CDOM sets come from the pruned size-then-lex
 search :func:`graphs.least_covering_set`; the least EDGE, ISOLATE_FREE and
-CONNECTED sets have at most two vertices and come from a plain scan.
+CONNECTED sets have at most two vertices and are read off directly: vertex
+0, or the first edge.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 from .graphs import (
@@ -127,21 +127,6 @@ def eval_property(prop: SubsetProperty, g: Graph, members) -> bool:
     return eval_property_mask(prop, g, mask)
 
 
-def _feasible(prop: SubsetProperty, g: Graph) -> bool:
-    """Whether any nonempty subset of V(g) satisfies ``prop``."""
-    if prop is _DOM:
-        return True
-    if prop is _TDOM:
-        return all(g.adj[v] for v in range(g.n))
-    if prop in (_IF, _EDGE):
-        return g.edge_count > 0
-    if prop is _CONNECTED:
-        return True
-    if prop is _CDOM:
-        return is_connected(g)
-    raise AssertionError(f"unhandled property {prop}")
-
-
 def min_property_witness(
     prop: SubsetProperty,
     g: Graph,
@@ -157,22 +142,20 @@ def min_property_witness(
     """
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
-    if not _feasible(prop, g):
-        return None
     if prop is _DOM:
         return least_covering_set(g.closed_bits, deadline=deadline)
-    if prop is _TDOM:
+    if prop is _TDOM:  # None at once when some vertex has no neighbour
         return least_covering_set(g.adj_bits, deadline=deadline)
     if prop is _CDOM:
+        # on a disconnected graph the search would try every dominating set
+        if not is_connected(g):
+            return None
         return least_covering_set(g.closed_bits, g.adj_bits, deadline=deadline)
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if eval_property_mask(prop, g, mask):
-                return combo
-    return None
+    if prop is _CONNECTED:
+        return (0,)
+    # EDGE and ISOLATE_FREE: no single vertex qualifies and every edge does,
+    # so the least set is the first edge
+    return g.edges[0] if g.edges else None
 
 
 def min_property_size(

@@ -8,9 +8,10 @@ infeasible when none exists at any number of colors.
 
 Each property has one verdict kernel here, shared by the checker, the
 search, the total dominator tester and the verification suites.  DOM,
-TDOM and ISOLATE_FREE admit per-vertex tests (a vertex must dominate some
-color class, or be adjacent to all of some other class), and EDGE,
-CONNECTED and CDOM are decided by one pruned committee search.  The plain
+TDOM and ISOLATE_FREE are one per-vertex test, :func:`_covered`: every
+vertex has a whole color class inside its closed neighbourhood (DOM) or
+its open one (TDOM, ISOLATE_FREE).  EDGE, CONNECTED and CDOM are decided
+by one pruned committee search, :func:`_committee_search`.  The plain
 committee scanner, which stops at the first violating committee, finds the
 counterexamples of the per-vertex kernels and is the reference the
 committee search is tested against.  Reported counterexamples are always
@@ -211,32 +212,15 @@ def is_compelling_naive(g: Graph, coloring: Coloring, prop: SubsetProperty) -> b
 # ---------------------------------------------------------------------------
 
 
-def _dom_compelled(g: Graph, class_masks) -> bool:
-    """Every vertex dominates some color class (its own may be a singleton)."""
-    closed = g.closed_bits
-    for v in range(g.n):
-        cb = closed[v]
-        ok = False
+def _covered(cover, class_masks) -> bool:
+    """Every vertex v has a whole class inside ``cover[v]``: with the closed
+    neighbourhoods the coloring compels DOM, with the open ones TDOM and
+    ISOLATE_FREE (:func:`_search_cover` picks the table)."""
+    for cb in cover:
         for m in class_masks:
             if not m & ~cb:
-                ok = True
                 break
-        if not ok:
-            return False
-    return True
-
-
-def _tdom_compelled(g: Graph, class_masks) -> bool:
-    """Every vertex is adjacent to all of some other color class."""
-    adj = g.adj_bits
-    for v in range(g.n):
-        nb = adj[v]
-        ok = False
-        for m in class_masks:
-            if not m & ~nb:
-                ok = True
-                break
-        if not ok:
+        else:
             return False
     return True
 
@@ -278,14 +262,25 @@ def _join(parts, low: int, nb: int) -> list[int]:
 
 
 def _committee_search(
-    g: Graph, class_masks, prop: SubsetProperty, deadline: float | None = None
+    g: Graph,
+    class_masks,
+    prop: SubsetProperty,
+    deadline: float | None = None,
+    reach: int = 0,
+    parts=(),
 ) -> tuple[int, ...] | None:
     """Least committee (class-index-then-vertex order) that fails ``prop``,
     one of EDGE, CONNECTED and CDOM; None when every committee qualifies or
     some class is empty.  The answer is the one
     :func:`_find_violating_committee` gives.
 
-    The singleton classes are in every committee and start the pick; two
+    ``reach`` and ``parts`` give a base set B of vertices outside the
+    classes, added to every committee before ``prop`` is tested: ``reach``
+    is N[B] and ``parts`` holds, per component of B, the vertices adjacent
+    to it.  The default is no base; the early committee cut of
+    :func:`_iter_canonical` passes the unplaced vertices.
+
+    The singleton classes are in every committee and join the base; two
     of them in N[ ] of each other put an edge in every committee, so EDGE
     has no violating one.  :func:`_committee_walk` picks from the other
     classes.
@@ -296,8 +291,6 @@ def _committee_search(
     adj = g.adj_bits
     closed = g.closed_bits
     edge = prop is _EDGE
-    reach = 0
-    parts: list[int] = []
     committee = list(class_masks)  # the singletons' vertices go in now
     slots = []  # the indices of the classes of two or more vertices
     picks = []  # and those classes
@@ -431,8 +424,9 @@ def is_compelling(
     """Decide whether ``coloring`` compels ``prop`` on ``g``.
 
     On failure the report carries the least violating rainbow committee.
-    DOM, TDOM and ISOLATE_FREE are decided by their per-vertex kernel, and
-    only a negative verdict scans the committees for the least
+    DOM, TDOM and ISOLATE_FREE are decided by the per-vertex kernel
+    :func:`_covered` on the neighbourhood table of :func:`_search_cover`,
+    and only a negative verdict scans the committees for the least
     counterexample.  EDGE, CONNECTED and CDOM run the committee search
     (:func:`_committee_search`), which cuts every subtree whose completions
     all qualify, or for EDGE all hold an edge; it returns the least
@@ -448,12 +442,8 @@ def is_compelling(
         if prop in _COMMITTEE_PROPS:
             cx = _committee_search(g, masks, prop, deadline)
             return CompellingReport(cx is None, cx, "rc-search")
-        if prop is SubsetProperty.DOM:
-            fast = _dom_compelled(g, masks)
-        else:
-            fast = _tdom_compelled(g, masks)
         cx = None
-        if not fast:
+        if not _covered(_search_cover(g, prop), masks):
             cx = _find_violating_committee(g, coloring.classes, prop, deadline)
     except SearchTimeout as exc:
         raise SearchTimeout(
@@ -515,16 +505,17 @@ def _iter_canonical(
     each vertex of U as a class of its own: every committee of that
     coloring is P + U, with P one placed vertex per open class.  When v
     joins an open class, two colors or more are in use and fewer than k,
-    :func:`_committee_walk` looks for a P for which P + U is disconnected
-    or (CDOM) not dominating, and the branch is cut when there is one.  In
-    a completion each new class lies in U, so P plus one vertex of each
-    new class is a committee inside P + U that keeps P.  If P meets two
+    :func:`_committee_search` on the open classes, with U as its base (the
+    tables of :func:`_unplaced_tables`), looks for a P for which P + U is
+    disconnected or (CDOM) not dominating, and the branch is cut when there
+    is one.  In a completion each new class lies in U, so P plus one vertex
+    of each new class is a committee inside P + U that keeps P.  If P meets two
     components of P + U, that committee is disconnected; if not, some
     component of P + U lies in U, and with a vertex u of it picked for u's
     class (in place of P's vertex there, when u joins an open class; P
     keeps another vertex, as two colors are open) the committee meets it
     and P's component, so it is disconnected.  A vertex that P + U does
-    not dominate is dominated by none of them.  The walk is skipped when v
+    not dominate is dominated by none of them.  The search is skipped when v
     opens a class, which leaves those committees as they were, and while
     at most one placed vertex has joined an open class, which is the
     separator cut's case.
@@ -546,7 +537,6 @@ def _iter_canonical(
     # the committee cut before all k colors are open (CONNECTED, CDOM), and
     # its tables, built when it first runs
     early = committee is not None and committee is not _EDGE
-    closed = g.closed_bits
     unplaced_reach = unplaced_parts = None
     colors = [0] * n
     masks = [0] * k
@@ -623,21 +613,16 @@ def _iter_canonical(
                     elif not cut and early and c < used and 1 < used < v:
                         if unplaced_parts is None:
                             unplaced_reach, unplaced_parts = _unplaced_tables(g)
-                        reach = unplaced_reach[v]
-                        parts = unplaced_parts[v]
-                        picks = []
-                        for d in range(used):
-                            m = masks[d] | 1 << v if d == c else masks[d]
-                            if m & (m - 1):
-                                picks.append(m)
-                            else:
-                                u = m.bit_length() - 1
-                                reach |= closed[u]
-                                parts = _join(parts, m, adj[u])
-                        found = _committee_walk(
-                            g, committee, picks, reach, parts, deadline
+                        part = masks[:used]
+                        part[c] |= 1 << v
+                        cut = _committee_search(
+                            g,
+                            part,
+                            committee,
+                            deadline,
+                            unplaced_reach[v],
+                            unplaced_parts[v],
                         )
-                        cut = found is not None
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -719,8 +704,9 @@ def chi_bounds(
 
 
 def _search_cover(g: Graph, prop: SubsetProperty):
-    """Neighbourhood table for the in-search cut, or None when ``prop`` has
-    no per-vertex test on ``g``.
+    """Neighbourhood table of the per-vertex test :func:`_covered`, for the
+    checker and the in-search cut, or None when ``prop`` has no per-vertex
+    test on ``g``.
 
     A coloring compels DOM exactly when every vertex has a whole class
     inside its closed neighbourhood, and TDOM or ISOLATE_FREE exactly when

@@ -44,8 +44,8 @@ from .graphs import (
 )
 from .solver import (
     Coloring,
+    _covered,
     _iter_canonical,
-    _tdom_compelled,
     canonical_colors,
     validate_coloring,
 )
@@ -66,7 +66,7 @@ def is_total_dominator_coloring(g: Graph, coloring: Coloring) -> bool:
     A graph with an isolated vertex has no such coloring.
     """
     validate_coloring(g, coloring)
-    return _tdom_compelled(g, coloring.class_masks)
+    return _covered(g.adj_bits, coloring.class_masks)
 
 
 def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
@@ -78,7 +78,7 @@ def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
         return None
     for k in range(1, g.n + 1):
         for _, masks in _iter_canonical(g, k):
-            if _tdom_compelled(g, masks):
+            if _covered(g.adj_bits, masks):
                 return k
     return None
 
@@ -93,7 +93,7 @@ def _witness_from_masks(g: Graph, masks, tag: str, guessed) -> TdcWitness | None
         return None
     if not all(mask_independent(g.adj_bits, m) for m in masks):
         return None
-    if not _tdom_compelled(g, masks):
+    if not _covered(g.adj_bits, masks):
         return None
     colors = [0] * g.n
     for idx, m in enumerate(masks):

@@ -60,10 +60,9 @@ from .graphs import (
 from .properties import SubsetProperty, eval_property, min_property_size
 from .solver import (
     _classes_from_masks,
-    _dom_compelled,
+    _covered,
     _find_violating_committee,
     _iter_canonical,
-    _tdom_compelled,
     compelling_chromatic_number,
     disjoint_union_bounds,
     is_compelling,
@@ -363,10 +362,10 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
                 def naive(prop: SubsetProperty) -> bool:
                     return _find_violating_committee(g, classes, prop) is None
 
-                if _dom_compelled(g, masks) != naive(SubsetProperty.DOM):
+                if _covered(g.closed_bits, masks) != naive(SubsetProperty.DOM):
                     violations["dom"].append((g.name, tuple(colors)))
                 tdom_naive = naive(SubsetProperty.TDOM)
-                if _tdom_compelled(g, masks) != tdom_naive:
+                if _covered(g.adj_bits, masks) != tdom_naive:
                     violations["tdom"].append((g.name, tuple(colors)))
                 if naive(SubsetProperty.ISOLATE_FREE) != tdom_naive:
                     violations["if"].append((g.name, tuple(colors)))
@@ -586,7 +585,9 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
         if any(not g.adj[v] for v in range(g.n)):
             brute = False
         else:
-            brute = any(_tdom_compelled(g, masks) for _, masks in _iter_canonical(g, 3))
+            brute = any(
+                _covered(g.adj_bits, masks) for _, masks in _iter_canonical(g, 3)
+            )
         if (witness is not None) != brute:
             bad_agree.append((g.name, witness is not None, brute))
     result.add(

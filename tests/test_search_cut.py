@@ -13,7 +13,7 @@ The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
 cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
 it is compared against the plain committee scan and the set-level oracle,
 on whole colorings and on the partial class masks the committee cut
-passes.
+passes, with and without the unplaced vertices as a base.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from compelling import (
     make_random_tree,
 )
 from compelling import solver
+from compelling.properties import eval_property_mask
 from compelling.solver import (
     _classes_from_masks,
     _committee_search,
@@ -53,6 +54,7 @@ from compelling.solver import (
     _iter_canonical,
     _search_cover,
     _search_separators,
+    _unplaced_tables,
 )
 from compelling.verify import main_corpus
 from oracles import brute_compelling, components
@@ -217,38 +219,26 @@ def test_search_leaves_are_the_compelling_uncut_leaves(g, prop, data):
 
 
 def test_committee_cut_fires_before_all_colors_are_open(monkeypatch):
-    # C10 has no coloring with 8 colors that compels connectivity; the walk
-    # over the open classes and the unplaced vertices as classes of their
-    # own cuts its branches before the eighth color opens
+    # C10 has no coloring with 8 colors that compels connectivity; the
+    # committee search over the open classes, with the unplaced vertices as
+    # its base, cuts its branches before the eighth color opens
     g = make_cycle(10)
     prop = P.CONNECTED
-    search, walk = solver._committee_search, solver._committee_walk
-    in_search = []
-    opened = []  # the colors open at each cut of the early walk
+    search = solver._committee_search
+    opened = []  # the classes passed to each search that finds a committee
 
-    def search_spy(*args):
-        in_search.append(True)
-        try:
-            return search(*args)
-        finally:
-            in_search.pop()
-
-    def walk_spy(g, prop, picks, reach, parts, deadline=None):
-        pick = walk(g, prop, picks, reach, parts, deadline)
-        if pick is not None and not in_search:
-            # the vertex just placed is the last vertex of the picks; every
-            # placed vertex outside them is a class of its own
-            placed = max(m.bit_length() for m in picks)
-            opened.append(len(picks) + placed - sum(m.bit_count() for m in picks))
-        return pick
+    def search_spy(graph, class_masks, *rest):
+        found = search(graph, class_masks, *rest)
+        if found is not None:
+            opened.append(len(class_masks))
+        return found
 
     monkeypatch.setattr(solver, "_committee_search", search_spy)
-    monkeypatch.setattr(solver, "_committee_walk", walk_spy)
     cover = _search_cover(g, prop)
     separators = _search_separators(g, prop)
     assert not list(_iter_canonical(g, 8, cover, None, separators, prop))
     assert opened
-    assert max(opened) < 8
+    assert min(opened) < 8
 
 
 @CUT_SETTINGS
@@ -428,6 +418,30 @@ def test_committee_search_matches_the_scan(case):
         cx = _committee_search(g, coloring.class_masks, prop)
         assert cx == _find_violating_committee(g, coloring.classes, prop)
         assert (cx is None) == brute_compelling(g, colors, prop)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(), st.data())
+def test_committee_search_with_the_unplaced_base(g, data):
+    # as the early committee cut calls it: the classes of the placed
+    # vertices 0..v, all nonempty, with the vertices after v as the base U
+    # that joins every committee.  The coloring need not be proper: the
+    # search does not rely on it.
+    v = data.draw(st.integers(0, g.n - 1))
+    colors = []
+    for _ in range(v + 1):
+        colors.append(data.draw(st.integers(0, max(colors, default=-1) + 1)))
+    masks = list(Coloring(tuple(colors)).class_masks)
+    unplaced = g.full_mask & ~((2 << v) - 1)
+    for prop in (P.CONNECTED, P.CDOM):
+        base = (t[v] for t in _unplaced_tables(g))
+        expected = None
+        for committee in itertools.product(*_classes_from_masks(masks)):
+            bits = sum(1 << u for u in committee)
+            if not eval_property_mask(prop, g, bits | unplaced):
+                expected = committee
+                break
+        assert _committee_search(g, masks, prop, None, *base) == expected
 
 
 @settings(max_examples=400, deadline=None)
