@@ -33,6 +33,7 @@ from .closed_forms import (
 from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
+    GraphTooLarge,
     load_graph,
     make_cycle,
     make_double_broom,
@@ -75,11 +76,13 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, max_n: int | None = None) -> Graph:
     try:
-        return load_graph(path)
+        return load_graph(path, max_n)
     except OSError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}")
+    except GraphTooLarge as exc:
+        raise CliError(str(exc))
     except ValueError as exc:
         raise CliError(f"bad graph file {path}: {exc}")
 
@@ -161,7 +164,7 @@ def _timeout_secs(text: str) -> float:
 
 
 def cmd_chi(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args.graph, args.max_n)
     prop = _parse_property(args.property)
     start = time.perf_counter()
     try:
@@ -284,6 +287,18 @@ def _family_graph(family: str, n: int, seed: int) -> Graph:
     raise CliError(f"unknown family {family!r}")
 
 
+def _family_order(family: str, n: int) -> int:
+    """The vertex count of :func:`_family_graph`'s instance, known before it
+    is built, so an order over the cap is refused without building it."""
+    if family == "double-broom":
+        return 2 * n + 2
+    if family == "split":
+        return 2 * n
+    if family == "fan":
+        return n + 1
+    return n
+
+
 def _closed_form(family: str, g: Graph, n: int, prop: SubsetProperty) -> int | None:
     """Closed-form value when one is known for this family and property."""
     if prop is SubsetProperty.EDGE:
@@ -326,16 +341,17 @@ def family_rows(
         if n < _FAMILY_RANGE_FLOOR[family]:
             warnings.append(f"skipping n={n}: below the {family} family minimum")
             continue
-        g = _family_graph(family, n, seed)
-        if g.n > max_n:
+        order = _family_order(family, n)
+        if order > max_n:
             warnings.append(
-                f"range truncated at n={n}: instance has {g.n} vertices, cap is {max_n}"
+                f"range truncated at n={n}: instance has {order} vertices, cap is {max_n}"
             )
             break
         budget = None if deadline is None else deadline - time.monotonic()
         if budget is not None and budget <= 0:
             warnings.append(f"range truncated at n={n}: time budget exhausted")
             break
+        g = _family_graph(family, n, seed)
         try:
             value = compelling_chromatic_number(g, prop, max_n=max_n, timeout_s=budget).value
         except SearchTimeout:

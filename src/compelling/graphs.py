@@ -34,6 +34,16 @@ class SearchTimeout(RuntimeError):
     """Raised when an exact search exceeds its time budget."""
 
 
+class GraphTooLarge(ValueError):
+    """Raised when a graph has more vertices than a size cap allows."""
+
+
+def check_order(n: int, max_n: int) -> None:
+    """Refuse an order ``n`` over the cap ``max_n``."""
+    if n > max_n:
+        raise GraphTooLarge(f"graph has {n} vertices, over the cap of {max_n}")
+
+
 def iter_bits(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -543,8 +553,7 @@ def chromatic_number(
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
+    check_order(g.n, max_n)
     # largest degree first, for the greedy bounds and then the search
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     clique = _greedy_clique(g, order)
@@ -695,8 +704,7 @@ def minimum_connected_dominating_set(
     g: Graph, max_n: int = SUBSET_ENUM_CAP, *, deadline: float | None = None
 ) -> tuple[int, ...]:
     """First minimum connected dominating set in size-then-lex order."""
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
+    check_order(g.n, max_n)
     if not is_connected(g):
         raise ValueError("connected domination requires a connected graph")
     return least_covering_set(g.closed_bits, g.adj_bits, deadline=deadline)
@@ -719,7 +727,10 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str, name: str = "") -> Graph:
+def parse_graph(text: str, name: str = "", max_n: int | None = None) -> Graph:
+    """Read the ``n m`` header, m ``u v`` edge lines and an optional
+    ``outer:`` line.  With ``max_n`` an order over the cap is refused from
+    the header, before any edge line is parsed or the graph is built."""
     data_lines = []
     outer_line = None
     for raw in text.splitlines():
@@ -743,6 +754,8 @@ def parse_graph(text: str, name: str = "") -> Graph:
         raise ValueError(f"bad header line {data_lines[0]!r}") from exc
     if n < 1:
         raise ValueError("graph must have at least one vertex")
+    if max_n is not None:
+        check_order(n, max_n)
     if len(data_lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(data_lines) - 1}")
     edges = []
@@ -772,9 +785,9 @@ def parse_graph(text: str, name: str = "") -> Graph:
     return Graph.from_edges(n, edges, name=name, outer_cycle=outer)
 
 
-def load_graph(path) -> Graph:
+def load_graph(path, max_n: int | None = None) -> Graph:
     p = Path(path)
-    return parse_graph(p.read_text(), name=p.name)
+    return parse_graph(p.read_text(), name=p.name, max_n=max_n)
 
 
 def save_graph(g: Graph, path) -> None:

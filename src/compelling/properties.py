@@ -20,6 +20,7 @@ from enum import Enum
 from .graphs import (
     SUBSET_ENUM_CAP,
     Graph,
+    check_order,
     is_connected,
     least_covering_set,
     mask_connected,
@@ -140,8 +141,7 @@ def min_property_witness(
     With a ``deadline`` (a ``time.monotonic()`` value) the DOM, TDOM and
     CDOM searches raise SearchTimeout once it is passed.
     """
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
+    check_order(g.n, max_n)
     if prop is _DOM:
         return least_covering_set(g.closed_bits, deadline=deadline)
     if prop is _TDOM:  # None at once when some vertex has no neighbour

@@ -12,11 +12,12 @@ TDOM and ISOLATE_FREE are one per-vertex test, :func:`_covered`: every
 vertex has a whole color class inside its closed neighbourhood (DOM) or
 its open one (TDOM, ISOLATE_FREE).  EDGE, CONNECTED and CDOM are decided
 by one pruned committee search, :func:`_committee_search`.  The plain
-committee scanner, which stops at the first violating committee, finds the
-counterexamples of the per-vertex kernels and is the reference the
-committee search is tested against.  Reported counterexamples are always
-the lexicographically least violating committee under
-class-index-then-vertex order, so results are reproducible.
+committee scanner, :func:`_find_violating_committee`, walks the committees
+once for any number of properties and stops once each has a violating
+committee.  It finds the counterexamples of the per-vertex kernels and is
+the reference the committee search is tested against.  Reported
+counterexamples are always the lexicographically least violating committee
+under class-index-then-vertex order, so results are reproducible.
 
 The committee search walks the classes in index order, each class's
 vertices ascending, so its leaves come in the scanner's order; the
@@ -68,13 +69,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
     SearchTimeout,
     bfs_layers,
+    check_order,
     chromatic_number,
     connected_domination_number,
     is_connected,
@@ -204,7 +206,7 @@ def rainbow_committees(coloring: Coloring):
 def is_compelling_naive(g: Graph, coloring: Coloring, prop: SubsetProperty) -> bool:
     """Reference checker: test the property on every rainbow committee."""
     validate_coloring(g, coloring)
-    return _find_violating_committee(g, coloring.classes, prop) is None
+    return _find_violating_committee(g, coloring.classes, (prop,))[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +228,21 @@ def _covered(cover, class_masks) -> bool:
 
 
 def _find_violating_committee(
-    g: Graph, classes, prop: SubsetProperty, deadline: float | None = None
-) -> tuple[int, ...] | None:
-    """Least committee whose vertex set fails ``prop``, or None.
+    g: Graph, classes, props, deadline: float | None = None
+) -> tuple[tuple[int, ...] | None, ...]:
+    """Least committee whose vertex set fails each of ``props``, or None
+    where every committee satisfies it; one answer per property, in order.
+
+    One scan serves all of ``props``: it builds each committee's mask once
+    and tests it only against the properties with no violation yet,
+    stopping once each has one.  Every answer is the one a scan for that
+    property alone gives.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the scan raises
     SearchTimeout once it is passed, checked every 1024 committees.
     """
+    found: list[tuple[int, ...] | None] = [None] * len(props)
+    todo = list(enumerate(props))  # the properties with no violation yet
     steps = 0
     for committee in itertools.product(*classes):
         if deadline is not None:
@@ -242,9 +252,16 @@ def _find_violating_committee(
         mask = 0
         for v in committee:
             mask |= 1 << v
-        if not eval_property_mask(prop, g, mask):
-            return committee
-    return None
+        failed = False
+        for i, prop in todo:
+            if not eval_property_mask(prop, g, mask):
+                found[i] = committee
+                failed = True
+        if failed:
+            todo = [t for t in todo if found[t[0]] is None]
+            if not todo:
+                break
+    return tuple(found)
 
 
 def _join(parts, low: int, nb: int) -> list[int]:
@@ -444,7 +461,7 @@ def is_compelling(
             return CompellingReport(cx is None, cx, "rc-search")
         cx = None
         if not _covered(_search_cover(g, prop), masks):
-            cx = _find_violating_committee(g, coloring.classes, prop, deadline)
+            (cx,) = _find_violating_committee(g, coloring.classes, (prop,), deadline)
     except SearchTimeout as exc:
         raise SearchTimeout(
             f"no verdict for {g.name or 'graph'} within {timeout_s}s: {exc}"
@@ -663,8 +680,13 @@ def canonical_colorings(g: Graph, k: int):
         yield Coloring(tuple(colors))
 
 
+@cache
+def _mask_vertices(mask: int) -> tuple[int, ...]:
+    return tuple(iter_bits(mask))
+
+
 def _classes_from_masks(masks) -> list[tuple[int, ...]]:
-    return [tuple(iter_bits(m)) for m in masks]
+    return list(map(_mask_vertices, masks))
 
 
 def chi_bounds(
@@ -801,8 +823,7 @@ def compelling_chromatic_number(
     searches of the bounds phase and the enumeration raise SearchTimeout
     once it has passed.
     """
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
+    check_order(g.n, max_n)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     try:
         bounds = chi_bounds(g, prop, max_n=max_n, deadline=deadline)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
+    check_order,
     is_complete_bipartite,
     is_connected,
     iter_bits,
@@ -72,8 +73,7 @@ def is_total_dominator_coloring(g: Graph, coloring: Coloring) -> bool:
 def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
     """Minimum class count of a total dominator coloring by canonical
     coloring enumeration; None when an isolated vertex rules them all out."""
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, over the cap of {max_n}")
+    check_order(g.n, max_n)
     if any(not g.adj[v] for v in range(g.n)):
         return None
     for k in range(1, g.n + 1):

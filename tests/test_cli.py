@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,14 @@ from compelling import (
     make_random_graph,
 )
 from compelling.closed_forms import chi_edge_cycle
-from compelling.cli import main, parse_family_csv, render_family_csv
+from compelling.cli import (
+    _FAMILY_RANGE_FLOOR,
+    _family_graph,
+    _family_order,
+    main,
+    parse_family_csv,
+    render_family_csv,
+)
 
 
 @pytest.fixture
@@ -39,6 +47,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _limit_memory():
+    limit = 2_000_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_capped(*argv):
+    """``python -m compelling`` in a child process whose address space is
+    capped at 2 GB, so building a huge graph fails fast with a MemoryError
+    instead of filling the machine's memory."""
+    src = str(Path(compelling.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-m", "compelling", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +180,16 @@ def test_chi_on_a_long_cycle_finishes(capsys, tmp_path):
     assert code == 0
     assert f"chi: {chi_edge_cycle(1501)}" in out
     assert "Traceback" not in err
+
+
+def test_chi_refuses_an_order_over_the_cap_from_the_header(tmp_path):
+    # a graph of 99,999,999,999 vertices is never built
+    path = tmp_path / "huge.graph"
+    path.write_text("99999999999 0\n")
+    done = run_capped("chi", str(path), "--property", "dom")
+    assert done.returncode == 2
+    assert done.stderr == "error: graph has 99999999999 vertices, over the cap of 16\n"
+    assert not done.stdout
 
 
 def test_chi_times_out_in_the_bounds_without_a_traceback(capsys, tmp_path):
@@ -396,6 +436,25 @@ def test_family_table_truncates_beyond_cap(capsys):
     assert "truncated" in err
 
 
+def test_family_table_truncates_before_building_an_order_over_the_cap():
+    done = run_capped(
+        "family-table", "path", "--n-range", "99999999999:99999999999",
+        "--property", "dom",
+    )
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: range truncated at n=99999999999: "
+        "instance has 99999999999 vertices, cap is 16\n"
+    )
+    assert parse_family_csv(done.stdout) == []
+
+
+def test_family_order_is_the_instance_order():
+    for family, floor in _FAMILY_RANGE_FLOOR.items():
+        for n in range(floor, floor + 6):
+            assert _family_order(family, n) == _family_graph(family, n, 1729).n
+
+
 def test_family_table_unknown_family(capsys):
     code, _, err = run(
         capsys, "family-table", "torus", "--n-range", "2:4", "--property", "edge"
@@ -465,10 +524,10 @@ def test_verify_json(capsys):
     assert all(r["passed"] for r in report["results"])
 
 
-# Reports of `verify td3` and `verify mop-claims --seed 1729 --format json`,
-# which a rerun must reproduce.  Checks named after a time limit ("under 1s")
-# carry a measured time as their detail, and elapsed_s is a measured time, so
-# both are masked.
+# Reports of `verify td3`, `verify equivalences` and `verify mop-claims`
+# with `--seed 1729 --format json`, which a rerun must reproduce.  Checks
+# named after a time limit ("under 1s") carry a measured time as their
+# detail, and elapsed_s is a measured time, so both are masked.
 _TIMED_CHECK = re.compile(r"\bunder \d+(s|min)\b")
 _PINNED_VERIFY_REPORTS = {
     "td3": [
@@ -476,6 +535,15 @@ _PINNED_VERIFY_REPORTS = {
         ("tester witnesses are valid total dominator colorings", ""),
         ("tester under 1s per graph at order 9", "<time>"),
         ("connectivity-equals-3 matches the exact solver", ""),
+    ],
+    "equivalences": [
+        (check, "500 graphs, 15766 colorings")
+        for check in (
+            "dominator coloring matches domination compelling",
+            "total dominator coloring matches total-domination compelling",
+            "isolate-free compelling matches total-domination compelling",
+            "connectivity compelling matches connected-domination compelling",
+        )
     ],
     "mop-claims": [
         ("mops: connectivity value is connected domination number + 2", "30 mops"),

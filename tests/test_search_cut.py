@@ -13,7 +13,8 @@ The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
 cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
 it is compared against the plain committee scan and the set-level oracle,
 on whole colorings and on the partial class masks the committee cut
-passes, with and without the unplaced vertices as a base.
+passes, with and without the unplaced vertices as a base.  The plain scan
+for several properties at once is compared against one scan per property.
 """
 
 from __future__ import annotations
@@ -416,7 +417,7 @@ def test_committee_search_matches_the_scan(case):
     coloring = Coloring(colors)
     for prop in COMMITTEE_PROPS:
         cx = _committee_search(g, coloring.class_masks, prop)
-        assert cx == _find_violating_committee(g, coloring.classes, prop)
+        assert (cx,) == _find_violating_committee(g, coloring.classes, (prop,))
         assert (cx is None) == brute_compelling(g, colors, prop)
 
 
@@ -467,4 +468,41 @@ def test_committee_search_on_partial_masks(g, data):
         if not all(masks):
             assert cx is None
         else:
-            assert cx == _find_violating_committee(g, _classes_from_masks(masks), prop)
+            assert (cx,) == _find_violating_committee(
+                g, _classes_from_masks(masks), (prop,)
+            )
+
+
+# ---------------------------------------------------------------------------
+# One committee scan for several properties
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(max_n=7), st.permutations(list(P)), st.integers(1, 6))
+def test_one_scan_for_several_properties(g, order, count):
+    # every canonical coloring with at most 4 colors, as the equivalences
+    # suite scans them: each property gets the committee of its own scan
+    props = tuple(order[:count])
+    for k in range(1, min(4, g.n) + 1):
+        for _, masks in _iter_canonical(g, k):
+            classes = _classes_from_masks(masks)
+            alone = tuple(_find_violating_committee(g, classes, (p,))[0] for p in props)
+            assert _find_violating_committee(g, classes, props) == alone
+
+
+def test_scan_for_several_properties_times_out():
+    # 8 classes of 4, joined fully but for vertex 0 and the last vertex of
+    # each class: no committee is independent or has an isolated vertex,
+    # and the least undominating one comes after 32,767 others
+    n = 32
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if u // 4 != v // 4 and (u or v % 4 != 3)
+    ]
+    g = Graph.from_edges(n, edges)
+    classes = _classes_from_masks(Coloring(tuple(v // 4 for v in range(n))).class_masks)
+    props = (P.EDGE, P.DOM, P.ISOLATE_FREE)
+    with pytest.raises(SearchTimeout, match="committee scan"):
+        _find_violating_committee(g, classes, props, time.monotonic())
