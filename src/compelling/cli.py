@@ -82,12 +82,13 @@ def _load_graph(path: str, max_n: int | None = None) -> Graph:
     except OSError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}")
     except GraphTooLarge as exc:
-        raise CliError(str(exc))
+        raise CliError(str(exc)) from exc
     except ValueError as exc:
         raise CliError(f"bad graph file {path}: {exc}")
 
 
-def _load_coloring(path: str, g: Graph) -> Coloring:
+def _coloring_lines(path: str) -> list[str]:
+    """The lines of a coloring file, blank lines and comments left out."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -95,11 +96,15 @@ def _load_coloring(path: str, g: Graph) -> Coloring:
         raise CliError(f"cannot read coloring file {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError(f"bad coloring file {path}: {exc}")
+    stripped = (raw.strip() for raw in text.splitlines())
+    return [line for line in stripped if line and not line.startswith("#")]
+
+
+def _parse_coloring(lines: list[str], n: int) -> Coloring:
+    """The coloring of a graph on ``n`` vertices that ``lines`` give, one
+    'vertex color' a line; every vertex must have one."""
     assigned: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise CliError(f"bad coloring line {line!r}, expected 'vertex color'")
@@ -107,20 +112,18 @@ def _load_coloring(path: str, g: Graph) -> Coloring:
             v, c = int(parts[0]), int(parts[1])
         except ValueError:
             raise CliError(f"bad coloring line {line!r}")
-        if not 0 <= v < g.n:
-            raise CliError(f"vertex {v} out of range for a graph on {g.n} vertices")
+        if not 0 <= v < n:
+            raise CliError(f"vertex {v} out of range for a graph on {n} vertices")
         if v in assigned:
             raise CliError(f"vertex {v} assigned twice")
         assigned[v] = c
-    missing = [v for v in range(g.n) if v not in assigned]
-    if missing:
-        raise CliError(f"coloring is partial: vertex {missing[0]} unassigned")
+    missing = next((v for v in range(n) if v not in assigned), None)
+    if missing is not None:
+        raise CliError(f"coloring is partial: vertex {missing} unassigned")
     try:
-        coloring = Coloring(tuple(assigned[v] for v in range(g.n)))
-        validate_coloring(g, coloring)
+        return Coloring(tuple(assigned[v] for v in range(n)))
     except ValueError as exc:
         raise CliError(str(exc))
-    return coloring
 
 
 def _parse_property(name: str) -> SubsetProperty:
@@ -221,8 +224,21 @@ def cmd_chi(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = _load_graph(args.graph)
-    coloring = _load_coloring(args.coloring, g)
+    # every vertex needs a line of the coloring, so a graph with more
+    # vertices than that is refused from its header, before it is built,
+    # with the error the coloring gives on a graph of that order
+    lines = _coloring_lines(args.coloring)
+    try:
+        g = _load_graph(args.graph, len(lines))
+    except CliError as exc:
+        if isinstance(exc.__cause__, GraphTooLarge):
+            _parse_coloring(lines, exc.__cause__.n)  # raises: it is partial
+        raise
+    coloring = _parse_coloring(lines, g.n)
+    try:
+        validate_coloring(g, coloring)
+    except ValueError as exc:
+        raise CliError(str(exc))
     prop = _parse_property(args.property)
     try:
         report = is_compelling(g, coloring, prop, timeout_s=args.timeout_secs)

@@ -35,13 +35,17 @@ class SearchTimeout(RuntimeError):
 
 
 class GraphTooLarge(ValueError):
-    """Raised when a graph has more vertices than a size cap allows."""
+    """Raised when a graph has more vertices, ``n``, than a size cap allows."""
+
+    def __init__(self, n: int, max_n: int) -> None:
+        super().__init__(f"graph has {n} vertices, over the cap of {max_n}")
+        self.n = n
 
 
 def check_order(n: int, max_n: int) -> None:
     """Refuse an order ``n`` over the cap ``max_n``."""
     if n > max_n:
-        raise GraphTooLarge(f"graph has {n} vertices, over the cap of {max_n}")
+        raise GraphTooLarge(n, max_n)
 
 
 def iter_bits(mask: int):

@@ -36,9 +36,12 @@ The exact search applies three cuts inside the canonical enumeration, each
 dropping only subtrees in which no coloring compels the property:
 
 * the per-vertex test cuts every subtree in which some vertex can no
-  longer have a whole class inside its neighbourhood.  CDOM, and CONNECTED
-  on a connected graph with at least two vertices, are cut with the DOM
-  test, since a coloring compelling them also compels domination;
+  longer have a whole class inside its neighbourhood, and every subtree
+  in which more vertices lack one than the classes still to be opened can
+  serve: a class opened at a later vertex w serves only the vertices in
+  w's neighbourhood.  CDOM, and CONNECTED on a connected graph with at
+  least two vertices, are cut with the DOM test, since a coloring
+  compelling them also compels domination;
 * the separator test (CONNECTED and CDOM, any graph) cuts once a vertex x
   has a second vertex in its class while two components of G - x hold
   vertices of different colors (or G is disconnected and two of its
@@ -228,7 +231,7 @@ def _covered(cover, class_masks) -> bool:
 
 
 def _find_violating_committee(
-    g: Graph, classes, props, deadline: float | None = None
+    g: Graph, classes, props, deadline: float | None = None, memo=None
 ) -> tuple[tuple[int, ...] | None, ...]:
     """Least committee whose vertex set fails each of ``props``, or None
     where every committee satisfies it; one answer per property, in order.
@@ -237,6 +240,11 @@ def _find_violating_committee(
     and tests it only against the properties with no violation yet,
     stopping once each has one.  Every answer is the one a scan for that
     property alone gives.
+
+    ``memo``, a dict shared by scans of one graph with the same ``props``,
+    maps each vertex set already tested to the bitmask of the indices of
+    the properties it fails; a set met again is not tested again.  A set
+    met for the first time is tested against all of ``props``.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the scan raises
     SearchTimeout once it is passed, checked every 1024 committees.
@@ -253,10 +261,24 @@ def _find_violating_committee(
         for v in committee:
             mask |= 1 << v
         failed = False
-        for i, prop in todo:
-            if not eval_property_mask(prop, g, mask):
-                found[i] = committee
-                failed = True
+        if memo is None:
+            for i, prop in todo:
+                if not eval_property_mask(prop, g, mask):
+                    found[i] = committee
+                    failed = True
+        else:
+            bits = memo.get(mask)
+            if bits is None:
+                bits = 0
+                for i, prop in enumerate(props):
+                    if not eval_property_mask(prop, g, mask):
+                        bits |= 1 << i
+                memo[mask] = bits
+            if bits:
+                for i, _ in todo:
+                    if bits >> i & 1:
+                        found[i] = committee
+                        failed = True
         if failed:
             todo = [t for t in todo if found[t[0]] is None]
             if not todo:
@@ -305,32 +327,45 @@ def _committee_search(
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
+    pick = _committee_pick(g, class_masks, prop, deadline, reach, parts)
+    if pick is None:
+        return None
+    # an independent, disconnected or undominating committee
+    picked = iter(pick)
+    return tuple(
+        next(picked) if m & (m - 1) else m.bit_length() - 1 for m in class_masks
+    )
+
+
+def _committee_pick(
+    g: Graph,
+    class_masks,
+    prop: SubsetProperty,
+    deadline: float | None = None,
+    reach: int = 0,
+    parts=(),
+) -> list[int] | None:
+    """:func:`_committee_search` without building the committee: the least
+    violating pick from the classes of two or more vertices, in index
+    order, or None.  The pick is ``[]`` when every class is a singleton and
+    they fail ``prop``, so callers test it against None."""
     adj = g.adj_bits
     closed = g.closed_bits
     edge = prop is _EDGE
-    committee = list(class_masks)  # the singletons' vertices go in now
-    slots = []  # the indices of the classes of two or more vertices
-    picks = []  # and those classes
-    for c, m in enumerate(class_masks):
+    picks = []  # the classes of two or more vertices
+    for m in class_masks:
         if not m:
             return None  # no committee at all
         if m & (m - 1):
-            slots.append(c)
             picks.append(m)
         elif edge and m & reach:
             return None  # every committee holds this edge
         else:
-            u = committee[c] = m.bit_length() - 1
+            u = m.bit_length() - 1
             reach |= closed[u]
             if not edge:
                 parts = _join(parts, m, adj[u])
-    pick = _committee_walk(g, prop, picks, reach, parts, deadline)
-    if pick is None:
-        return None
-    # an independent, disconnected or undominating committee
-    for c, v in zip(slots, pick):
-        committee[c] = v
-    return tuple(committee)
+    return _committee_walk(g, prop, picks, reach, parts, deadline)
 
 
 def _committee_walk(
@@ -489,14 +524,21 @@ def _iter_canonical(
     representative per color permutation.  Yields (colors, class_masks) as
     live lists; consumers must copy anything they keep.
 
-    ``cover`` (a neighbourhood bitmask per vertex) turns on the per-vertex
-    cut: then only colorings in which every vertex u has a whole class
-    inside ``cover[u]`` are yielded.  For each open class c, ``inside[c]``
-    is the AND of ``cover[w]`` over the vertices w of c, which by symmetry
-    is the set of vertices whose cover holds all of c.  Classes only grow,
-    so a vertex in no ``inside[c]`` stays uncovered unless a class is still
-    to be opened inside its cover: the branch is cut once all k colors are
-    in use or no unassigned vertex is left in that cover.
+    ``cover`` (a symmetric neighbourhood bitmask per vertex) turns on the
+    per-vertex cut: then only colorings in which every vertex u has a
+    whole class inside ``cover[u]`` are yielded.  For each open class c,
+    ``inside[c]`` is the AND of ``cover[w]`` over the vertices w of c,
+    which by symmetry is the set of vertices whose cover holds all of c.
+    Classes only grow, so a vertex in no ``inside[c]`` stays uncovered
+    unless a class is still to be opened inside its cover: the branch is
+    cut once all k colors are in use or no unassigned vertex is left in
+    that cover.  It is also cut by count (:func:`_outnumbered`): with L
+    the vertices in no ``inside[c]`` and ``room`` classes still to be
+    opened, each opened at some w after v, a class opened at w can only
+    serve the vertices of ``cover[w] & L``, so the branch is cut when
+    ``|L| > room * max |cover[w] & L|`` over the w after v.  The scan
+    runs only when ``|L| > room`` and stops at the first w that serves
+    enough; with no room left it is the all-k test above.
 
     ``separators`` (the table of :func:`_search_separators`) turns on the
     separator cut, valid for CONNECTED and CDOM: a branch is cut once two
@@ -604,17 +646,19 @@ def _iter_canonical(
                         now_loose = loose & ~cv
                         now_used = used + 1
                     must = full if now_used == k else stuck[v]
-                    hit = now_loose & must
-                    if hit:
-                        for m in inside:
-                            hit &= ~m
-                            if not hit:
+                    if now_loose and (
+                        now_loose & must or now_loose.bit_count() > k - now_used
+                    ):
+                        for m in inside:  # the vertices in no inside[c]
+                            now_loose &= ~m
+                            if not now_loose:
                                 break
-                        else:  # some vertex that must be covered is not
+                        if now_loose & must or _outnumbered(
+                            cover, now_loose, k - now_used, v
+                        ):
                             inside[c] = held
                             c += 1
                             continue
-                        now_loose &= ~must
                     break
                 c += 1
             if c <= top:
@@ -626,13 +670,14 @@ def _iter_canonical(
                     if not cut and committee is not None and now_used == k:
                         part = masks.copy()
                         part[c] = 1 << v
-                        cut = _committee_search(g, part, committee, deadline)
+                        pick = _committee_pick(g, part, committee, deadline)
+                        cut = pick is not None
                     elif not cut and early and c < used and 1 < used < v:
                         if unplaced_parts is None:
                             unplaced_reach, unplaced_parts = _unplaced_tables(g)
                         part = masks[:used]
                         part[c] |= 1 << v
-                        cut = _committee_search(
+                        pick = _committee_pick(
                             g,
                             part,
                             committee,
@@ -640,6 +685,7 @@ def _iter_canonical(
                             unplaced_reach[v],
                             unplaced_parts[v],
                         )
+                        cut = pick is not None
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -660,6 +706,20 @@ def _iter_canonical(
         masks[c] &= ~(1 << v)
         inside[c] = held_at[v]
         c += 1
+
+
+def _outnumbered(cover, loose: int, room: int, v: int) -> bool:
+    """The count rule of :func:`_iter_canonical`: ``loose``, the vertices
+    in no open class's ``inside``, has more vertices than the ``room``
+    classes still to be opened, all after v, can serve.  A class opened at
+    w serves only the vertices of ``cover[w] & loose``."""
+    size = loose.bit_count()
+    if size <= room:
+        return False
+    for w in range(v + 1, len(cover)):
+        if room * (cover[w] & loose).bit_count() >= size:
+            return False
+    return True
 
 
 def _unplaced_tables(g: Graph):

@@ -352,7 +352,8 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
     The plain committee scan is the independent side of every check.  It
     runs once per coloring for all the properties compared there: DOM,
     TDOM and ISOLATE_FREE, plus CONNECTED and CDOM on connected graphs with
-    an edge."""
+    an edge.  The scans of one graph share a memo, so each vertex set is
+    tested against those properties once."""
     result = SuiteResult("equivalences")
     corpus = main_corpus(seed)
     violations: dict[str, list] = {"dom": [], "tdom": [], "if": [], "conn": []}
@@ -361,13 +362,14 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
         props = (SubsetProperty.DOM, SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE)
         if g.edge_count > 0 and is_connected(g):
             props += (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
+        failed: dict[int, int] = {}  # vertex set -> the props it fails
         for k in range(1, min(4, g.n) + 1):
             for colors, masks in _iter_canonical(g, k):
                 colorings_checked += 1
                 dom, tdom, isolate_free, *conn = (
                     cx is None
                     for cx in _find_violating_committee(
-                        g, _classes_from_masks(masks), props
+                        g, _classes_from_masks(masks), props, memo=failed
                     )
                 )
                 if _covered(g.closed_bits, masks) != dom:

@@ -217,6 +217,19 @@ def test_chi_times_out_in_the_bounds_without_a_traceback(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_check_refuses_a_graph_over_the_coloring_from_its_header(tmp_path):
+    # the coloring names every vertex, one a line, so a graph of
+    # 99,999,999,999 vertices is refused from its header and never built
+    graph = tmp_path / "huge.graph"
+    graph.write_text("99999999999 0\n")
+    coloring = tmp_path / "two.coloring"
+    coloring.write_text("0 0\n1 1\n")
+    done = run_capped("check", str(graph), str(coloring), "--property", "dom")
+    assert done.returncode == 2
+    assert done.stderr == "error: coloring is partial: vertex 2 unassigned\n"
+    assert not done.stdout
+
+
 def test_check_compelling(capsys, c5_file, c5_coloring):
     code, out, _ = run(capsys, "check", c5_file, c5_coloring, "--property", "dom")
     assert code == 0

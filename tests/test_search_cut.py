@@ -225,7 +225,7 @@ def test_committee_cut_fires_before_all_colors_are_open(monkeypatch):
     # its base, cuts its branches before the eighth color opens
     g = make_cycle(10)
     prop = P.CONNECTED
-    search = solver._committee_search
+    search = solver._committee_pick
     opened = []  # the classes passed to each search that finds a committee
 
     def search_spy(graph, class_masks, *rest):
@@ -234,12 +234,49 @@ def test_committee_cut_fires_before_all_colors_are_open(monkeypatch):
             opened.append(len(class_masks))
         return found
 
-    monkeypatch.setattr(solver, "_committee_search", search_spy)
+    monkeypatch.setattr(solver, "_committee_pick", search_spy)
     cover = _search_cover(g, prop)
     separators = _search_separators(g, prop)
     assert not list(_iter_canonical(g, 8, cover, None, separators, prop))
     assert opened
     assert min(opened) < 8
+
+
+def test_count_rule():
+    # P5, closed neighbourhoods; one class still to open, after vertex 1:
+    # no cover[w], w > 1, holds both 0 and 4, and cover[3] holds 3 and 4,
+    # while no vertex is left after vertex 4
+    covers = make_path(5).closed_bits
+    assert solver._outnumbered(covers, 0b10001, 1, 1)
+    assert not solver._outnumbered(covers, 0b10001, 2, 1)
+    assert not solver._outnumbered(covers, 0b11000, 1, 1)
+    assert solver._outnumbered(covers, 0b11000, 1, 4)
+    # with no class still to open, any loose vertex is outnumbered
+    assert solver._outnumbered(covers, 0b1, 0, 0)
+    assert not solver._outnumbered(covers, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, prop, witness",
+    [(1003, P.DOM, "0001112122345"), (1004, P.ISOLATE_FREE, "0010022345002")],
+    ids=["G13-1003-dom", "G13-1004-if"],
+)
+def test_count_rule_cuts(monkeypatch, seed, prop, witness):
+    # chi-ladder graphs: the count rule cuts branches that pass the check of
+    # the vertices that can gain no class, and the witness is the one the
+    # search gave without it
+    rule = solver._outnumbered
+    cuts = []
+
+    def rule_spy(*args):
+        cut = rule(*args)
+        cuts.append(cut)
+        return cut
+
+    monkeypatch.setattr(solver, "_outnumbered", rule_spy)
+    res = compelling_chromatic_number(make_random_graph(13, 0.3, seed), prop)
+    assert (res.value, res.witness.colors) == (6, tuple(map(int, witness)))
+    assert any(cuts)
 
 
 @CUT_SETTINGS
@@ -369,6 +406,23 @@ def test_frontier_instances():
     assert brute_compelling(g, res.witness.colors, P.DOM)
 
 
+@pytest.mark.parametrize(
+    "n, prop, value, witness",
+    [
+        (20, P.DOM, 7, "01023141044150146001"),
+        (22, P.TDOM, 8, "0100022234544024226724"),
+    ],
+    ids=["G(20,0.3;3)-dom", "G(22,0.3;3)-tdom"],
+)
+def test_frontier_random_graphs(n, prop, value, witness):
+    # the count rule takes these from a tenth of a second and several
+    # seconds to a few ms and under a second; value and witness are the ones
+    # the search gave before it
+    res = compelling_chromatic_number(make_random_graph(n, 0.3, 3), prop, max_n=40)
+    assert res.value == value
+    assert res.witness.colors == tuple(map(int, witness))
+
+
 # ---------------------------------------------------------------------------
 # The committee search for EDGE, CONNECTED and CDOM
 # ---------------------------------------------------------------------------
@@ -482,13 +536,19 @@ def test_committee_search_on_partial_masks(g, data):
 @given(small_graphs(max_n=7), st.permutations(list(P)), st.integers(1, 6))
 def test_one_scan_for_several_properties(g, order, count):
     # every canonical coloring with at most 4 colors, as the equivalences
-    # suite scans them: each property gets the committee of its own scan
+    # suite scans them: each property gets the committee of its own scan,
+    # also when all the scans of the graph share one memo
     props = tuple(order[:count])
+    memo: dict[int, int] = {}
     for k in range(1, min(4, g.n) + 1):
         for _, masks in _iter_canonical(g, k):
             classes = _classes_from_masks(masks)
             alone = tuple(_find_violating_committee(g, classes, (p,))[0] for p in props)
             assert _find_violating_committee(g, classes, props) == alone
+            assert _find_violating_committee(g, classes, props, memo=memo) == alone
+    for mask, failed in memo.items():
+        want = sum(1 << i for i, p in enumerate(props) if not eval_property_mask(p, g, mask))
+        assert failed == want
 
 
 def test_scan_for_several_properties_times_out():

@@ -363,12 +363,14 @@ def test_chi_timeout():
 
 @pytest.mark.parametrize(
     "g, prop",
-    [(make_cycle(14), P.CONNECTED), (make_random_graph(16, 0.3, 3), P.DOM)],
-    ids=["C14-connected", "G16-dom"],
+    [(make_cycle(14), P.CONNECTED), (make_random_graph(20, 0.3, 3), P.DOM)],
+    ids=["C14-connected", "G20-dom"],
 )
 def test_chi_timeout_on_cut_search(g, prop):
+    # the count rule finishes G(16,0.3;3) dom in under 1024 steps; G(20,0.3;3)
+    # still passes them at 7 colors
     with pytest.raises(SearchTimeout, match="within 0.0s"):
-        compelling_chromatic_number(g, prop, timeout_s=0.0)
+        compelling_chromatic_number(g, prop, max_n=40, timeout_s=0.0)
 
 
 @pytest.mark.parametrize(
@@ -402,11 +404,13 @@ def test_chi_timeout_covers_the_chromatic_number_search():
 
 
 def test_deadline_counts_search_steps_not_leaves():
-    # dom at 7 colors on P16: every branch is cut, no coloring comes out
-    g = make_path(16)
-    assert not any(True for _ in _iter_canonical(g, 7, g.closed_bits))
-    with pytest.raises(SearchTimeout):
-        for _ in _iter_canonical(g, 7, g.closed_bits, deadline=time.monotonic() - 1):
+    # dom at 6 colors on G(22,0.3;3): every branch is cut, no coloring comes
+    # out, after more than 1024 steps (P16 at 7 colors, the input before the
+    # count rule, now takes fewer)
+    g = make_random_graph(22, 0.3, 3)
+    assert not any(True for _ in _iter_canonical(g, 6, g.closed_bits))
+    with pytest.raises(SearchTimeout, match="at 6 colors"):
+        for _ in _iter_canonical(g, 6, g.closed_bits, deadline=time.monotonic() - 1):
             pass
 
 
