@@ -274,66 +274,51 @@ def cmd_check(args) -> int:
 # family-table
 # ---------------------------------------------------------------------------
 
-_FAMILY_RANGE_FLOOR = {
-    "path": 1,
-    "cycle": 3,
-    "tree-random": 1,
-    "mop-random": 3,
-    "double-broom": 1,
-    "split": 2,
-    "fan": 1,
+_EDGE = SubsetProperty.EDGE
+_CONNECTED = SubsetProperty.CONNECTED
+_TREE_FORMS = {_EDGE: chi_edge_tree, _CONNECTED: chi_conn_tree}
+
+# Per family: the smallest n; the order of the instance at n, known before
+# it is built, so an order over the cap is refused without building it; the
+# instance at n and seed; and the closed forms of its value, by property,
+# each applied to an instance of two vertices or more.
+_FAMILIES = {
+    "path": (
+        1,
+        lambda n: n,
+        lambda n, seed: make_path(n),
+        {_EDGE: lambda g: chi_edge_path(g.n), _CONNECTED: lambda g: chi_conn_path(g.n)},
+    ),
+    "cycle": (
+        3,
+        lambda n: n,
+        lambda n, seed: make_cycle(n),
+        {
+            _EDGE: lambda g: chi_edge_cycle(g.n),
+            _CONNECTED: lambda g: chi_conn_cycle(g.n),
+        },
+    ),
+    "tree-random": (
+        1,
+        lambda n: n,
+        lambda n, seed: make_random_tree(n, seed=seed * 1_000_003 + n),
+        _TREE_FORMS,
+    ),
+    "mop-random": (
+        3,
+        lambda n: n,
+        lambda n, seed: make_random_mop(n, seed=seed * 1_000_003 + n),
+        {_CONNECTED: chi_conn_mop},
+    ),
+    "double-broom": (
+        1,
+        lambda n: 2 * n + 2,
+        lambda n, seed: make_double_broom(n, n),
+        _TREE_FORMS,
+    ),
+    "split": (2, lambda n: 2 * n, lambda n, seed: make_split_graph(n), {}),
+    "fan": (1, lambda n: n + 1, lambda n, seed: make_fan(n), {}),
 }
-
-
-def _family_graph(family: str, n: int, seed: int) -> Graph:
-    if family == "path":
-        return make_path(n)
-    if family == "cycle":
-        return make_cycle(n)
-    if family == "tree-random":
-        return make_random_tree(n, seed=seed * 1_000_003 + n)
-    if family == "mop-random":
-        return make_random_mop(n, seed=seed * 1_000_003 + n)
-    if family == "double-broom":
-        return make_double_broom(n, n)
-    if family == "split":
-        return make_split_graph(n)
-    if family == "fan":
-        return make_fan(n)
-    raise CliError(f"unknown family {family!r}")
-
-
-def _family_order(family: str, n: int) -> int:
-    """The vertex count of :func:`_family_graph`'s instance, known before it
-    is built, so an order over the cap is refused without building it."""
-    if family == "double-broom":
-        return 2 * n + 2
-    if family == "split":
-        return 2 * n
-    if family == "fan":
-        return n + 1
-    return n
-
-
-def _closed_form(family: str, g: Graph, n: int, prop: SubsetProperty) -> int | None:
-    """Closed-form value when one is known for this family and property."""
-    if prop is SubsetProperty.EDGE:
-        if family == "path" and n >= 2:
-            return chi_edge_path(n)
-        if family == "cycle":
-            return chi_edge_cycle(n)
-        if family in ("tree-random", "double-broom") and g.n >= 2:
-            return chi_edge_tree(g)
-    if prop is SubsetProperty.CONNECTED:
-        if family == "path" and n >= 2:
-            return chi_conn_path(n)
-        if family == "cycle":
-            return chi_conn_cycle(n)
-        if family in ("tree-random", "double-broom") and g.n >= 2:
-            return chi_conn_tree(g)
-        if family == "mop-random":
-            return chi_conn_mop(g)
-    return None
 
 
 def family_rows(
@@ -345,19 +330,20 @@ def family_rows(
     max_n: int,
     timeout_s: float | None = None,
 ) -> tuple[list[dict], list[str]]:
-    if family not in _FAMILY_RANGE_FLOOR:
+    if family not in _FAMILIES:
         raise CliError(
             f"unknown family {family!r}; expected one of: "
-            + ", ".join(sorted(_FAMILY_RANGE_FLOOR))
+            + ", ".join(sorted(_FAMILIES))
         )
+    floor, family_order, build, forms = _FAMILIES[family]
     rows = []
     warnings = []
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     for n in range(lo, hi + 1):
-        if n < _FAMILY_RANGE_FLOOR[family]:
+        if n < floor:
             warnings.append(f"skipping n={n}: below the {family} family minimum")
             continue
-        order = _family_order(family, n)
+        order = family_order(n)
         if order > max_n:
             warnings.append(
                 f"range truncated at n={n}: instance has {order} vertices, cap is {max_n}"
@@ -367,13 +353,14 @@ def family_rows(
         if budget is not None and budget <= 0:
             warnings.append(f"range truncated at n={n}: time budget exhausted")
             break
-        g = _family_graph(family, n, seed)
+        g = build(n, seed)
         try:
             value = compelling_chromatic_number(g, prop, max_n=max_n, timeout_s=budget).value
         except SearchTimeout:
             warnings.append(f"range truncated at n={n}: time budget exhausted")
             break
-        closed = _closed_form(family, g, n, prop)
+        form = forms.get(prop)
+        closed = form(g) if form is not None and g.n >= 2 else None
         rows.append(
             {
                 "n": n,

@@ -182,19 +182,22 @@ def is_chord_cover(g: Graph, members) -> bool:
     return all(u in s or v in s for u, v in mop_chords(g))
 
 
-def min_chord_cover(g: Graph) -> tuple[int, ...]:
-    """First minimum chord cover in size-then-lex order over chord
-    endpoints (the empty set when there are no chords)."""
+def chord_covers(g: Graph):
+    """Every nonempty vertex set over chord endpoints that meets every
+    chord, in size-then-lex order (none when there are no chords)."""
     chords = mop_chords(g)
-    if not chords:
-        return ()
     endpoints = sorted({v for e in chords for v in e})
     for size in range(1, len(endpoints) + 1):
         for combo in itertools.combinations(endpoints, size):
             s = set(combo)
             if all(u in s or v in s for u, v in chords):
-                return combo
-    raise AssertionError("unreachable: all endpoints always cover")
+                yield combo
+
+
+def min_chord_cover(g: Graph) -> tuple[int, ...]:
+    """First minimum chord cover in size-then-lex order over chord
+    endpoints (the empty set when there are no chords)."""
+    return next(chord_covers(g), ())
 
 
 def edge_compelling_five_coloring(g: Graph) -> Coloring:

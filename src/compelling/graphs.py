@@ -529,50 +529,35 @@ def _greedy_clique(g: Graph, order) -> list[int]:
     return clique
 
 
-def _greedy_coloring(g: Graph, order) -> int:
-    """Colors of the greedy coloring in ``order``; an upper bound for the
-    exact search."""
-    colors = [-1] * g.n
-    used = 0
-    for v in order:
-        taken = {colors[u] for u in g.adj[v] if colors[u] != -1}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return used
-
-
 def chromatic_number(
     g: Graph, max_n: int = EXACT_CHROMATIC_CAP, *, deadline: float | None = None
 ) -> int:
     """Exact chromatic number by branch and bound.
 
-    A greedy clique seeds both the lower bound and a fixed pre-coloring; the
-    search assigns remaining vertices in degree order under the canonical
-    new-color rule, pruning against the best coloring found so far.  The
-    search is a loop, not a recursion, so any order fits under ``max_n``.
+    A greedy clique, taken in degree order, is the lower bound and a fixed
+    pre-coloring; the search assigns the remaining vertices in degree
+    order under the canonical new-color rule, pruning against the best
+    coloring found so far.  Its first descent is the first-fit coloring in
+    that order, and a coloring with as many colors as the clique ends the
+    search.  The search is a loop, not a recursion, so any order fits under
+    ``max_n``.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
     check_order(g.n, max_n)
-    # largest degree first, for the greedy bounds and then the search
+    # largest degree first, for the clique and then the search
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     clique = _greedy_clique(g, order)
     lower = len(clique)
-    upper = _greedy_coloring(g, order)
-    if lower == upper:
-        return lower
     in_clique = set(clique)
     order = clique + [v for v in order if v not in in_clique]
     colors = [-1] * g.n
     for i, v in enumerate(clique):
         colors[v] = i
-    best = upper
     n = g.n
-    start = len(clique)
+    best = n + 1
+    start = lower
     # On reaching position idx, used_at[idx] colors are in use and c is the
     # next color to try there.
     used_at = [lower] * (n + 1)
@@ -583,6 +568,8 @@ def chromatic_number(
         used = used_at[idx]
         if idx == n:
             best = min(best, used)
+            if best == lower:
+                return best
         elif used < best:
             if deadline is not None:
                 steps += 1

@@ -11,7 +11,8 @@ search, the total dominator tester and the verification suites.  DOM,
 TDOM and ISOLATE_FREE are one per-vertex test, :func:`_covered`: every
 vertex has a whole color class inside its closed neighbourhood (DOM) or
 its open one (TDOM, ISOLATE_FREE).  EDGE, CONNECTED and CDOM are decided
-by one pruned committee search, :func:`_committee_search`.  The plain
+by one pruned committee walk, :func:`_committee_pick`, which
+:func:`_committee_search` turns into the committee.  The plain
 committee scanner, :func:`_find_violating_committee`, walks the committees
 once for any number of properties and stops once each has a violating
 committee.  It finds the counterexamples of the per-vertex kernels and is
@@ -260,29 +261,24 @@ def _find_violating_committee(
         mask = 0
         for v in committee:
             mask |= 1 << v
-        failed = False
-        if memo is None:
-            for i, prop in todo:
+        bits = None if memo is None else memo.get(mask)
+        if bits is None:  # the indices of the properties the set fails
+            bits = 0
+            for i, prop in todo if memo is None else enumerate(props):
                 if not eval_property_mask(prop, g, mask):
+                    bits |= 1 << i
+            if memo is not None:
+                memo[mask] = bits
+        if bits:
+            failed = False
+            for i, _ in todo:
+                if bits >> i & 1:
                     found[i] = committee
                     failed = True
-        else:
-            bits = memo.get(mask)
-            if bits is None:
-                bits = 0
-                for i, prop in enumerate(props):
-                    if not eval_property_mask(prop, g, mask):
-                        bits |= 1 << i
-                memo[mask] = bits
-            if bits:
-                for i, _ in todo:
-                    if bits >> i & 1:
-                        found[i] = committee
-                        failed = True
-        if failed:
-            todo = [t for t in todo if found[t[0]] is None]
-            if not todo:
-                break
+            if failed:
+                todo = [t for t in todo if found[t[0]] is None]
+                if not todo:
+                    break
     return tuple(found)
 
 
@@ -319,10 +315,8 @@ def _committee_search(
     to it.  The default is no base; the early committee cut of
     :func:`_iter_canonical` passes the unplaced vertices.
 
-    The singleton classes are in every committee and join the base; two
-    of them in N[ ] of each other put an edge in every committee, so EDGE
-    has no violating one.  :func:`_committee_walk` picks from the other
-    classes.
+    :func:`_committee_pick` finds the vertices picked from the classes of
+    two or more vertices; the singleton classes fill in the rest.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
@@ -348,10 +342,33 @@ def _committee_pick(
     """:func:`_committee_search` without building the committee: the least
     violating pick from the classes of two or more vertices, in index
     order, or None.  The pick is ``[]`` when every class is a singleton and
-    they fail ``prop``, so callers test it against None."""
+    they fail ``prop``, so callers test it against None.
+
+    The singleton classes are in every committee, so they join the base B
+    first; two of them in N[ ] of each other put an edge in every
+    committee, so EDGE has no violating one.  Then the walk goes
+    depth-first over the other classes, each class's vertices ascending,
+    with the pick so far P (B included).  For EDGE a violating set is an
+    independent one: picks come only from outside N[P], and a subtree ends
+    once some class still to pick lies inside N[P].  For CONNECTED and
+    CDOM the walk keeps the components of P, each as the set of vertices
+    adjacent to it; a new pick merges those it touches (:func:`_join`), so
+    no BFS runs.  A subtree ends when every vertex of the classes still to
+    pick is adjacent to every component of P, P is connected or at least
+    one pick remains, and (CDOM) N[P] is every vertex: the next pick then
+    joins all the components and each later one is adjacent to them, so
+    every completion is connected (and dominating).  A whole pick that
+    escapes these cuts fails the property, and the first one reached is
+    the least.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the walk raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
+    """
     adj = g.adj_bits
     closed = g.closed_bits
+    full = g.full_mask
     edge = prop is _EDGE
+    cdom = prop is _CDOM
     picks = []  # the classes of two or more vertices
     for m in class_masks:
         if not m:
@@ -365,44 +382,6 @@ def _committee_pick(
             reach |= closed[u]
             if not edge:
                 parts = _join(parts, m, adj[u])
-    return _committee_walk(g, prop, picks, reach, parts, deadline)
-
-
-def _committee_walk(
-    g: Graph,
-    prop: SubsetProperty,
-    picks,
-    reach: int,
-    parts,
-    deadline: float | None = None,
-) -> list[int] | None:
-    """Least pick, one vertex from each class of ``picks`` in order, that
-    with a fixed base set B of vertices makes a set failing ``prop`` (EDGE,
-    CONNECTED or CDOM); None when there is none.  ``reach`` is N[B] and
-    ``parts`` holds, per component of B, the vertices adjacent to it (EDGE
-    does not use it, and B is independent there).
-
-    Depth-first over the classes, each class's vertices ascending, with the
-    pick so far P (B included).  For EDGE a violating set is an independent
-    one: picks come only from outside N[P], and a subtree ends once some
-    class still to pick lies inside N[P].  For CONNECTED and CDOM the walk
-    keeps the components of P, each as the set of vertices adjacent to it;
-    a new pick merges those it touches (:func:`_join`), so no BFS runs.  A
-    subtree ends when every vertex of the classes still to pick is adjacent
-    to every component of P, P is connected or at least one pick remains,
-    and (CDOM) N[P] is every vertex: the next pick then joins all the
-    components and each later one is adjacent to them, so every completion
-    is connected (and dominating).  A whole pick that escapes these cuts
-    fails the property, and the first one reached is the least.
-
-    With a ``deadline`` (a ``time.monotonic()`` value) the walk raises
-    SearchTimeout once it is passed, checked every 1024 search steps.
-    """
-    adj = g.adj_bits
-    closed = g.closed_bits
-    full = g.full_mask
-    edge = prop is _EDGE
-    cdom = prop is _CDOM
     k = len(picks)
     # For the pick P of B and pick[:i]: near[i] is N[P], and for CONNECTED
     # and CDOM comps[i] holds, per component of P, the vertices adjacent to

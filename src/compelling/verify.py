@@ -30,8 +30,8 @@ from .closed_forms import (
     chi_edge_cycle,
     chi_edge_path,
     chi_edge_tree,
+    chord_covers,
     edge_compelling_five_coloring,
-    mop_chords,
 )
 from .graphs import (
     Graph,
@@ -92,6 +92,11 @@ class SuiteResult:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail))
+
+    def add_violations(self, name: str, bad: list, detail: str = "") -> None:
+        """A check that passes when ``bad`` is empty; a failure shows the
+        first three violations in place of ``detail``."""
+        self.add(name, not bad, f"violations={bad[:3]}" if bad else detail)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +274,11 @@ def suite_trees(seed: int = DEFAULT_SEED) -> SuiteResult:
         edge = compelling_chromatic_number(t, SubsetProperty.EDGE).value
         if edge != chi_edge_tree(t):
             bad_edge.append((t.name, edge, chi_edge_tree(t)))
-    result.add(
-        "trees: connectivity value is 1 + interior count",
-        not bad_conn,
-        f"violations={bad_conn[:3]}" if bad_conn else "50 trees",
+    result.add_violations(
+        "trees: connectivity value is 1 + interior count", bad_conn, "50 trees"
     )
-    result.add(
-        "trees: edge value matches the tree characterization",
-        not bad_edge,
-        f"violations={bad_edge[:3]}" if bad_edge else "50 trees",
+    result.add_violations(
+        "trees: edge value matches the tree characterization", bad_edge, "50 trees"
     )
     return result
 
@@ -306,33 +307,21 @@ def suite_mop_claims(seed: int = DEFAULT_SEED) -> SuiteResult:
             if mask_independent(g.adj_bits, mask):
                 bad_minimal.append((g.name, cds))
         # every chord cover over chord endpoints is a connected dominating set
-        chords = mop_chords(g)
-        endpoints = sorted({v for e in chords for v in e})
-        for size in range(1, len(endpoints) + 1):
-            for combo in itertools.combinations(endpoints, size):
-                members = set(combo)
-                if all(u in members or v in members for u, v in chords):
-                    if not eval_property(SubsetProperty.CDOM, g, combo):
-                        bad_cover.append((g.name, combo))
-    result.add(
+        for combo in chord_covers(g):
+            if not eval_property(SubsetProperty.CDOM, g, combo):
+                bad_cover.append((g.name, combo))
+    result.add_violations(
         "mops: connectivity value is connected domination number + 2",
-        not bad_value,
-        f"violations={bad_value[:3]}" if bad_value else "30 mops",
+        bad_value,
+        "30 mops",
     )
-    result.add(
-        "mops: removing a connected dominating set leaves a forest",
-        not bad_acyclic,
-        f"violations={bad_acyclic[:3]}" if bad_acyclic else "",
+    result.add_violations(
+        "mops: removing a connected dominating set leaves a forest", bad_acyclic
     )
-    result.add(
-        "mops: chord covers are connected dominating sets",
-        not bad_cover,
-        f"violations={bad_cover[:3]}" if bad_cover else "",
-    )
-    result.add(
+    result.add_violations("mops: chord covers are connected dominating sets", bad_cover)
+    result.add_violations(
         "mops: complement of a minimal connected dominating set has an edge",
-        not bad_minimal,
-        f"violations={bad_minimal[:3]}" if bad_minimal else "",
+        bad_minimal,
     )
     return result
 
@@ -387,8 +376,7 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
         ("if", "isolate-free compelling matches total-domination compelling"),
         ("conn", "connectivity compelling matches connected-domination compelling"),
     ):
-        bad = violations[key]
-        result.add(name, not bad, f"violations={bad[:3]}" if bad else detail)
+        result.add_violations(name, violations[key], detail)
     return result
 
 
@@ -419,16 +407,10 @@ def suite_bounds(seed: int = DEFAULT_SEED) -> SuiteResult:
             value = _chi_p(g, SubsetProperty.CONNECTED)
             if value is None or not max(chi, gamma) <= value <= chi + gamma:
                 bad_conn.append((g.name, value, gamma, chi))
-    result.add(
-        "upwards-closed sandwich bounds",
-        not bad_general,
-        f"violations={bad_general[:3]}" if bad_general else f"{len(corpus)} graphs",
+    result.add_violations(
+        "upwards-closed sandwich bounds", bad_general, f"{len(corpus)} graphs"
     )
-    result.add(
-        "connectivity bounds via connected domination",
-        not bad_conn,
-        f"violations={bad_conn[:3]}" if bad_conn else "",
-    )
+    result.add_violations("connectivity bounds via connected domination", bad_conn)
     return result
 
 
@@ -458,16 +440,8 @@ def suite_disjoint_union(seed: int = DEFAULT_SEED) -> SuiteResult:
                 bad_chain.append((g1.name, g2.name, prop.value, lo, cu, hi))
             elif m1 == c1 and m2 == c2 and not lo == cu == hi:
                 bad_equality.append((g1.name, g2.name, prop.value, lo, cu, hi))
-    result.add(
-        "disjoint-union chain holds",
-        not bad_chain,
-        f"violations={bad_chain[:3]}" if bad_chain else f"{checked} cases",
-    )
-    result.add(
-        "equality when both components are tight",
-        not bad_equality,
-        f"violations={bad_equality[:3]}" if bad_equality else "",
-    )
+    result.add_violations("disjoint-union chain holds", bad_chain, f"{checked} cases")
+    result.add_violations("equality when both components are tight", bad_equality)
     return result
 
 
@@ -504,25 +478,19 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
             f"number (n+1)/2 = {chi} but edge-compelling value {edge} "
             f"(e.g. {', '.join(names[:3])})"
         )
-    result.add(
+    result.add_violations(
         "edge-compelling equals 2 exactly for complete bipartite",
-        not bad_edge2,
-        f"violations={bad_edge2[:3]}" if bad_edge2 else f"{len(corpus)} graphs",
+        bad_edge2,
+        f"{len(corpus)} graphs",
     )
-    result.add(
-        "connectivity-compelling equals 2 exactly for complete bipartite",
-        not bad_conn2,
-        f"violations={bad_conn2[:3]}" if bad_conn2 else "",
+    result.add_violations(
+        "connectivity-compelling equals 2 exactly for complete bipartite", bad_conn2
     )
-    result.add(
-        "connectivity-compelling equals n exactly for complete graphs",
-        not bad_connn,
-        f"violations={bad_connn[:3]}" if bad_connn else "",
+    result.add_violations(
+        "connectivity-compelling equals n exactly for complete graphs", bad_connn
     )
-    result.add(
-        "chromatic number at least n/2+1 collapses the edge value",
-        not bad_high,
-        f"violations={bad_high[:3]}" if bad_high else "",
+    result.add_violations(
+        "chromatic number at least n/2+1 collapses the edge value", bad_high
     )
     if not result.notes:
         result.notes.append("probe: no graph at the (n+1)/2 threshold deviated")
@@ -543,10 +511,8 @@ def suite_diameter(seed: int = DEFAULT_SEED) -> SuiteResult:
             hits += 1
             if diameter(g) > 5:
                 bad.append((g.name, diameter(g)))
-    result.add(
-        "edge value 3 implies diameter at most 5",
-        not bad,
-        f"violations={bad[:3]}" if bad else f"{hits} graphs with value 3",
+    result.add_violations(
+        "edge value 3 implies diameter at most 5", bad, f"{hits} graphs with value 3"
     )
     return result
 
@@ -598,15 +564,13 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
             )
         if (witness is not None) != brute:
             bad_agree.append((g.name, witness is not None, brute))
-    result.add(
+    result.add_violations(
         "tester agrees with brute-force 3-class existence",
-        not bad_agree,
-        f"violations={bad_agree[:3]}" if bad_agree else f"{len(graphs)} graphs",
+        bad_agree,
+        f"{len(graphs)} graphs",
     )
-    result.add(
-        "tester witnesses are valid total dominator colorings",
-        not bad_sound,
-        f"violations={bad_sound[:3]}" if bad_sound else "",
+    result.add_violations(
+        "tester witnesses are valid total dominator colorings", bad_sound
     )
     result.add(
         "tester under 1s per graph at order 9",
@@ -620,11 +584,7 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
         want = _chi_p(g, SubsetProperty.CONNECTED) == 3
         if chi_connected_is_3(g) != want:
             bad_conn3.append((g.name, want))
-    result.add(
-        "connectivity-equals-3 matches the exact solver",
-        not bad_conn3,
-        f"violations={bad_conn3[:3]}" if bad_conn3 else "",
-    )
+    result.add_violations("connectivity-equals-3 matches the exact solver", bad_conn3)
     return result
 
 
@@ -645,10 +605,8 @@ def suite_gadget(seed: int = DEFAULT_SEED) -> SuiteResult:
         value = compelling_chromatic_number(join_dominator(g), SubsetProperty.EDGE).value
         if (value is not None and value <= 4) != three_colorable:
             bad.append((bits, value, three_colorable))
-    result.add(
-        "gadget: edge value at most 4 iff base 3-colorable",
-        not bad,
-        f"violations={bad[:3]}" if bad else "64 graphs",
+    result.add_violations(
+        "gadget: edge value at most 4 iff base 3-colorable", bad, "64 graphs"
     )
     return result
 

@@ -13,12 +13,22 @@ from compelling import Graph, SubsetProperty
 
 
 def brute_chromatic_number(g: Graph) -> int:
-    """Smallest k such that some of the k^n assignments is proper."""
-    edges = g.edges
+    """Smallest k such that some of the k^n assignments is proper.  The
+    assignments are built vertex by vertex in index order, and one that
+    gives two adjacent vertices one color is dropped with all its
+    extensions, so a complete graph on 8 vertices takes milliseconds."""
     for k in range(1, g.n + 1):
-        for assign in itertools.product(range(k), repeat=g.n):
-            if all(assign[u] != assign[v] for u, v in edges):
-                return k
+        proper = [()]
+        for v in range(g.n):
+            earlier = [u for u in g.adj[v] if u < v]
+            proper = [
+                a + (c,)
+                for a in proper
+                for c in range(k)
+                if all(a[u] != c for u in earlier)
+            ]
+        if proper:
+            return k
     raise AssertionError("n colors always suffice")
 
 

@@ -20,9 +20,7 @@ from compelling import (
 )
 from compelling.closed_forms import chi_edge_cycle
 from compelling.cli import (
-    _FAMILY_RANGE_FLOOR,
-    _family_graph,
-    _family_order,
+    _FAMILIES,
     main,
     parse_family_csv,
     render_family_csv,
@@ -463,9 +461,9 @@ def test_family_table_truncates_before_building_an_order_over_the_cap():
 
 
 def test_family_order_is_the_instance_order():
-    for family, floor in _FAMILY_RANGE_FLOOR.items():
+    for floor, order, build, _ in _FAMILIES.values():
         for n in range(floor, floor + 6):
-            assert _family_order(family, n) == _family_graph(family, n, 1729).n
+            assert order(n) == build(n, 1729).n
 
 
 def test_family_table_unknown_family(capsys):

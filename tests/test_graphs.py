@@ -296,19 +296,14 @@ def test_chromatic_examples():
     assert chromatic_number(Graph.from_edges(10, crown)) == 2
 
 
-def test_chromatic_number_matches_bruteforce_oracle():
-    for g in small_corpus():
-        assert chromatic_number(g) == brute_chromatic_number(g)
-
-
 def test_chromatic_number_cap():
     with pytest.raises(ValueError):
         chromatic_number(make_path(9), max_n=8)
 
 
 def test_chromatic_number_deadline():
-    # greedy needs more colors than the clique it finds, so the search runs
-    # well past 1024 steps here
+    # the first-fit coloring needs more colors than the clique it starts
+    # from, so the search runs well past 1024 steps here
     g = make_random_graph(30, 0.5, 2)
     assert chromatic_number(g, max_n=30) == 7
     with pytest.raises(SearchTimeout, match="chromatic number search"):
@@ -390,10 +385,11 @@ SCATTERED = disjoint_union(disjoint_union(make_cycle(5), make_empty(1)), make_pa
 
 
 @st.composite
-def graphs_up_to_10(draw):
-    """A graph on at most 10 vertices, as G(n, p) over a range of densities
-    or edge by edge; edgeless and disconnected graphs are included."""
-    n = draw(st.integers(1, 10))
+def graphs_up_to(draw, max_n=10):
+    """A graph on at most ``max_n`` vertices, as G(n, p) over a range of
+    densities or edge by edge; edgeless, complete and disconnected graphs
+    are included."""
+    n = draw(st.integers(1, max_n))
     if draw(st.booleans()):
         density = draw(st.sampled_from((0.0, 0.1, 0.2, 0.35, 0.6)))
         return make_random_graph(n, density, draw(st.integers(0, 2**20)))
@@ -402,8 +398,31 @@ def graphs_up_to_10(draw):
     return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
+def examples(*graphs):
+    """Run a hypothesis test on each of ``graphs`` as an explicit example."""
+
+    def add(test):
+        for g in graphs:
+            test = example(g)(test)
+        return test
+
+    return add
+
+
 @BFS_SETTINGS
-@given(graphs_up_to_10())
+@given(graphs_up_to(8))
+@examples(
+    *small_corpus(),
+    EDGELESS,
+    make_complete(8),
+    disjoint_union(make_cycle(5), make_path(3)),
+)
+def test_chromatic_number_matches_bruteforce_oracle(g):
+    assert chromatic_number(g) == brute_chromatic_number(g)
+
+
+@BFS_SETTINGS
+@given(graphs_up_to())
 @example(EDGELESS)
 @example(SCATTERED)
 def test_is_bipartite_matches_parity_oracle(g):
@@ -415,7 +434,7 @@ def test_is_bipartite_matches_parity_oracle(g):
 
 
 @BFS_SETTINGS
-@given(graphs_up_to_10())
+@given(graphs_up_to())
 @example(EDGELESS)
 @example(SCATTERED)
 def test_components_match_connectivity_oracle(g):
@@ -429,7 +448,7 @@ def test_components_match_connectivity_oracle(g):
 
 
 @BFS_SETTINGS
-@given(graphs_up_to_10(), st.integers(1, 2**10 - 1))
+@given(graphs_up_to(), st.integers(1, 2**10 - 1))
 @example(EDGELESS, 0b100100)
 @example(SCATTERED, 2**10 - 1)
 def test_mask_connected_matches_oracle(g, bits):
@@ -439,7 +458,7 @@ def test_mask_connected_matches_oracle(g, bits):
 
 
 @BFS_SETTINGS
-@given(graphs_up_to_10())
+@given(graphs_up_to())
 @example(make_path(1))
 @example(SCATTERED)
 def test_minimum_cds_matches_size_lex_oracle(g):
@@ -452,7 +471,7 @@ def test_minimum_cds_matches_size_lex_oracle(g):
 
 
 @BFS_SETTINGS
-@given(graphs_up_to_10())
+@given(graphs_up_to())
 def test_eccentricities_match_distance_oracle(g):
     if not is_connected(g):
         with pytest.raises(ValueError):
