@@ -85,6 +85,8 @@ def _load_graph(path: str, max_n: int | None = None) -> Graph:
         raise CliError(str(exc)) from exc
     except ValueError as exc:
         raise CliError(f"bad graph file {path}: {exc}")
+    except MemoryError:
+        raise CliError(f"cannot load graph file {path}: out of memory") from None
 
 
 def _coloring_lines(path: str) -> list[str]:

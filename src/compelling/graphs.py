@@ -521,11 +521,11 @@ def is_complete_bipartite(g: Graph) -> bool:
 def _greedy_clique(g: Graph, order) -> list[int]:
     """Greedy clique, taking vertices in ``order``; a chromatic lower bound."""
     clique: list[int] = []
-    cand = set(range(g.n))
+    cand = g.full_mask
     for v in order:
-        if v in cand:
+        if cand >> v & 1:
             clique.append(v)
-            cand &= g.adj[v]
+            cand &= g.adj_bits[v]
     return clique
 
 
@@ -552,10 +552,13 @@ def chromatic_number(
     lower = len(clique)
     in_clique = set(clique)
     order = clique + [v for v in order if v not in in_clique]
-    colors = [-1] * g.n
+    n = g.n
+    adj = g.adj_bits
+    colors = [0] * n
+    masks = [0] * n  # masks[c]: the vertices of color c
     for i, v in enumerate(clique):
         colors[v] = i
-    n = g.n
+        masks[i] = 1 << v
     best = n + 1
     start = lower
     # On reaching position idx, used_at[idx] colors are in use and c is the
@@ -578,12 +581,13 @@ def chromatic_number(
                         "the deadline passed in the chromatic number search"
                     )
             v = order[idx]
-            taken = {colors[u] for u in g.adj[v]}
+            nb = adj[v]
             limit = min(used + 1, best - 1)
-            while c < limit and c in taken:
+            while c < limit and masks[c] & nb:
                 c += 1
             if c < limit:
                 colors[v] = c
+                masks[c] |= 1 << v
                 idx += 1
                 used_at[idx] = max(used, c + 1)
                 c = 0
@@ -592,8 +596,9 @@ def chromatic_number(
             return best
         idx -= 1
         v = order[idx]
-        c = colors[v] + 1
-        colors[v] = -1
+        c = colors[v]
+        masks[c] &= ~(1 << v)
+        c += 1
 
 
 def least_covering_set(

@@ -7,10 +7,11 @@ property is upwards-closed (supersets of a qualifying set also qualify) and
 whether it distributes over disjoint union (a union set qualifies exactly
 when both component restrictions do).
 
-The least DOM, TDOM and CDOM sets come from the pruned size-then-lex
-search :func:`graphs.least_covering_set`; the least EDGE, ISOLATE_FREE and
-CONNECTED sets have at most two vertices and are read off directly: vertex
-0, or the first edge.
+The least DOM and TDOM sets come from the pruned size-then-lex search
+:func:`graphs.least_covering_set`, and the least CDOM set from its
+connected form, :func:`graphs.minimum_connected_dominating_set`; the least
+EDGE, ISOLATE_FREE and CONNECTED sets have at most two vertices and are
+read off directly: vertex 0, or the first edge.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .graphs import (
     least_covering_set,
     mask_connected,
     mask_independent,
+    minimum_connected_dominating_set,
 )
 
 
@@ -147,10 +149,9 @@ def min_property_witness(
     if prop is _TDOM:  # None at once when some vertex has no neighbour
         return least_covering_set(g.adj_bits, deadline=deadline)
     if prop is _CDOM:
-        # on a disconnected graph the search would try every dominating set
-        if not is_connected(g):
+        if not is_connected(g):  # no dominating set is connected
             return None
-        return least_covering_set(g.closed_bits, g.adj_bits, deadline=deadline)
+        return minimum_connected_dominating_set(g, max_n, deadline=deadline)
     if prop is _CONNECTED:
         return (0,)
     # EDGE and ISOLATE_FREE: no single vertex qualifies and every edge does,

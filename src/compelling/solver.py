@@ -33,34 +33,38 @@ and every later one is adjacent to them, so each completion is connected
 (and dominating).  No cut loses a violating committee: the first leaf
 reached violates the property and is the least one.
 
-The exact search applies three cuts inside the canonical enumeration, each
-dropping only subtrees in which no coloring compels the property:
+The exact search runs CDOM as CONNECTED.  CDOM has no bounds on a
+disconnected graph, so its search runs only on connected ones, and there
+the two compel the same colorings: with n >= 2 a coloring compelling
+connectivity compels domination too (:func:`_search_cover`), and with
+n = 1 both have the witness (0,).  The search applies three cuts inside
+the canonical enumeration, each dropping only subtrees in which no
+coloring compels the property:
 
 * the per-vertex test cuts every subtree in which some vertex can no
   longer have a whole class inside its neighbourhood, and every subtree
   in which more vertices lack one than the classes still to be opened can
   serve: a class opened at a later vertex w serves only the vertices in
-  w's neighbourhood.  CDOM, and CONNECTED on a connected graph with at
-  least two vertices, are cut with the DOM test, since a coloring
-  compelling them also compels domination;
-* the separator test (CONNECTED and CDOM, any graph) cuts once a vertex x
-  has a second vertex in its class while two components of G - x hold
-  vertices of different colors (or G is disconnected and two of its
-  components do): the committee through those two that avoids x is
-  disconnected.  It is the local form of the tree result that every
-  interior vertex of a tree is a singleton class, and 2-connected graphs
-  get nothing from it;
-* the committee test (EDGE, CONNECTED and CDOM) cuts, once all k colors
-  are open, when the committee search finds a violating committee through
-  the vertex just placed, which stays a committee, with the same vertex
-  set, in every completion.  Every violating committee has a last-placed
-  vertex, so no leaf that survives has one.  For CONNECTED and CDOM it
-  also cuts earlier, once the vertex just placed joins an open class
-  while two to k - 1 colors are in use: with U the vertices not yet
-  placed, it cuts when P + U is disconnected or (CDOM) not dominating for
-  some P of one placed vertex per open class.  Every completion then has
-  a violating committee inside P + U that keeps P, or all of P but one
-  vertex together with a vertex of a component of P + U that lies in U.
+  w's neighbourhood.  CONNECTED on a connected graph with at least two
+  vertices is cut with the DOM test, since a coloring compelling it also
+  compels domination;
+* the separator test (CONNECTED, any graph) cuts once a vertex x has a
+  second vertex in its class while two components of G - x hold vertices
+  of different colors (or G is disconnected and two of its components
+  do): the committee through those two that avoids x is disconnected.  It
+  is the local form of the tree result that every interior vertex of a
+  tree is a singleton class, and 2-connected graphs get nothing from it;
+* the committee test (EDGE and CONNECTED) cuts, once all k colors are
+  open, when the committee search finds a violating committee through the
+  vertex just placed, which stays a committee, with the same vertex set,
+  in every completion.  Every violating committee has a last-placed
+  vertex, so no leaf that survives has one.  For CONNECTED it also cuts
+  earlier, once the vertex just placed joins an open class while two to
+  k - 1 colors are in use: with U the vertices not yet placed, it cuts
+  when P + U is disconnected for some P of one placed vertex per open
+  class.  Every completion then has a violating committee inside P + U
+  that keeps P, or all of P but one vertex together with a vertex of a
+  component of P + U that lies in U.
 
 So every leaf that survives compels the property, none is checked again,
 and the witness is the one the uncut search finds.
@@ -82,7 +86,6 @@ from .graphs import (
     bfs_layers,
     check_order,
     chromatic_number,
-    connected_domination_number,
     is_connected,
     iter_bits,
 )
@@ -93,10 +96,11 @@ from .properties import (
 )
 
 _EDGE = SubsetProperty.EDGE
+_CONNECTED = SubsetProperty.CONNECTED
 _CDOM = SubsetProperty.CDOM
 # the properties decided by the committee search, in the checker and the
 # exact search alike
-_COMMITTEE_PROPS = (_EDGE, SubsetProperty.CONNECTED, _CDOM)
+_COMMITTEE_PROPS = (_EDGE, _CONNECTED, _CDOM)
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,6 @@ def _committee_search(
     class_masks,
     prop: SubsetProperty,
     deadline: float | None = None,
-    reach: int = 0,
     parts=(),
 ) -> tuple[int, ...] | None:
     """Least committee (class-index-then-vertex order) that fails ``prop``,
@@ -309,11 +312,11 @@ def _committee_search(
     some class is empty.  The answer is the one
     :func:`_find_violating_committee` gives.
 
-    ``reach`` and ``parts`` give a base set B of vertices outside the
-    classes, added to every committee before ``prop`` is tested: ``reach``
-    is N[B] and ``parts`` holds, per component of B, the vertices adjacent
-    to it.  The default is no base; the early committee cut of
-    :func:`_iter_canonical` passes the unplaced vertices.
+    For CONNECTED only, ``parts`` gives a base set B of vertices outside
+    the classes, added to every committee before ``prop`` is tested: per
+    component of B, the vertices adjacent to it.  The default is no base;
+    the early committee cut of :func:`_iter_canonical` passes the unplaced
+    vertices.
 
     :func:`_committee_pick` finds the vertices picked from the classes of
     two or more vertices; the singleton classes fill in the rest.
@@ -321,7 +324,7 @@ def _committee_search(
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
-    pick = _committee_pick(g, class_masks, prop, deadline, reach, parts)
+    pick = _committee_pick(g, class_masks, prop, deadline, parts)
     if pick is None:
         return None
     # an independent, disconnected or undominating committee
@@ -336,7 +339,6 @@ def _committee_pick(
     class_masks,
     prop: SubsetProperty,
     deadline: float | None = None,
-    reach: int = 0,
     parts=(),
 ) -> list[int] | None:
     """:func:`_committee_search` without building the committee: the least
@@ -369,6 +371,7 @@ def _committee_pick(
     full = g.full_mask
     edge = prop is _EDGE
     cdom = prop is _CDOM
+    reach = 0
     picks = []  # the classes of two or more vertices
     for m in class_masks:
         if not m:
@@ -538,22 +541,21 @@ def _iter_canonical(
     all k colors are open, so every leaf that survives compels the
     property.
 
-    For CONNECTED and CDOM the cut also fires before all k colors are open.
-    With U the vertices after v, take the open classes (v in its own) and
-    each vertex of U as a class of its own: every committee of that
-    coloring is P + U, with P one placed vertex per open class.  When v
-    joins an open class, two colors or more are in use and fewer than k,
+    For CONNECTED the cut also fires before all k colors are open.  With
+    U the vertices after v, take the open classes (v in its own) and each
+    vertex of U as a class of its own: every committee of that coloring is
+    P + U, with P one placed vertex per open class.  When v joins an open
+    class, two colors or more are in use and fewer than k,
     :func:`_committee_search` on the open classes, with U as its base (the
-    tables of :func:`_unplaced_tables`), looks for a P for which P + U is
-    disconnected or (CDOM) not dominating, and the branch is cut when there
-    is one.  In a completion each new class lies in U, so P plus one vertex
-    of each new class is a committee inside P + U that keeps P.  If P meets two
+    table of :func:`_unplaced_tables`), looks for a P for which P + U is
+    disconnected, and the branch is cut when there is one.  In a
+    completion each new class lies in U, so P plus one vertex of each new
+    class is a committee inside P + U that keeps P.  If P meets two
     components of P + U, that committee is disconnected; if not, some
     component of P + U lies in U, and with a vertex u of it picked for u's
     class (in place of P's vertex there, when u joins an open class; P
     keeps another vertex, as two colors are open) the committee meets it
-    and P's component, so it is disconnected.  A vertex that P + U does
-    not dominate is dominated by none of them.  The search is skipped when v
+    and P's component, so it is disconnected.  The search is skipped when v
     opens a class, which leaves those committees as they were, and while
     at most one placed vertex has joined an open class, which is the
     separator cut's case.
@@ -572,10 +574,10 @@ def _iter_canonical(
     if cover is None:
         cover = (full,) * n  # every class fits: nothing is cut
     rules = separators is not None or committee is not None
-    # the committee cut before all k colors are open (CONNECTED, CDOM), and
-    # its tables, built when it first runs
-    early = committee is not None and committee is not _EDGE
-    unplaced_reach = unplaced_parts = None
+    # the committee cut before all k colors are open, and its table, built
+    # when it first runs
+    early = committee is _CONNECTED
+    unplaced = None
     colors = [0] * n
     masks = [0] * k
     inside = [0] * k  # 0 while the class is not open
@@ -652,17 +654,12 @@ def _iter_canonical(
                         pick = _committee_pick(g, part, committee, deadline)
                         cut = pick is not None
                     elif not cut and early and c < used and 1 < used < v:
-                        if unplaced_parts is None:
-                            unplaced_reach, unplaced_parts = _unplaced_tables(g)
+                        if unplaced is None:
+                            unplaced = _unplaced_tables(g)
                         part = masks[:used]
                         part[c] |= 1 << v
                         pick = _committee_pick(
-                            g,
-                            part,
-                            committee,
-                            deadline,
-                            unplaced_reach[v],
-                            unplaced_parts[v],
+                            g, part, committee, deadline, unplaced[v]
                         )
                         cut = pick is not None
                     if cut:  # come back to v for the next color
@@ -701,16 +698,13 @@ def _outnumbered(cover, loose: int, room: int, v: int) -> bool:
     return True
 
 
-def _unplaced_tables(g: Graph):
-    """For each vertex v, with U the vertices after v: N[U], and per
-    component of U the vertices adjacent to it."""
-    n = g.n
-    reach = [0] * n
-    parts: list[list[int]] = [[]] * n
-    for u in range(n - 1, 0, -1):
-        reach[u - 1] = reach[u] | g.closed_bits[u]
+def _unplaced_tables(g: Graph) -> list[list[int]]:
+    """For each vertex v, with U the vertices after v: per component of U,
+    the vertices adjacent to it."""
+    parts: list[list[int]] = [[]] * g.n
+    for u in range(g.n - 1, 0, -1):
         parts[u - 1] = _join(parts[u], 1 << u, g.adj_bits[u])
-    return reach, parts
+    return parts
 
 
 def canonical_colorings(g: Graph, k: int):
@@ -738,24 +732,23 @@ def chi_bounds(
     """General bounds on the compelling chromatic number.
 
     Returns (lower, upper) or None when no subset satisfies the property.
-    Lower is max(minimum qualifying size, chromatic number); for CONNECTED
-    on a nontrivial connected graph the sharper max(chromatic number,
-    connected domination number) applies.  Upper is the qualifying size
-    plus the chromatic number for upwards-closed properties, the connected
-    domination analogue for CONNECTED, else n when the whole vertex set
-    qualifies and unknown otherwise.
+    Lower is max(minimum qualifying size, chromatic number).  Upper is the
+    qualifying size plus the chromatic number for upwards-closed
+    properties, else n when the whole vertex set qualifies and unknown
+    otherwise.  CONNECTED on a connected graph with n >= 2 takes the
+    bounds of CDOM, max(chromatic number, connected domination number) and
+    their sum, since there the two compel the same colorings.
 
     A ``deadline`` (a ``time.monotonic()`` value) bounds the subset
     searches and the chromatic number search, which raise SearchTimeout
     once it is passed.
     """
+    if prop is _CONNECTED and g.n >= 2 and is_connected(g):
+        prop = _CDOM
     m = min_property_size(prop, g, max_n=max_n, deadline=deadline)
     if m is None:
         return None
     chi = chromatic_number(g, max_n=max_n, deadline=deadline)
-    if prop is SubsetProperty.CONNECTED and g.n >= 2 and is_connected(g):
-        gamma_c = connected_domination_number(g, max_n=max_n, deadline=deadline)
-        return max(chi, gamma_c), chi + gamma_c
     lower = max(m, chi)
     if prop.upwards_closed:
         return lower, m + chi
@@ -842,21 +835,22 @@ def compelling_chromatic_number(
     the minimum by definition.  The witness is the first compelling
     coloring in canonical enumeration order.
 
-    DOM, TDOM, ISOLATE_FREE and CDOM, and CONNECTED on a connected graph
-    with n >= 2, cut subtrees inside the enumeration with the per-vertex
-    test of :func:`_search_cover`; CONNECTED and CDOM also with the
-    separator test of :func:`_search_separators`, and EDGE, CONNECTED and
-    CDOM with the committee search for a violating committee through the
-    vertex just placed once all k colors are open (see
-    :func:`_iter_canonical`).  CONNECTED and CDOM run that search earlier
-    too, when the vertex just placed joins an open class: on the open
-    classes plus each vertex not yet placed as a class of its own, whose
-    violating committees leave one in every completion.  On a cycle of
-    five vertices or more that settles the infeasible level of n - 2
-    colors once two placed vertices have joined open classes.  Every leaf
-    that survives is compelling, so the answer is the first leaf at the
-    smallest k.  The cuts drop only colorings that do not compel, so the
-    witness is the one the uncut scan finds.
+    CDOM is searched as CONNECTED: its bounds are None on a disconnected
+    graph, and on a connected one the two compel the same colorings.  DOM,
+    TDOM and ISOLATE_FREE, and CONNECTED on a connected graph with n >= 2,
+    cut subtrees inside the enumeration with the per-vertex test of
+    :func:`_search_cover`; CONNECTED also with the separator test of
+    :func:`_search_separators`, and EDGE and CONNECTED with the committee
+    search for a violating committee through the vertex just placed once
+    all k colors are open (see :func:`_iter_canonical`).  CONNECTED runs
+    that search earlier too, when the vertex just placed joins an open
+    class: on the open classes plus each vertex not yet placed as a class
+    of its own, whose violating committees leave one in every completion.
+    On a cycle of five vertices or more that settles the infeasible level
+    of n - 2 colors once two placed vertices have joined open classes.
+    Every leaf that survives is compelling, so the answer is the first leaf
+    at the smallest k.  The cuts drop only colorings that do not compel, so
+    the witness is the one the uncut scan finds.
 
     ``timeout_s`` bounds the whole call: the subset and chromatic number
     searches of the bounds phase and the enumeration raise SearchTimeout
@@ -869,6 +863,8 @@ def compelling_chromatic_number(
         if bounds is None:
             return ChiResult(None, None, None, None)
         lower, upper = bounds
+        if prop is _CDOM:  # bounded only when connected, where the two agree
+            prop = _CONNECTED
         cover = _search_cover(g, prop)
         separators = _search_separators(g, prop, deadline)
         committee = prop if prop in _COMMITTEE_PROPS else None

@@ -37,7 +37,6 @@ from .graphs import (
     Graph,
     bfs_layers,
     chromatic_number,
-    connected_domination_number,
     diameter,
     disjoint_union,
     is_complete,
@@ -162,11 +161,6 @@ def _chi_p(g: Graph, prop: SubsetProperty) -> int | None:
 @cache
 def _m_p(g: Graph, prop: SubsetProperty) -> int | None:
     return min_property_size(prop, g)
-
-
-@cache
-def _gamma_c(g: Graph) -> int:
-    return connected_domination_number(g)
 
 
 @cache
@@ -403,7 +397,7 @@ def suite_bounds(seed: int = DEFAULT_SEED) -> SuiteResult:
             if value is None or not max(m, chi) <= value <= m + chi:
                 bad_general.append((g.name, prop.value, value, m, chi))
         if g.n >= 2 and _connected(g):
-            gamma = _gamma_c(g)
+            gamma = _m_p(g, SubsetProperty.CDOM)
             value = _chi_p(g, SubsetProperty.CONNECTED)
             if value is None or not max(chi, gamma) <= value <= chi + gamma:
                 bad_conn.append((g.name, value, gamma, chi))

@@ -1,12 +1,17 @@
+import io
+import itertools
 import json
 import os
 import re
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compelling
 from compelling import (
@@ -47,15 +52,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _limit_memory():
-    limit = 2_000_000_000
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def run_capped(*argv):
+def run_capped(*argv, limit=2_000_000_000):
     """``python -m compelling`` in a child process whose address space is
-    capped at 2 GB, so building a huge graph fails fast with a MemoryError
-    instead of filling the machine's memory."""
+    capped at ``limit`` bytes, 2 GB by default, so building a huge graph
+    fails fast with a MemoryError instead of filling the machine's memory."""
     src = str(Path(compelling.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
@@ -65,7 +65,7 @@ def run_capped(*argv):
         text=True,
         env=env,
         timeout=60,
-        preexec_fn=_limit_memory,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
 
 
@@ -187,6 +187,20 @@ def test_chi_refuses_an_order_over_the_cap_from_the_header(tmp_path):
     done = run_capped("chi", str(path), "--property", "dom")
     assert done.returncode == 2
     assert done.stderr == "error: graph has 99999999999 vertices, over the cap of 16\n"
+    assert not done.stdout
+
+
+def test_chi_runs_out_of_memory_loading_a_huge_graph(tmp_path):
+    # a --max-n over the header lets the graph be built, which fails under
+    # the address-space cap; 250 MB keeps the failed build short
+    path = tmp_path / "huge.graph"
+    path.write_text("99999999999 0\n")
+    done = run_capped(
+        "chi", str(path), "--property", "dom", "--max-n", "99999999999",
+        limit=250_000_000,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot load graph file {path}: out of memory\n"
     assert not done.stdout
 
 
@@ -615,3 +629,103 @@ def test_module_entry_point_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "family-table" in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the CLI in process
+# ---------------------------------------------------------------------------
+
+PROPERTY_NAMES = st.sampled_from(
+    ("dom", "tdom", "if", "edge", "connected", " CDom ", "", "nope")
+)
+# nan, inf, negative values and "soon" are usage errors
+TIMEOUTS = st.sampled_from(("0", "0.01", "1", "5", "5", "-1", "nan", "inf", "soon"))
+# mostly none; else a stray line or a tail that is not UTF-8
+FILE_FAULTS = st.sampled_from(
+    (None,) * 6 + ("# c", "", "x y", "0 1 2", b"\xff\xfe", b"\x80 0\n")
+)
+
+
+@st.composite
+def file_bytes(draw, lines):
+    """``lines`` as a file, at times with a stray line or a tail that is
+    not UTF-8."""
+    lines = list(lines)
+    fault = draw(FILE_FAULTS)
+    if isinstance(fault, str):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    text = "\n".join(lines).encode() + b"\n"
+    return text + fault if isinstance(fault, bytes) else text
+
+
+@st.composite
+def graph_and_coloring_files(draw, n):
+    """Graph and coloring files for a graph claiming ``n`` vertices.  For
+    n of 1 to 8 the edges are mostly a graph on them and the coloring
+    mostly a canonical one, proper or not; otherwise the edge and coloring
+    lines are any pairs of small numbers."""
+    pairs = st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=9)
+    if 1 <= n <= 8 and draw(st.integers(0, 3)) < 3:
+        edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+        colors: list[int] = []
+        for v in range(n):
+            near = {colors[u] for u, w in edges if w == v}
+            free = [c for c in range(max(colors, default=-1) + 2) if c not in near]
+            colors.append(draw(st.sampled_from(free + [0])))
+        assigned = list(enumerate(colors))
+    else:
+        edges = draw(pairs)
+        assigned = draw(pairs)
+    m = len(edges) + draw(st.sampled_from((0, 0, 0, 1)))
+    lines = [f"{n} {m}", *(f"{u} {v}" for u, v in edges)]
+    if 1 <= n <= 8 and not draw(st.integers(0, 3)):
+        lines.append("outer: " + " ".join(map(str, draw(st.permutations(range(n))))))
+    graph = draw(file_bytes(lines))
+    return graph, draw(file_bytes(f"{v} {c}" for v, c in assigned))
+
+
+def cli_code(argv) -> int:
+    """The exit code of ``main(argv)``, its output swallowed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_zero_one_or_two(tmp_path_factory, data):
+    # orders stay small in process: chi refuses a header over 8 vertices
+    # by the --max-n drawn with it, check by the coloring's few lines, and
+    # family-table instances have at most 14 (huge orders are run_capped's)
+    draw = data.draw
+    n = draw(st.integers(-1, 9))
+    n = 99999999999 if n == 9 else n
+    small = st.integers(-1, 12)
+    max_n = draw(st.one_of(small, st.just(99999999999)) if n <= 8 else small)
+    folder = tmp_path_factory.mktemp("fuzz")
+    graph, coloring = folder / "g.graph", folder / "c.coloring"
+    graph_text, coloring_text = draw(graph_and_coloring_files(n))
+    graph.write_bytes(graph_text)
+    coloring.write_bytes(coloring_text)
+    options = ["--property", draw(PROPERTY_NAMES)]
+    if draw(st.booleans()):
+        options += ["--timeout-secs", draw(TIMEOUTS)]
+    command = draw(st.sampled_from(("chi", "check", "family-table")))
+    if command == "chi":
+        argv = ["chi", str(graph), "--max-n", str(max_n), *options]
+    elif command == "check":
+        argv = ["check", str(graph), str(coloring), *options]
+    else:
+        family = draw(st.sampled_from(sorted(_FAMILIES) + ["nope"]))
+        lo, hi = draw(st.integers(-3, 6)), draw(st.integers(-3, 6))
+        span = f"{lo}{draw(st.sampled_from((':', ':', '..', '-', '~')))}{hi}"
+        argv = ["family-table", family, f"--n-range={span}", "--max-n", str(max_n)]
+        argv += options
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    assert cli_code(argv) in (0, 1, 2), argv

@@ -1,20 +1,23 @@
 """The cuts inside the searches.
 
-``compelling_chromatic_number`` cuts subtrees of the canonical search with
-per-vertex neighbourhood tests, the separator test (CONNECTED, CDOM) and
-the committee test (EDGE, CONNECTED, CDOM), which asks the committee
-search for a violating committee once all k colors are open, and for
-CONNECTED and CDOM also before, with each unplaced vertex as a class of
-its own.  Those tests compare it against a
-leaf-only reference: the uncut enumeration from the lower bound up, with
-each completed coloring judged by the set-level oracle.
+``compelling_chromatic_number`` searches CDOM as CONNECTED, since on a
+connected graph the two compel the same colorings, and cuts subtrees of
+the canonical search with per-vertex neighbourhood tests, the separator
+test (CONNECTED) and the committee test (EDGE, CONNECTED), which asks the
+committee search for a violating committee once all k colors are open,
+and for CONNECTED also before, with each unplaced vertex as a class of
+its own.  Those tests compare it against a leaf-only reference: the uncut
+enumeration from the lower bound up, with each completed coloring judged
+by the set-level oracle.
 
 The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
 cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
 it is compared against the plain committee scan and the set-level oracle,
 on whole colorings and on the partial class masks the committee cut
-passes, with and without the unplaced vertices as a base.  The plain scan
-for several properties at once is compared against one scan per property.
+passes, and for CONNECTED with the unplaced vertices as a base.  The plain
+scan for several properties at once is compared against one scan per
+property, and the connected domination search of the bounds against
+plain subset enumeration.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from compelling import (
     make_random_graph,
     make_random_mop,
     make_random_tree,
+    minimum_connected_dominating_set,
 )
 from compelling import solver
 from compelling.properties import eval_property_mask
@@ -58,7 +62,7 @@ from compelling.solver import (
     _unplaced_tables,
 )
 from compelling.verify import main_corpus
-from oracles import brute_compelling, components
+from oracles import brute_compelling, brute_min_witness, components
 
 P = SubsetProperty
 
@@ -114,6 +118,21 @@ def small_graphs(draw, max_n=8):
     return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
+@st.composite
+def connected_graphs(draw, min_n=1, max_n=8):
+    """A connected graph on ``min_n`` to ``max_n`` vertices: a cycle, or a
+    random tree with no edge added, up to two (which leaves many cut
+    vertices) or up to all of them."""
+    n = draw(st.integers(min_n, max_n))
+    if n >= 3 and not draw(st.integers(0, 3)):
+        return make_cycle(n)
+    tree = make_random_tree(n, draw(st.integers(0, 2**20)))
+    pairs = list(itertools.combinations(range(n), 2))
+    most = draw(st.sampled_from((0, 2, len(pairs))))
+    added = draw(st.lists(st.sampled_from(pairs), max_size=most)) if pairs else []
+    return Graph.from_edges(n, set(tree.edges) | set(added))
+
+
 @CUT_SETTINGS
 @given(small_graphs(), st.sampled_from(list(P)))
 def test_chi_matches_leaf_only_reference(g, prop):
@@ -132,6 +151,22 @@ def test_cut_leaves_are_filtered_uncut_leaves(g, table, data):
         if every_vertex_holds_a_class(cover, m)
     ]
     assert cut == kept
+
+
+@CUT_SETTINGS
+@given(connected_graphs(min_n=2))
+def test_cdom_and_connected_agree_on_connected_graphs(g):
+    # the same value, witness and bounds: CDOM is searched as CONNECTED,
+    # and CONNECTED takes the bounds of CDOM
+    cdom = compelling_chromatic_number(g, P.CDOM)
+    assert cdom == compelling_chromatic_number(g, P.CONNECTED)
+    assert cdom == leaf_only_chi(g, P.CDOM)
+
+
+@CUT_SETTINGS
+@given(connected_graphs(max_n=9))
+def test_connected_domination_matches_size_lex_oracle(g):
+    assert minimum_connected_dominating_set(g) == brute_min_witness(P.CDOM, g)
 
 
 def test_chi_matches_leaf_only_reference_on_main_corpus():
@@ -199,17 +234,19 @@ def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
 
 
 @CUT_SETTINGS
-@given(small_graphs(), st.sampled_from((P.CONNECTED, P.CDOM)), st.data())
-def test_search_leaves_are_the_compelling_uncut_leaves(g, prop, data):
+@given(st.sampled_from((P.CONNECTED, P.CDOM)), st.data())
+def test_search_leaves_are_the_compelling_uncut_leaves(prop, data):
     # the enumerator as compelling_chromatic_number runs it, every cut on:
     # per-vertex, separator, and committee both before and once all k
-    # colors are open
+    # colors are open.  CDOM, which has bounds on connected graphs only, is
+    # searched with the tables and committee of CONNECTED.
+    g = data.draw(small_graphs() if prop is P.CONNECTED else connected_graphs())
     k = data.draw(st.integers(1, g.n))
-    cover = _search_cover(g, prop)
-    separators = _search_separators(g, prop)
+    cover = _search_cover(g, P.CONNECTED)
+    separators = _search_separators(g, P.CONNECTED)
     cut = [
         (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k, cover, None, separators, prop)
+        for c, m in _iter_canonical(g, k, cover, None, separators, P.CONNECTED)
     ]
     kept = [
         (tuple(c), tuple(m))
@@ -478,25 +515,24 @@ def test_committee_search_matches_the_scan(case):
 @settings(max_examples=400, deadline=None)
 @given(small_graphs(), st.data())
 def test_committee_search_with_the_unplaced_base(g, data):
-    # as the early committee cut calls it: the classes of the placed
-    # vertices 0..v, all nonempty, with the vertices after v as the base U
-    # that joins every committee.  The coloring need not be proper: the
-    # search does not rely on it.
+    # as the early committee cut calls it, for CONNECTED: the classes of
+    # the placed vertices 0..v, all nonempty, with the vertices after v as
+    # the base U that joins every committee.  The coloring need not be
+    # proper: the search does not rely on it.
     v = data.draw(st.integers(0, g.n - 1))
     colors = []
     for _ in range(v + 1):
         colors.append(data.draw(st.integers(0, max(colors, default=-1) + 1)))
     masks = list(Coloring(tuple(colors)).class_masks)
     unplaced = g.full_mask & ~((2 << v) - 1)
-    for prop in (P.CONNECTED, P.CDOM):
-        base = (t[v] for t in _unplaced_tables(g))
-        expected = None
-        for committee in itertools.product(*_classes_from_masks(masks)):
-            bits = sum(1 << u for u in committee)
-            if not eval_property_mask(prop, g, bits | unplaced):
-                expected = committee
-                break
-        assert _committee_search(g, masks, prop, None, *base) == expected
+    expected = None
+    for committee in itertools.product(*_classes_from_masks(masks)):
+        bits = sum(1 << u for u in committee)
+        if not eval_property_mask(P.CONNECTED, g, bits | unplaced):
+            expected = committee
+            break
+    base = _unplaced_tables(g)[v]
+    assert _committee_search(g, masks, P.CONNECTED, None, base) == expected
 
 
 @settings(max_examples=400, deadline=None)
