@@ -341,10 +341,11 @@ def family_rows(
     rows = []
     warnings = []
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    for n in range(lo, hi + 1):
-        if n < floor:
-            warnings.append(f"skipping n={n}: below the {family} family minimum")
-            continue
+    below = min(hi, floor - 1)  # the last n skipped, when lo <= below
+    if lo <= below:
+        span = f"{lo}" if lo == below else f"{lo}..{below}"
+        warnings.append(f"skipping n={span}: below the {family} family minimum")
+    for n in range(max(lo, floor), hi + 1):
         order = family_order(n)
         if order > max_n:
             warnings.append(

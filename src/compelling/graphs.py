@@ -3,7 +3,8 @@ generators, exact classical invariants, and a plain text file format.
 
 Vertices are always the dense range 0..n-1.  Every function here is pure and
 every :class:`Graph` is immutable after construction, so values are safe to
-share between threads.  The exponential routines (exact chromatic number,
+share between threads (two threads may both compute an invariant that is
+not stored yet; they store the same value).  The exponential routines (exact chromatic number,
 subset enumerations) take an explicit ``max_n`` cap so callers opt in to
 larger searches deliberately.
 
@@ -12,6 +13,15 @@ Every breadth-first search over a vertex bitmask goes through
 induced-subgraph checks of the other modules.  Every least dominating-type
 set (domination, total and connected domination) comes from one pruned
 subset search, :func:`least_covering_set`.
+
+Each invariant that a graph is asked for again and again is computed once
+per :class:`Graph` and stored on it by :func:`graph_memo`: connectivity,
+the chromatic number, the least dominating, total dominating and connected
+dominating sets, and the cut table of :func:`cut_table`.  A stored value
+lives exactly as long as its graph.  The memo is keyed by the invariant
+alone: a deadline does not change a value, so a search that times out
+stores nothing and a stored value is returned to every later call, timed
+or not.  Size caps are checked before the lookup, on every call.
 """
 
 from __future__ import annotations
@@ -124,6 +134,27 @@ def mask_independent(adj_bits: tuple[int, ...], mask: int) -> bool:
             return False
         rest ^= low
     return True
+
+
+_MISSING = object()
+
+
+def graph_memo(g: "Graph", key: str, compute):
+    """The value stored on ``g`` under ``key``, or else ``compute()``,
+    stored there once it returns.
+
+    Values go in the graph's ``__dict__``, where
+    :func:`functools.cached_property` keeps ``adj_bits``, so a value lives
+    exactly as long as its graph.  A ``compute`` that raises stores
+    nothing.  ``key`` names one invariant; it must not clash with an
+    attribute of :class:`Graph`, and leaves out what does not change the
+    value, such as a deadline.
+    """
+    store = g.__dict__
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        value = store[key] = compute()
+    return value
 
 
 @dataclass(frozen=True)
@@ -467,7 +498,87 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return mask_connected(g.adj_bits, g.full_mask)
+    return graph_memo(
+        g, "_connected", lambda: mask_connected(g.adj_bits, g.full_mask)
+    )
+
+
+def cut_table(g: Graph) -> tuple[int, ...]:
+    """For x in 0..n-1, the lowest vertex of the second component of
+    G - x, components ordered by their lowest vertex; at x = n, that of G
+    itself; 0 where there is no second component.  No second component
+    starts at 0: vertex 0 lies in the first one, and without vertex 0 the
+    second one starts at 2 or later.  On a connected graph the nonzero
+    entries below n are the cut vertices.
+
+    One low-link depth-first search per component (Hopcroft and Tarjan,
+    1973), O(n + m), stored on ``g``.
+    """
+    return graph_memo(g, "_cut_table", lambda: _cut_table(g))
+
+
+def _cut_table(g: Graph) -> tuple[int, ...]:
+    n = g.n
+    adj = g.adj_bits
+    order = [-1] * n  # discovery index
+    # low[v]: the least discovery index that the subtree of v reaches by
+    # one edge; least[v]: the lowest vertex of the subtree of v
+    low = [0] * n
+    least = list(range(n))
+    # low1[x] < low2[x]: the two lowest values of least[c] over the
+    # children c of x whose subtree is a component of G - x (n when absent)
+    low1 = [n] * n
+    low2 = [n] * n
+    todo = [0] * n  # the neighbours of each vertex not yet scanned
+    roots = []  # the lowest vertex of each component, ascending
+    count = 0
+    for r in range(n):
+        if order[r] >= 0:
+            continue
+        roots.append(r)
+        order[r] = low[r] = count
+        count += 1
+        todo[r] = adj[r]
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            rest = todo[v]
+            if rest:
+                bit = rest & -rest
+                todo[v] = rest ^ bit
+                w = bit.bit_length() - 1
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    todo[w] = adj[w]
+                    stack.append(w)
+                elif order[w] < low[v]:  # the tree edge to v's parent too
+                    low[v] = order[w]
+                continue
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if least[v] < least[p]:
+                least[p] = least[v]
+            if low[v] >= order[p]:  # no edge leaves v's subtree above p
+                s = least[v]
+                if s < low1[p]:
+                    low1[p], low2[p] = s, low1[p]
+                elif s < low2[p]:
+                    low2[p] = s
+    # The components of G - x: the other components of G, the subtrees
+    # split off at x, and, unless x is its component's root, the part
+    # holding that root.  Three roots hold the two lowest pieces besides.
+    head = roots[:3]
+    table = []
+    for x in range(n):
+        lows = sorted([r for r in head if r != x] + [low1[x], low2[x]])
+        table.append(lows[1] if lows[1] < n else 0)
+    table.append(roots[1] if len(roots) > 1 else 0)
+    return tuple(table)
 
 
 def eccentricities(g: Graph) -> list[int]:
@@ -543,9 +654,14 @@ def chromatic_number(
     ``max_n``.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
-    SearchTimeout once it is passed, checked every 1024 search steps.
+    SearchTimeout once it is passed, checked every 1024 search steps.  The
+    value is stored on ``g`` (:func:`graph_memo`).
     """
     check_order(g.n, max_n)
+    return graph_memo(g, "_chromatic_number", lambda: _chromatic_search(g, deadline))
+
+
+def _chromatic_search(g: Graph, deadline: float | None) -> int:
     # largest degree first, for the clique and then the search
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     clique = _greedy_clique(g, order)
@@ -605,38 +721,53 @@ def least_covering_set(
     cover: tuple[int, ...],
     adj_bits: tuple[int, ...] | None = None,
     *,
+    must: int = 0,
     deadline: float | None = None,
 ) -> tuple[int, ...] | None:
     """First vertex subset in size-then-lex order whose ``cover`` bitmasks
-    together hold every vertex, or None when no subset does.
+    together hold every vertex and that holds every vertex of the bitmask
+    ``must``, or None when no subset does.
 
     With ``adj_bits`` the subset must also induce a connected subgraph, and
     each ``cover[v]`` must hold v and its neighbours in ``adj_bits``; the
-    closed neighbourhoods give connected domination.
+    closed neighbourhoods give connected domination, and its ``must`` are
+    the cut vertices, which every connected dominating set holds.
 
     Each size is searched depth-first with the picks in ascending order, so
     the first hit is the subset ``itertools.combinations`` meets first.
-    Three cuts drop only branches that hold no qualifying subset:
+    Each vertex of ``must`` also covers a marker of its own, an element
+    beyond the n vertices, so a subset covers every marker exactly when it
+    holds ``must``; sizes below the number of markers are skipped.  Three
+    cuts drop only branches that hold no qualifying subset:
 
-    - stranded vertex: an uncovered vertex that no candidate from the next
-      pick on covers can never be covered;
-    - count bound: the uncovered vertices cannot outnumber the picks left
+    - stranded element: an uncovered vertex or marker that no candidate
+      from the next pick on covers can never be covered; for a marker,
+      that is a candidate passing over an unpicked ``must`` vertex, as the
+      picks ascend;
+    - count bound: the uncovered elements cannot outnumber the picks left
       times the largest cover among the candidates left, which at the root
       rules out every size below n over the largest cover;
     - connected sets: each of the s - 1 edges of a spanning tree of the
       subset puts both its ends in both their covers, so s vertices with
-      covers of at most M vertices cover at most s(M - 2) + 2; smaller
-      sizes are skipped.
+      covers of at most M elements cover at most s(M - 2) + 2 vertices;
+      smaller sizes are skipped (a marker in the largest cover only
+      weakens this).
 
     Both of the first two only get stronger as the candidate index grows,
-    so when one fails every later candidate at that depth fails too.
+    so when one fails every later candidate at that depth fails too.  An
+    empty ``must`` adds no marker and no test.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
     n = len(cover)
-    full = (1 << n) - 1
-    # dead[v]: the vertices that no candidate at index v or later covers;
+    marks = must.bit_count()
+    if marks:
+        cover = list(cover)
+        for j, u in enumerate(iter_bits(must)):
+            cover[u] |= 1 << (n + j)
+    full = (1 << (n + marks)) - 1
+    # dead[v]: the elements that no candidate at index v or later covers;
     # most[v]: the largest cover among those candidates
     dead = [full] * (n + 1)
     most = [0] * (n + 1)
@@ -647,11 +778,11 @@ def least_covering_set(
         most[v] = max(most[v + 1], cover[v].bit_count())
     top = most[0]
     steps = 0
-    for size in range(1, n + 1):
+    for size in range(max(marks, 1), n + 1):
         if adj_bits is not None and size * (top - 2) + 2 < n:
             continue
         picks = [0] * size
-        # uncovered[i]: the vertices the first i picks leave uncovered
+        # uncovered[i]: the elements the first i picks leave uncovered
         uncovered = [full] * (size + 1)
         i = 0
         v = 0  # the next candidate for pick i
@@ -699,11 +830,26 @@ def connected_domination_number(
 def minimum_connected_dominating_set(
     g: Graph, max_n: int = SUBSET_ENUM_CAP, *, deadline: float | None = None
 ) -> tuple[int, ...]:
-    """First minimum connected dominating set in size-then-lex order."""
+    """First minimum connected dominating set in size-then-lex order,
+    stored on ``g`` (:func:`graph_memo`).
+
+    Every cut vertex x is in every connected dominating set D: a connected
+    D that avoids x lies in one component of G - x, and the vertices of
+    another component have no neighbour in D.  So the cut vertices of
+    :func:`cut_table` are the must-pick set of the search.
+    """
     check_order(g.n, max_n)
     if not is_connected(g):
         raise ValueError("connected domination requires a connected graph")
-    return least_covering_set(g.closed_bits, g.adj_bits, deadline=deadline)
+    return graph_memo(g, "_least_cdom", lambda: _least_cds(g, deadline))
+
+
+def _least_cds(g: Graph, deadline: float | None) -> tuple[int, ...]:
+    must = 0
+    for x, split in enumerate(cut_table(g)[:-1]):
+        if split:
+            must |= 1 << x
+    return least_covering_set(g.closed_bits, g.adj_bits, must=must, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------

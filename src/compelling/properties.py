@@ -9,9 +9,10 @@ when both component restrictions do).
 
 The least DOM and TDOM sets come from the pruned size-then-lex search
 :func:`graphs.least_covering_set`, and the least CDOM set from its
-connected form, :func:`graphs.minimum_connected_dominating_set`; the least
-EDGE, ISOLATE_FREE and CONNECTED sets have at most two vertices and are
-read off directly: vertex 0, or the first edge.
+connected form, :func:`graphs.minimum_connected_dominating_set`; each is
+searched once per graph and stored on it (:func:`graphs.graph_memo`).  The
+least EDGE, ISOLATE_FREE and CONNECTED sets have at most two vertices and
+are read off directly: vertex 0, or the first edge.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graphs import (
     SUBSET_ENUM_CAP,
     Graph,
     check_order,
+    graph_memo,
     is_connected,
     least_covering_set,
     mask_connected,
@@ -140,14 +142,21 @@ def min_property_witness(
     """First qualifying subset in size-then-lexicographic order, or None
     when no subset qualifies.
 
-    With a ``deadline`` (a ``time.monotonic()`` value) the DOM, TDOM and
-    CDOM searches raise SearchTimeout once it is passed.
+    The DOM, TDOM and CDOM sets are searched once per graph and stored on
+    ``g``, each under its own key; ``max_n`` is checked on every call.
+    With a ``deadline`` (a ``time.monotonic()`` value) their searches
+    raise SearchTimeout once it is passed and store nothing; a stored set
+    is returned without a search.
     """
     check_order(g.n, max_n)
     if prop is _DOM:
-        return least_covering_set(g.closed_bits, deadline=deadline)
+        return graph_memo(
+            g, "_least_dom", lambda: least_covering_set(g.closed_bits, deadline=deadline)
+        )
     if prop is _TDOM:  # None at once when some vertex has no neighbour
-        return least_covering_set(g.adj_bits, deadline=deadline)
+        return graph_memo(
+            g, "_least_tdom", lambda: least_covering_set(g.adj_bits, deadline=deadline)
+        )
     if prop is _CDOM:
         if not is_connected(g):  # no dominating set is connected
             return None

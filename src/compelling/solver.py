@@ -83,9 +83,9 @@ from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
     SearchTimeout,
-    bfs_layers,
     check_order,
     chromatic_number,
+    cut_table,
     is_connected,
     iter_bits,
 )
@@ -796,26 +796,22 @@ def _search_separators(
     disconnected: the local form of the tree result that every interior
     vertex is a singleton class.
 
+    The table is read off :func:`graphs.cut_table`, one low-link search,
+    O(n + m): the vertices 0..v meet two components of G - x once v
+    reaches the lowest vertex of the second one.
+
     With a ``deadline`` (a ``time.monotonic()`` value) it raises
-    SearchTimeout once that is passed, checked before each of the n + 1
-    searches for components.
+    SearchTimeout when that has passed on entry.
     """
     if prop not in (SubsetProperty.CONNECTED, SubsetProperty.CDOM):
         return None
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout("the deadline passed building the separator table")
     n = g.n
-    adj = g.adj_bits
     armed = [0] * n
-    for x in range(n + 1):  # x == n removes no vertex
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("the deadline passed building the separator table")
-        rest = g.full_mask & ~(1 << x)
-        starts = (layer for depth, layer in bfs_layers(adj, rest) if not depth)
-        next(starts, None)
-        second = next(starts, 0)
+    for x, second in enumerate(cut_table(g)):  # x == n removes no vertex
         if second:
-            # the vertices 0..v meet two components once v reaches the
-            # lowest vertex of the second one
-            armed[second.bit_length() - 1] |= 1 << x
+            armed[second] |= 1 << x
     for v in range(1, n):
         armed[v] |= armed[v - 1]
     return tuple(armed) if armed and armed[-1] else None

@@ -10,8 +10,10 @@ the same seed reproduces every corpus and every verdict.
 The suites hold no verdict code of their own: the per-vertex kernels and
 the committee scanner are the solver's, the total domination test is the
 solver's TDOM kernel, and induced-subgraph searches go through
-:func:`compelling.graphs.bfs_layers`.  Exact values that several suites
-ask for are memoized with :func:`functools.cache`.
+:func:`compelling.graphs.bfs_layers`.  The per-graph invariants that
+several suites ask for (connectivity, chromatic number, least qualifying
+sets) are stored on each graph by the library itself; compelling
+chromatic numbers are memoized here with :func:`functools.cache`.
 """
 
 from __future__ import annotations
@@ -143,29 +145,15 @@ def named_families(max_n: int = 9) -> list[Graph]:
     return graphs
 
 
-# Several suites interrogate the same graphs, so the exact values are
-# memoized process-wide.  Each body calls the module-level function, so a
-# wrapper bound to that name sees every computed value.
-
-
-@cache
-def _chi(g: Graph) -> int:
-    return chromatic_number(g)
+# Several suites ask for the compelling chromatic number of the same
+# corpus graph, so it is memoized process-wide.  The body calls the
+# module-level function, so a wrapper bound to that name sees every
+# computed value.
 
 
 @cache
 def _chi_p(g: Graph, prop: SubsetProperty) -> int | None:
     return compelling_chromatic_number(g, prop).value
-
-
-@cache
-def _m_p(g: Graph, prop: SubsetProperty) -> int | None:
-    return min_property_size(prop, g)
-
-
-@cache
-def _connected(g: Graph) -> bool:
-    return is_connected(g)
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +376,16 @@ def suite_bounds(seed: int = DEFAULT_SEED) -> SuiteResult:
     bad_general = []
     bad_conn = []
     for g in corpus:
-        chi = _chi(g)
+        chi = chromatic_number(g)
         for prop in up_props:
-            m = _m_p(g, prop)
+            m = min_property_size(prop, g)
             if m is None:
                 continue
             value = _chi_p(g, prop)
             if value is None or not max(m, chi) <= value <= m + chi:
                 bad_general.append((g.name, prop.value, value, m, chi))
-        if g.n >= 2 and _connected(g):
-            gamma = _m_p(g, SubsetProperty.CDOM)
+        if g.n >= 2 and is_connected(g):
+            gamma = min_property_size(SubsetProperty.CDOM, g)
             value = _chi_p(g, SubsetProperty.CONNECTED)
             if value is None or not max(chi, gamma) <= value <= chi + gamma:
                 bad_conn.append((g.name, value, gamma, chi))
@@ -425,8 +413,8 @@ def suite_disjoint_union(seed: int = DEFAULT_SEED) -> SuiteResult:
             m2 = min_property_size(prop, g2)
             if m1 is None or m2 is None:
                 continue
-            c1 = compelling_chromatic_number(g1, prop).value
-            c2 = compelling_chromatic_number(g2, prop).value
+            c1 = _chi_p(g1, prop)
+            c2 = _chi_p(g2, prop)
             lo, hi = disjoint_union_bounds(prop, [(c1, m1), (c2, m2)])
             cu = compelling_chromatic_number(union, prop).value
             checked += 1
@@ -454,7 +442,7 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
         cb = is_complete_bipartite(g)
         edge = _chi_p(g, SubsetProperty.EDGE)
         conn = _chi_p(g, SubsetProperty.CONNECTED)
-        chi = _chi(g)
+        chi = chromatic_number(g)
         if (edge == 2) != cb:
             bad_edge2.append((g.name, edge, cb))
         if (conn == 2) != cb:
@@ -464,7 +452,7 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
         if 2 * chi >= g.n + 2 and edge != chi:
             bad_high.append((g.name, chi, edge))
         if 2 * chi == g.n + 1 and edge != chi:
-            shape = "connected" if _connected(g) else "disconnected"
+            shape = "connected" if is_connected(g) else "disconnected"
             probe_hits.setdefault((shape, g.n, chi, edge), []).append(g.name)
     for (shape, n, chi, edge), names in sorted(probe_hits.items()):
         result.notes.append(
@@ -499,7 +487,7 @@ def suite_diameter(seed: int = DEFAULT_SEED) -> SuiteResult:
     bad = []
     hits = 0
     for g in corpus:
-        if not _connected(g):
+        if not is_connected(g):
             continue
         if _chi_p(g, SubsetProperty.EDGE) == 3:
             hits += 1
@@ -573,7 +561,7 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
     )
     bad_conn3 = []
     for g in main_corpus(seed):
-        if g.n < 2 or not _connected(g):
+        if g.n < 2 or not is_connected(g):
             continue
         want = _chi_p(g, SubsetProperty.CONNECTED) == 3
         if chi_connected_is_3(g) != want:

@@ -84,6 +84,29 @@ def components(g: Graph, without: int | None = None) -> list[set[int]]:
     return comps
 
 
+def second_component_lows(g: Graph) -> list[int]:
+    """For x in 0..n-1 the lowest vertex of the second component of G - x,
+    and at x = n that of G itself, by one component search each; 0 when
+    there is no second component."""
+    out = []
+    for x in [*range(g.n), None]:
+        comps = components(g, x)
+        out.append(min(comps[1]) if len(comps) > 1 else 0)
+    return out
+
+
+def separator_table(g: Graph) -> tuple[int, ...] | None:
+    """The arming table of the separator cut from one component search of
+    G - x for each of the n + 1 choices of x (x = n removes no vertex):
+    entry v has bit x set once the vertices 0..v meet two components of
+    G - x.  None when no entry has a bit set."""
+    armed = [0] * g.n
+    for x, low in enumerate(second_component_lows(g)):
+        for v in range(low, g.n) if low else ():
+            armed[v] |= 1 << x
+    return tuple(armed) if any(armed) else None
+
+
 def bipartition(
     g: Graph, within: set[int] | None = None
 ) -> tuple[set[int], set[int]] | None:

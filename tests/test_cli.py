@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -474,6 +475,29 @@ def test_family_table_truncates_before_building_an_order_over_the_cap():
     assert parse_family_csv(done.stdout) == []
 
 
+def test_family_table_skips_a_far_negative_range_with_one_warning(capsys):
+    # the n below the family minimum are skipped in one step, with one
+    # line for all of them
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "family-table", "path", "--n-range=-2000000:1", "--property", "dom"
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert err == "warning: skipping n=-2000000..0: below the path family minimum\n"
+    assert parse_family_csv(out) == [
+        {"n": 1, "solver": 1, "closed_form": None, "match": None}
+    ]
+
+
+def test_family_table_keeps_the_line_of_a_single_skipped_n(capsys):
+    code, _, err = run(
+        capsys, "family-table", "cycle", "--n-range", "2:3", "--property", "edge"
+    )
+    assert code == 0
+    assert err == "warning: skipping n=2: below the cycle family minimum\n"
+
+
 def test_family_order_is_the_instance_order():
     for floor, order, build, _ in _FAMILIES.values():
         for n in range(floor, floor + 6):
@@ -701,7 +725,8 @@ def cli_code(argv) -> int:
 def test_cli_fuzz_exits_zero_one_or_two(tmp_path_factory, data):
     # orders stay small in process: chi refuses a header over 8 vertices
     # by the --max-n drawn with it, check by the coloring's few lines, and
-    # family-table instances have at most 14 (huge orders are run_capped's)
+    # family-table instances have at most 14 (huge orders are run_capped's);
+    # a range end far below the family minimum is skipped in one step
     draw = data.draw
     n = draw(st.integers(-1, 9))
     n = 99999999999 if n == 9 else n
@@ -722,7 +747,8 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path_factory, data):
         argv = ["check", str(graph), str(coloring), *options]
     else:
         family = draw(st.sampled_from(sorted(_FAMILIES) + ["nope"]))
-        lo, hi = draw(st.integers(-3, 6)), draw(st.integers(-3, 6))
+        ends = st.one_of(st.integers(-3, 6), st.integers(-99999999999, -4))
+        lo, hi = draw(ends), draw(ends)
         span = f"{lo}{draw(st.sampled_from((':', ':', '..', '-', '~')))}{hi}"
         argv = ["family-table", family, f"--n-range={span}", "--max-n", str(max_n)]
         argv += options

@@ -38,6 +38,8 @@ from compelling import (
     radius,
 )
 from compelling.graphs import (
+    GraphTooLarge,
+    cut_table,
     eccentricities,
     iter_bits,
     least_covering_set,
@@ -50,6 +52,7 @@ from oracles import (
     distances,
     induces_connected,
     is_dominating,
+    second_component_lows,
 )
 
 
@@ -303,11 +306,22 @@ def test_chromatic_number_cap():
 
 def test_chromatic_number_deadline():
     # the first-fit coloring needs more colors than the clique it starts
-    # from, so the search runs well past 1024 steps here
+    # from, so the search runs well past 1024 steps here.  The timed-out
+    # search stores nothing, so the untimed call after it still searches.
     g = make_random_graph(30, 0.5, 2)
-    assert chromatic_number(g, max_n=30) == 7
     with pytest.raises(SearchTimeout, match="chromatic number search"):
         chromatic_number(g, max_n=30, deadline=time.monotonic() - 1)
+    assert chromatic_number(g, max_n=30) == 7
+
+
+def test_stored_chromatic_number_needs_no_search():
+    # a value is stored on the graph, so a later call past its deadline
+    # returns it; the size cap is still checked on every call
+    g = make_random_graph(30, 0.5, 2)
+    assert chromatic_number(g, max_n=30) == 7
+    assert chromatic_number(g, max_n=30, deadline=time.monotonic() - 1) == 7
+    with pytest.raises(GraphTooLarge):
+        chromatic_number(g, max_n=29)
 
 
 def test_chromatic_number_has_no_depth_limit():
@@ -348,6 +362,17 @@ def test_minimum_cds_is_valid_and_deterministic():
     cds = minimum_connected_dominating_set(g)
     assert is_dominating(g, set(cds)) and induces_connected(g, set(cds))
     assert cds == minimum_connected_dominating_set(g)
+
+
+@pytest.mark.parametrize("n, seed", [(24, 5), (28, 3)])
+def test_cut_vertices_settle_tree_connected_domination(n, seed):
+    # every interior vertex of a tree is a cut vertex, so the must-pick cut
+    # finds the interior in under 1024 steps: a passed deadline is never
+    # checked (without the cut these searches take seconds)
+    t = make_random_tree(n, seed)
+    interior = tuple(v for v in range(n) if t.degree(v) > 1)
+    deadline = time.monotonic() - 1
+    assert minimum_connected_dominating_set(t, max_n=40, deadline=deadline) == interior
 
 
 def test_least_covering_set_reports_an_uncoverable_vertex():
@@ -468,6 +493,60 @@ def test_minimum_cds_matches_size_lex_oracle(g):
         return
     want = brute_min_witness(SubsetProperty.CDOM, g)
     assert minimum_connected_dominating_set(g) == want
+
+
+@st.composite
+def trees_and_cycles(draw, max_n=10):
+    """A random tree or a cycle on at most ``max_n`` vertices."""
+    n = draw(st.integers(1, max_n))
+    if n >= 3 and draw(st.booleans()):
+        return make_cycle(n)
+    return make_random_tree(n, draw(st.integers(0, 2**20)))
+
+
+@BFS_SETTINGS
+@given(
+    st.one_of(
+        graphs_up_to(),
+        trees_and_cycles(),
+        st.builds(disjoint_union, trees_and_cycles(5), trees_and_cycles(5)),
+    )
+)
+@examples(
+    make_path(1),
+    make_complete(2),
+    disjoint_union(make_complete(2), make_empty(1)),
+    make_cycle(10),
+    make_star(6),
+    EDGELESS,
+    SCATTERED,
+)
+def test_cut_table_matches_component_oracle(g):
+    assert cut_table(g) == tuple(second_component_lows(g))
+
+
+@BFS_SETTINGS
+@given(graphs_up_to(8), st.integers(0, 2**8 - 1), st.booleans())
+@example(make_star(3), 0b100, False)
+@example(make_path(5), 0b10001, True)
+def test_least_covering_set_holds_its_must_vertices(g, bits, connected):
+    # with must vertices that no cut implies, the search gives the first
+    # dominating (and connected) set in size-then-lex order that holds them
+    must = {v for v in range(g.n) if bits >> v & 1}
+    want = next(
+        (
+            combo
+            for size in range(1, g.n + 1)
+            for combo in itertools.combinations(range(g.n), size)
+            if must <= set(combo)
+            and is_dominating(g, set(combo))
+            and (not connected or induces_connected(g, set(combo)))
+        ),
+        None,
+    )
+    adj_bits = g.adj_bits if connected else None
+    got = least_covering_set(g.closed_bits, adj_bits, must=bits & g.full_mask)
+    assert got == want
 
 
 @BFS_SETTINGS

@@ -62,7 +62,7 @@ from compelling.solver import (
     _unplaced_tables,
 )
 from compelling.verify import main_corpus
-from oracles import brute_compelling, brute_min_witness, components
+from oracles import brute_compelling, brute_min_witness, components, separator_table
 
 P = SubsetProperty
 
@@ -344,6 +344,13 @@ def test_separator_tables():
         assert _search_separators(h, P.CONNECTED) is None
     for prop in (P.DOM, P.TDOM, P.ISOLATE_FREE, P.EDGE):
         assert _search_separators(make_path(4), prop) is None
+
+
+@CUT_SETTINGS
+@given(st.one_of(small_graphs(10), connected_graphs(max_n=10)))
+def test_separator_table_matches_the_component_oracle(g):
+    # the table read off the cut table against n + 1 component searches
+    assert _search_separators(g, P.CONNECTED) == separator_table(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compelling import (
     Coloring,
+    disjoint_union,
     Graph,
     SearchTimeout,
     SubsetProperty,
@@ -22,6 +23,7 @@ from compelling import (
     make_path,
     make_random_graph,
     make_random_tree,
+    min_property_witness,
     rainbow_committees,
     validate_coloring,
 )
@@ -346,6 +348,22 @@ def test_chi_deterministic():
     first = compelling_chromatic_number(g, P.EDGE)
     second = compelling_chromatic_number(g, P.EDGE)
     assert first == second
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+@example(make_path(4))  # its least dominating and total dominating sets differ
+@example(disjoint_union(make_complete(2), make_empty(1)))
+@example(make_random_tree(7, 2))
+def test_stored_values_match_a_fresh_graph(g):
+    # one graph asked for every property in turn, its invariants stored on
+    # it as they come, gives what a fresh equal graph gives each property
+    for prop in P:
+        fresh = Graph.from_edges(g.n, g.edges)
+        assert min_property_witness(prop, g) == min_property_witness(prop, fresh)
+        assert chi_bounds(g, prop) == chi_bounds(fresh, prop)
+        want = compelling_chromatic_number(fresh, prop)
+        assert compelling_chromatic_number(g, prop) == want
 
 
 def test_chi_size_cap():
