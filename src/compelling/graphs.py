@@ -17,7 +17,8 @@ subset search, :func:`least_covering_set`.
 Each invariant that a graph is asked for again and again is computed once
 per :class:`Graph` and stored on it by :func:`graph_memo`: connectivity,
 the chromatic number, the least dominating, total dominating and connected
-dominating sets, and the cut table of :func:`cut_table`.  A stored value
+dominating sets, the cut table of :func:`cut_table` and the
+separation-pair table of :func:`separation_pairs`.  A stored value
 lives exactly as long as its graph.  The memo is keyed by the invariant
 alone: a deadline does not change a value, so a search that times out
 stores nothing and a stored value is returned to every later call, timed
@@ -139,9 +140,10 @@ def mask_independent(adj_bits: tuple[int, ...], mask: int) -> bool:
 _MISSING = object()
 
 
-def graph_memo(g: "Graph", key: str, compute):
+def graph_memo(g: "Graph", key: str, compute=None):
     """The value stored on ``g`` under ``key``, or else ``compute()``,
-    stored there once it returns.
+    stored there once it returns.  With no ``compute``, the stored value
+    or None.
 
     Values go in the graph's ``__dict__``, where
     :func:`functools.cached_property` keeps ``adj_bits``, so a value lives
@@ -153,6 +155,8 @@ def graph_memo(g: "Graph", key: str, compute):
     store = g.__dict__
     value = store.get(key, _MISSING)
     if value is _MISSING:
+        if compute is None:
+            return None
         value = store[key] = compute()
     return value
 
@@ -514,10 +518,63 @@ def cut_table(g: Graph) -> tuple[int, ...]:
     One low-link depth-first search per component (Hopcroft and Tarjan,
     1973), O(n + m), stored on ``g``.
     """
-    return graph_memo(g, "_cut_table", lambda: _cut_table(g))
+    return graph_memo(g, "_cut_table", lambda: _cut_table(g, g.full_mask))
 
 
-def _cut_table(g: Graph) -> tuple[int, ...]:
+def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = True):
+    """The separation-pair table of ``g``, stored on ``g``: a triple
+    (rows, partners, armed).  With ``build`` false, the stored table, or
+    None when none is stored yet.
+
+    Row x is the cut table of G - x (:func:`cut_table`): for y != x the
+    lowest vertex of the second component of G - {x, y}, 0 where there is
+    none; at y = n that of G - x; 0 at y = x.  Rows are tuples of vertex
+    indices, not bitmasks, so the table takes O(n^2) space (about 40 MB
+    for a 1501-vertex cycle), and n low-link searches, O(n(n + m)) time.
+
+    A separating pair here is a pair {x, y} such that G - x and G - y are
+    connected and G - {x, y} is not: on a connected graph, two vertices
+    that are not cut vertices and together split it (a separation pair of
+    Hopcroft and Tarjan, 1973, in a 2-connected block).  ``partners[x]`` is
+    the bitmask of the vertices that form one with x, and ``armed[v]`` the
+    bitmask of the vertices x that form one with some y such that the
+    second component of G - {x, y} starts at v or before; ``armed[n - 1]``
+    is every vertex that lies in a separating pair.  A tree has none, as
+    its blocks are edges, and so has a disconnected graph, where G - x is
+    connected only when x is an isolated vertex and G has two components.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the build raises
+    SearchTimeout once it is passed, checked once per row.
+    """
+    if not build:
+        return graph_memo(g, "_separation_pairs")
+    return graph_memo(g, "_separation_pairs", lambda: _separation_pairs(g, deadline))
+
+
+def _separation_pairs(g: Graph, deadline: float | None):
+    n = g.n
+    rows = []
+    for x in range(n):
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout("the deadline passed building the separation pairs")
+        rows.append(_cut_table(g, g.full_mask & ~(1 << x)))
+    whole = [not row[n] for row in rows]  # G - x is connected
+    partners = [0] * n
+    armed = [0] * n
+    for x, row in enumerate(rows):
+        if whole[x]:
+            for y, second in enumerate(row[:n]):
+                if second and whole[y]:
+                    partners[x] |= 1 << y
+                    armed[second] |= 1 << x
+    for v in range(1, n):
+        armed[v] |= armed[v - 1]
+    return tuple(rows), tuple(partners), tuple(armed)
+
+
+def _cut_table(g: Graph, mask: int) -> tuple[int, ...]:
+    """:func:`cut_table` of the subgraph induced by the bitmask ``mask``,
+    indexed by the vertices of ``g``: 0 at every vertex outside ``mask``."""
     n = g.n
     adj = g.adj_bits
     order = [-1] * n  # discovery index
@@ -532,13 +589,13 @@ def _cut_table(g: Graph) -> tuple[int, ...]:
     todo = [0] * n  # the neighbours of each vertex not yet scanned
     roots = []  # the lowest vertex of each component, ascending
     count = 0
-    for r in range(n):
+    for r in iter_bits(mask):
         if order[r] >= 0:
             continue
         roots.append(r)
         order[r] = low[r] = count
         count += 1
-        todo[r] = adj[r]
+        todo[r] = adj[r] & mask
         stack = [r]
         while stack:
             v = stack[-1]
@@ -550,7 +607,7 @@ def _cut_table(g: Graph) -> tuple[int, ...]:
                 if order[w] < 0:
                     order[w] = low[w] = count
                     count += 1
-                    todo[w] = adj[w]
+                    todo[w] = adj[w] & mask
                     stack.append(w)
                 elif order[w] < low[v]:  # the tree edge to v's parent too
                     low[v] = order[w]
@@ -571,14 +628,19 @@ def _cut_table(g: Graph) -> tuple[int, ...]:
                     low2[p] = s
     # The components of G - x: the other components of G, the subtrees
     # split off at x, and, unless x is its component's root, the part
-    # holding that root.  Three roots hold the two lowest pieces besides.
-    head = roots[:3]
-    table = []
-    for x in range(n):
-        lows = sorted([r for r in head if r != x] + [low1[x], low2[x]])
-        table.append(lows[1] if lows[1] < n else 0)
-    table.append(roots[1] if len(roots) > 1 else 0)
-    return tuple(table)
+    # holding that root.  With r0 < r1 < r2 the lowest roots, the second
+    # lowest piece is min(low1[x], r1) unless x is r0 or r1, as low1[x] is
+    # above x's own root.
+    r0, r1, r2 = (roots + [n, n, n])[:3]
+    table = [s if s < r1 else r1 for s in low1]
+    if r1 < n:
+        table[r1] = min(low1[r1], r2)
+    if r0 < n:
+        table[r0] = sorted([r1, r2, low1[r0], low2[r0]])[1]
+    for x in iter_bits(g.full_mask & ~mask):
+        table[x] = n
+    table.append(r1)
+    return tuple(s if s < n else 0 for s in table)
 
 
 def eccentricities(g: Graph) -> list[int]:

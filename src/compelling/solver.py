@@ -37,7 +37,7 @@ The exact search runs CDOM as CONNECTED.  CDOM has no bounds on a
 disconnected graph, so its search runs only on connected ones, and there
 the two compel the same colorings: with n >= 2 a coloring compelling
 connectivity compels domination too (:func:`_search_cover`), and with
-n = 1 both have the witness (0,).  The search applies three cuts inside
+n = 1 both have the witness (0,).  The search applies four cuts inside
 the canonical enumeration, each dropping only subtrees in which no
 coloring compels the property:
 
@@ -54,6 +54,13 @@ coloring compels the property:
   do): the committee through those two that avoids x is disconnected.  It
   is the local form of the tree result that every interior vertex of a
   tree is a singleton class, and 2-connected graphs get nothing from it;
+* the separation-pair test (CONNECTED) is its two-vertex form: it cuts
+  once two colors are open and two placed vertices x != y, each in a class
+  that keeps a placed vertex outside {x, y}, are such that two components
+  of G - {x, y} meet the placed vertices.  The placed vertices outside
+  {x, y} then carry two colors in different components, and the
+  committee through those two that avoids x and y is disconnected.  On a
+  cycle every two vertices that are not adjacent form such a pair;
 * the committee test (EDGE and CONNECTED) cuts, once all k colors are
   open, when the committee search finds a violating committee through the
   vertex just placed, which stays a committee, with the same vertex set,
@@ -88,6 +95,7 @@ from .graphs import (
     cut_table,
     is_connected,
     iter_bits,
+    separation_pairs,
 )
 from .properties import (
     SubsetProperty,
@@ -560,6 +568,24 @@ def _iter_canonical(
     at most one placed vertex has joined an open class, which is the
     separator cut's case.
 
+    For CONNECTED, the separation-pair cut runs just before each
+    committee search at a vertex v that joins an open class, with two
+    colors or more open, and a hit skips the search.  It cuts when two
+    placed vertices x != y, each in a class of two or more vertices, are
+    not together the whole of one class and two components of G - {x, y}
+    meet the vertices 0..v (the table of :func:`graphs.separation_pairs`).
+    Each of x's and y's classes then keeps a placed vertex outside
+    {x, y}, so the placed vertices outside {x, y} carry two colors and lie
+    in two components; some u and w of different colors lie in different
+    ones.  The committee through u and w that picks no x or y (each of
+    their classes has another placed vertex) is disconnected in every
+    completion.  The table costs n low-link searches, so it is read when
+    it is stored on g already, and else built only once n committee
+    searches in a row before all k colors are open have cut, and only when
+    G has as many edges as vertices.  It holds only the pairs of vertices
+    that are not cut vertices, which the separator cut covers; trees, the
+    connected graphs with fewer edges, and disconnected graphs have none.
+
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
 
@@ -575,9 +601,13 @@ def _iter_canonical(
         cover = (full,) * n  # every class fits: nothing is cut
     rules = separators is not None or committee is not None
     # the committee cut before all k colors are open, and its table, built
-    # when it first runs
+    # when it first runs; the separation-pair table, stored on g or built
+    # once ``streak``, the early committee searches that cut in a row,
+    # reaches n
     early = committee is _CONNECTED
     unplaced = None
+    pairs = separation_pairs(g, build=False) if early else None
+    streak = 0
     colors = [0] * n
     masks = [0] * k
     inside = [0] * k  # 0 while the class is not open
@@ -649,19 +679,29 @@ def _iter_canonical(
                         multi |= masks[c] | 1 << v
                     cut = now_used > 1 and separators and multi & separators[v]
                     if not cut and committee is not None and now_used == k:
-                        part = masks.copy()
-                        part[c] = 1 << v
-                        pick = _committee_pick(g, part, committee, deadline)
-                        cut = pick is not None
+                        if pairs is not None and c < used and k > 1:
+                            cut = _paired(pairs, multi, v, colors, masks, c)
+                        if not cut:
+                            part = masks.copy()
+                            part[c] = 1 << v
+                            pick = _committee_pick(g, part, committee, deadline)
+                            cut = pick is not None
                     elif not cut and early and c < used and 1 < used < v:
-                        if unplaced is None:
-                            unplaced = _unplaced_tables(g)
-                        part = masks[:used]
-                        part[c] |= 1 << v
-                        pick = _committee_pick(
-                            g, part, committee, deadline, unplaced[v]
-                        )
-                        cut = pick is not None
+                        if pairs is not None:
+                            cut = _paired(pairs, multi, v, colors, masks, c)
+                        if not cut:
+                            if unplaced is None:
+                                unplaced = _unplaced_tables(g)
+                            part = masks[:used]
+                            part[c] |= 1 << v
+                            pick = _committee_pick(
+                                g, part, committee, deadline, unplaced[v]
+                            )
+                            cut = pick is not None
+                            if pairs is None:
+                                streak = streak + 1 if cut else 0
+                                if streak == n and g.edge_count >= n:
+                                    pairs = separation_pairs(g, deadline)
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -682,6 +722,35 @@ def _iter_canonical(
         masks[c] &= ~(1 << v)
         inside[c] = held_at[v]
         c += 1
+
+
+def _paired(pairs, multi: int, v: int, colors, masks, c: int) -> bool:
+    """The separation-pair cut of :func:`_iter_canonical`, with v just
+    placed in class c: two vertices x != y of ``multi``, the placed
+    vertices in classes of two or more, form a separating pair whose
+    second component starts at v or before, and are not together the
+    whole of one class.  ``pairs`` is the table of
+    :func:`graphs.separation_pairs`; ``masks`` and ``colors`` hold the
+    classes before v joined.  Each x is taken below the highest vertex of
+    the pair, so below v, and its class is ``masks[colors[x]]``, with v
+    added when v joined it."""
+    rows, partners, armed = pairs
+    cand = multi & armed[v]
+    while cand & (cand - 1):
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        row = rows[x]
+        own = masks[colors[x]]
+        if colors[x] == c:
+            own |= 1 << v
+        rest = cand & partners[x]
+        while rest:
+            high = rest & -rest
+            rest ^= high
+            if row[high.bit_length() - 1] <= v and own != low | high:
+                return True
+    return False
 
 
 def _outnumbered(cover, loose: int, room: int, v: int) -> bool:
@@ -836,7 +905,8 @@ def compelling_chromatic_number(
     TDOM and ISOLATE_FREE, and CONNECTED on a connected graph with n >= 2,
     cut subtrees inside the enumeration with the per-vertex test of
     :func:`_search_cover`; CONNECTED also with the separator test of
-    :func:`_search_separators`, and EDGE and CONNECTED with the committee
+    :func:`_search_separators` and its two-vertex form, the separation-pair
+    test, and EDGE and CONNECTED with the committee
     search for a violating committee through the vertex just placed once
     all k colors are open (see :func:`_iter_canonical`).  CONNECTED runs
     that search earlier too, when the vertex just placed joins an open

@@ -65,10 +65,10 @@ def distances(g: Graph, root: int) -> dict[int, int]:
     return dist
 
 
-def components(g: Graph, without: int | None = None) -> list[set[int]]:
-    """The components of G - ``without`` (of G when it is None), each a
-    vertex set, in order of their lowest vertex."""
-    rest = set(range(g.n)) - {without}
+def components(g: Graph, without=frozenset()) -> list[set[int]]:
+    """The components of G - ``without``, a vertex set (G itself when it
+    is empty), each a vertex set, in order of their lowest vertex."""
+    rest = set(range(g.n)) - set(without)
     comps = []
     while rest:
         root = min(rest)
@@ -84,15 +84,42 @@ def components(g: Graph, without: int | None = None) -> list[set[int]]:
     return comps
 
 
+def second_component_low(g: Graph, without) -> int:
+    """The lowest vertex of the second component of G - ``without``, a
+    vertex set, by one component search; 0 when there is none."""
+    comps = components(g, without)
+    return min(comps[1]) if len(comps) > 1 else 0
+
+
 def second_component_lows(g: Graph) -> list[int]:
     """For x in 0..n-1 the lowest vertex of the second component of G - x,
-    and at x = n that of G itself, by one component search each; 0 when
-    there is no second component."""
-    out = []
-    for x in [*range(g.n), None]:
-        comps = components(g, x)
-        out.append(min(comps[1]) if len(comps) > 1 else 0)
-    return out
+    and at x = n that of G itself; 0 when there is no second component."""
+    lows = [second_component_low(g, {x}) for x in range(g.n)]
+    return lows + [second_component_low(g, set())]
+
+
+def separation_pair_rows(g: Graph) -> list[list[int]]:
+    """The rows of the separation-pair table by one component search per
+    pair: row x holds, for y != x, the lowest vertex of the second
+    component of G - {x, y}, 0 at y = x, and at y = n that of G - x."""
+    return [
+        [0 if y == x else second_component_low(g, {x, y}) for y in range(g.n)]
+        + [second_component_low(g, {x})]
+        for x in range(g.n)
+    ]
+
+
+def separating_pairs(g: Graph) -> dict[frozenset[int], int]:
+    """Each pair {x, y} such that G - x and G - y are connected and
+    G - {x, y} is not, mapped to the lowest vertex of the second component
+    of G - {x, y}."""
+    whole = [len(components(g, {x})) <= 1 for x in range(g.n)]
+    pairs = {}
+    for x, y in itertools.combinations(range(g.n), 2):
+        comps = components(g, {x, y})
+        if whole[x] and whole[y] and len(comps) > 1:
+            pairs[frozenset((x, y))] = min(comps[1])
+    return pairs
 
 
 def separator_table(g: Graph) -> tuple[int, ...] | None:

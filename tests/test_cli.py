@@ -181,6 +181,22 @@ def test_chi_on_a_long_cycle_finishes(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_chi_connected_on_a_long_cycle_times_out_in_a_small_heap(tmp_path):
+    # the early committee searches of C1501 at 1,499 colors all cut, so the
+    # search builds the separation-pair table, 1,501 low-link searches of
+    # 1,500 vertices; it stops at the deadline within a row, in 250 MB
+    path = tmp_path / "c1501.graph"
+    path.write_text(format_graph(make_cycle(1501)))
+    done = run_capped(
+        "chi", str(path), "--property", "connected", "--max-n", "2000",
+        "--timeout-secs", "1", limit=250_000_000,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("timeout:")
+    assert "Traceback" not in done.stderr
+    assert not done.stdout
+
+
 def test_chi_refuses_an_order_over_the_cap_from_the_header(tmp_path):
     # a graph of 99,999,999,999 vertices is never built
     path = tmp_path / "huge.graph"

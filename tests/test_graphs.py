@@ -44,6 +44,7 @@ from compelling.graphs import (
     iter_bits,
     least_covering_set,
     mask_connected,
+    separation_pairs,
 )
 from oracles import (
     bipartition,
@@ -53,6 +54,8 @@ from oracles import (
     induces_connected,
     is_dominating,
     second_component_lows,
+    separating_pairs,
+    separation_pair_rows,
 )
 
 
@@ -523,6 +526,83 @@ def trees_and_cycles(draw, max_n=10):
 )
 def test_cut_table_matches_component_oracle(g):
     assert cut_table(g) == tuple(second_component_lows(g))
+
+
+@st.composite
+def mops(draw, max_n=10):
+    """A random maximal outerplanar graph on 3 to ``max_n`` vertices."""
+    return make_random_mop(draw(st.integers(3, max_n)), draw(st.integers(0, 2**20)))
+
+
+@BFS_SETTINGS
+@given(
+    st.one_of(
+        graphs_up_to(),
+        trees_and_cycles(),
+        mops(),
+        st.builds(disjoint_union, trees_and_cycles(5), mops(5)),
+    )
+)
+@examples(
+    make_path(1),
+    make_complete(2),
+    make_path(3),
+    make_complete(3),
+    make_complete(4),
+    make_cycle(4),
+    make_empty(2),
+    disjoint_union(make_complete(2), make_empty(1)),
+    EDGELESS,
+    SCATTERED,
+)
+def test_separation_pairs_match_component_oracle(g):
+    # every row against one component search per pair, and the pairs of
+    # vertices that are not cut vertices against the component oracle
+    def bits(vertices):
+        return sum(1 << x for x in set(vertices))
+
+    rows, partners, armed = separation_pairs(g)
+    assert [list(row) for row in rows] == separation_pair_rows(g)
+    pairs = separating_pairs(g)
+    assert partners == tuple(
+        bits(y for y in range(g.n) if frozenset((x, y)) in pairs) for x in range(g.n)
+    )
+    assert armed == tuple(
+        bits(x for pair, low in pairs.items() if low <= v for x in pair)
+        for v in range(g.n)
+    )
+    assert armed[-1] == bits(x for pair in pairs for x in pair)
+
+
+def test_separation_pairs_of_small_graphs():
+    # C6: the pairs are the vertices at distance two or three; {0, 2}
+    # leaves {1} and {3, 4, 5}, whose second component starts at 3
+    rows, partners, armed = separation_pairs(make_cycle(6))
+    assert rows[0][2] == 3 and rows[0][1] == 0 and rows[0][6] == 0
+    assert partners[0] == 0b011100
+    # K4 is 3-connected, and trees and disconnected graphs have no pair of
+    # vertices that are not cut vertices
+    for g in (
+        make_complete(4),
+        make_path(6),
+        make_star(4),
+        disjoint_union(make_cycle(4), make_empty(1)),
+    ):
+        rows, partners, armed = separation_pairs(g)
+        assert not any(partners) and not any(armed)
+
+
+def test_separation_pairs_deadline_is_checked_per_row():
+    # the table of C1501 takes seconds; the deadline stops it within a
+    # row, and a table that timed out is not stored
+    g = make_cycle(1501)
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout, match="separation pairs"):
+        separation_pairs(g, deadline=start + 0.05)
+    assert time.monotonic() - start < 1
+    assert separation_pairs(g, build=False) is None
+    with pytest.raises(SearchTimeout, match="separation pairs"):
+        separation_pairs(make_path(3), deadline=start - 1)
 
 
 @BFS_SETTINGS

@@ -3,12 +3,13 @@
 ``compelling_chromatic_number`` searches CDOM as CONNECTED, since on a
 connected graph the two compel the same colorings, and cuts subtrees of
 the canonical search with per-vertex neighbourhood tests, the separator
-test (CONNECTED) and the committee test (EDGE, CONNECTED), which asks the
-committee search for a violating committee once all k colors are open,
-and for CONNECTED also before, with each unplaced vertex as a class of
-its own.  Those tests compare it against a leaf-only reference: the uncut
-enumeration from the lower bound up, with each completed coloring judged
-by the set-level oracle.
+test and its two-vertex form, the separation-pair test (CONNECTED), and
+the committee test (EDGE, CONNECTED), which asks the committee search for
+a violating committee once all k colors are open, and for CONNECTED also
+before, with each unplaced vertex as a class of its own.  Those tests
+compare it against a leaf-only reference: the uncut enumeration from the
+lower bound up, with each completed coloring judged by the set-level
+oracle.
 
 The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
 cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
@@ -51,6 +52,7 @@ from compelling import (
     minimum_connected_dominating_set,
 )
 from compelling import solver
+from compelling.graphs import separation_pairs
 from compelling.properties import eval_property_mask
 from compelling.solver import (
     _classes_from_masks,
@@ -96,7 +98,8 @@ def separated(g: Graph, colors) -> bool:
     for x in [None, *range(g.n)]:
         if x is not None and colors.count(colors[x]) < 2:
             continue
-        seen = [{colors[u] for u in comp} for comp in components(g, x)]
+        without = set() if x is None else {x}
+        seen = [{colors[u] for u in comp} for comp in components(g, without)]
         for s, t in itertools.combinations(seen, 2):
             if any(a != b for a in s for b in t):
                 return True
@@ -351,6 +354,111 @@ def test_separator_tables():
 def test_separator_table_matches_the_component_oracle(g):
     # the table read off the cut table against n + 1 component searches
     assert _search_separators(g, P.CONNECTED) == separator_table(g)
+
+
+# ---------------------------------------------------------------------------
+# The separation-pair cut (CONNECTED, and CDOM searched as CONNECTED)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mop_graphs(draw, max_n=8):
+    """A random maximal outerplanar graph on 3 to ``max_n`` vertices, whose
+    chords are separating pairs."""
+    return make_random_mop(draw(st.integers(3, max_n)), draw(st.integers(0, 2**20)))
+
+
+def relabelled(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@CUT_SETTINGS
+@given(
+    st.one_of(small_graphs(), connected_graphs(), mop_graphs()),
+    st.sampled_from(list(P)),
+)
+def test_pair_cut_matches_leaf_only_reference(g, prop):
+    # the table stored first, so the cut runs from the first committee
+    # search even where a search would not build it
+    separation_pairs(g)
+    assert compelling_chromatic_number(g, prop) == leaf_only_chi(g, prop)
+
+
+@CUT_SETTINGS
+@given(st.sampled_from((P.CONNECTED, P.CDOM)), st.booleans(), st.data())
+def test_pair_cut_leaves_are_the_compelling_uncut_leaves(prop, all_cuts, data):
+    # with the table stored, the enumerator as compelling_chromatic_number
+    # runs it, or with the committee cuts alone, so that the per-vertex and
+    # separator cuts hide no branch from the pair cut
+    more = (connected_graphs(), mop_graphs())
+    if prop is P.CONNECTED:
+        more += (small_graphs(),)
+    g = data.draw(st.one_of(*more))
+    separation_pairs(g)
+    k = data.draw(st.integers(1, g.n))
+    cuts = (
+        (_search_cover(g, P.CONNECTED), None, _search_separators(g, P.CONNECTED))
+        if all_cuts
+        else (None, None, None)
+    )
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, *cuts, P.CONNECTED)]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in _iter_canonical(g, k)
+        if brute_compelling(g, c, prop)
+    ]
+    assert cut == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 20), st.data())
+def test_pair_cut_on_relabelled_cycles(n, data):
+    g = relabelled(make_cycle(n), data.draw(st.permutations(range(n))))
+    separation_pairs(g)
+    res = compelling_chromatic_number(g, P.CONNECTED, max_n=40, timeout_s=10)
+    assert res.value == closed_forms.chi_conn_cycle(n)
+    assert res.witness.k == res.value
+    assert brute_compelling(g, res.witness.colors, P.CONNECTED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 14),
+    st.integers(0, 2**20),
+    st.sampled_from((P.CONNECTED, P.CDOM)),
+    st.data(),
+)
+def test_pair_cut_on_relabelled_mops(n, seed, prop, data):
+    mop = make_random_mop(n, seed)
+    g = relabelled(mop, data.draw(st.permutations(range(n))))
+    separation_pairs(g)
+    res = compelling_chromatic_number(g, prop, max_n=40, timeout_s=10)
+    assert res.value == closed_forms.chi_conn_mop(mop)
+    assert brute_compelling(g, res.witness.colors, prop)
+
+
+def test_pair_cut_fires_on_a_cycle(monkeypatch):
+    # C12 refutes 10 colors by disconnected committees; the search builds
+    # the table after its first 12 early committee searches, all of which
+    # cut, and the pair cut then takes the place of most of the rest
+    rule = solver._paired
+    hits = []
+
+    def rule_spy(*args):
+        hit = rule(*args)
+        hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(solver, "_paired", rule_spy)
+    g = make_cycle(12)
+    res = compelling_chromatic_number(g, P.CONNECTED)
+    assert res.value == closed_forms.chi_conn_cycle(12)
+    assert separation_pairs(g, build=False) is not None
+    assert sum(hits) > len(hits) / 2
+    # a tree has no separating pair, so no search builds its table
+    tree = make_random_tree(20, 3)
+    compelling_chromatic_number(tree, P.CONNECTED, max_n=40)
+    assert separation_pairs(tree, build=False) is None
 
 
 # ---------------------------------------------------------------------------
