@@ -19,7 +19,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import cache
 
 from .closed_forms import (
     chi_conn_cycle,
@@ -69,7 +70,9 @@ class RunReport:
     elapsed_s: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        # the fields as they are: ``dataclasses.asdict`` would deep-copy
+        # every result row first, for the same text
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
 class CliError(Exception):
@@ -485,7 +488,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`.  It is built once per process and
+    shared by every call, so callers must not change it; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="compelling",
         description="Exact compelling chromatic numbers of small graphs.",

@@ -522,29 +522,23 @@ def cut_table(g: Graph) -> tuple[int, ...]:
 
 
 def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = True):
-    """The separation-pair table of ``g``, stored on ``g``: a triple
-    (rows, partners, armed).  With ``build`` false, the stored table, or
-    None when none is stored yet.
-
-    Row x is the cut table of G - x (:func:`cut_table`): for y != x the
-    lowest vertex of the second component of G - {x, y}, 0 where there is
-    none; at y = n that of G - x; 0 at y = x.  Rows are tuples of vertex
-    indices, not bitmasks, so the table takes O(n^2) space (about 40 MB
-    for a 1501-vertex cycle), and n low-link searches, O(n(n + m)) time.
+    """The separation-pair table of ``g``, stored on ``g``: a pair
+    (partners, paired).  With ``build`` false, the stored table, or None
+    when none is stored yet.
 
     A separating pair here is a pair {x, y} such that G - x and G - y are
     connected and G - {x, y} is not: on a connected graph, two vertices
     that are not cut vertices and together split it (a separation pair of
     Hopcroft and Tarjan, 1973, in a 2-connected block).  ``partners[x]`` is
-    the bitmask of the vertices that form one with x, and ``armed[v]`` the
-    bitmask of the vertices x that form one with some y such that the
-    second component of G - {x, y} starts at v or before; ``armed[n - 1]``
-    is every vertex that lies in a separating pair.  A tree has none, as
-    its blocks are edges, and so has a disconnected graph, where G - x is
+    the bitmask of the vertices that form one with x, and ``paired`` the
+    bitmask of the vertices that lie in one.  A tree has none, as its
+    blocks are edges, and so has a disconnected graph, where G - x is
     connected only when x is an isolated vertex and G has two components.
 
-    With a ``deadline`` (a ``time.monotonic()`` value) the build raises
-    SearchTimeout once it is passed, checked once per row.
+    The table takes O(n) space and one low-link search (:func:`cut_table`)
+    of G - x for each x with G - x connected, O(n(n + m)) time.  With a
+    ``deadline`` (a ``time.monotonic()`` value) the build raises
+    SearchTimeout once it is passed, checked once per vertex.
     """
     if not build:
         return graph_memo(g, "_separation_pairs")
@@ -553,23 +547,16 @@ def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = T
 
 def _separation_pairs(g: Graph, deadline: float | None):
     n = g.n
-    rows = []
+    cuts = cut_table(g)
+    whole = sum(1 << x for x in range(n) if not cuts[x])  # G - x is connected
+    partners = [0] * n
     for x in range(n):
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("the deadline passed building the separation pairs")
-        rows.append(_cut_table(g, g.full_mask & ~(1 << x)))
-    whole = [not row[n] for row in rows]  # G - x is connected
-    partners = [0] * n
-    armed = [0] * n
-    for x, row in enumerate(rows):
-        if whole[x]:
-            for y, second in enumerate(row[:n]):
-                if second and whole[y]:
-                    partners[x] |= 1 << y
-                    armed[second] |= 1 << x
-    for v in range(1, n):
-        armed[v] |= armed[v - 1]
-    return tuple(rows), tuple(partners), tuple(armed)
+        if whole >> x & 1:
+            row = _cut_table(g, g.full_mask & ~(1 << x))
+            partners[x] = whole & sum(1 << y for y in range(n) if row[y])
+    return tuple(partners), sum(1 << x for x in range(n) if partners[x])
 
 
 def _cut_table(g: Graph, mask: int) -> tuple[int, ...]:

@@ -48,19 +48,22 @@ coloring compels the property:
   w's neighbourhood.  CONNECTED on a connected graph with at least two
   vertices is cut with the DOM test, since a coloring compelling it also
   compels domination;
-* the separator test (CONNECTED, any graph) cuts once a vertex x has a
-  second vertex in its class while two components of G - x hold vertices
-  of different colors (or G is disconnected and two of its components
-  do): the committee through those two that avoids x is disconnected.  It
-  is the local form of the tree result that every interior vertex of a
-  tree is a singleton class, and 2-connected graphs get nothing from it;
+* the separator test (CONNECTED, any graph) cuts once two colors are
+  open and a cut vertex x has a second vertex in its class (or G is
+  disconnected, with no x at all): the placed vertices other than x then
+  carry two colors, so in every completion two vertices of different
+  colors lie in different components of G - x, and the committee through
+  them that avoids x is disconnected.  It is the local form of the tree
+  result that every interior vertex of a tree is a singleton class, and
+  2-connected graphs get nothing from it;
 * the separation-pair test (CONNECTED) is its two-vertex form: it cuts
-  once two colors are open and two placed vertices x != y, each in a class
-  that keeps a placed vertex outside {x, y}, are such that two components
-  of G - {x, y} meet the placed vertices.  The placed vertices outside
-  {x, y} then carry two colors in different components, and the
-  committee through those two that avoids x and y is disconnected.  On a
-  cycle every two vertices that are not adjacent form such a pair;
+  once two colors are open and two placed vertices x != y that form a
+  separating pair each sit in a class that keeps a placed vertex outside
+  {x, y}.  The placed vertices outside {x, y} then carry two colors, so
+  in every completion two vertices of different colors lie in different
+  components of G - {x, y}, and the committee through them that avoids x
+  and y is disconnected.  On a cycle every two vertices that are not
+  adjacent form such a pair;
 * the committee test (EDGE and CONNECTED) cuts, once all k colors are
   open, when the committee search finds a violating committee through the
   vertex just placed, which stays a committee, with the same vertex set,
@@ -530,15 +533,17 @@ def _iter_canonical(
     runs only when ``|L| > room`` and stops at the first w that serves
     enough; with no room left it is the all-k test above.
 
-    ``separators`` (the table of :func:`_search_separators`) turns on the
+    ``separators`` (the mask of :func:`_search_separators`) turns on the
     separator cut, valid for CONNECTED and CDOM: a branch is cut once two
-    colors are in use and some vertex x armed at the vertex just placed
-    lies in a class of two or more vertices.  Armed means that two
-    components of G - x hold placed vertices (bit n stands for no x at
-    all, on a disconnected graph, and needs no class).  The placed vertices
-    other than x then carry two colors, so two of those components hold
-    vertices u and w of different colors, and the committee through u and
-    w that avoids x is disconnected in every completion.
+    colors are in use and some cut vertex x of the mask lies in a class of
+    two or more vertices (bit n stands for no x at all, on a disconnected
+    graph, and needs no class).  The placed vertices other than x then
+    carry two colors, a and b.  If two components of G - x hold vertices
+    of different colors, take those two; else all of them lie in one
+    component, and any vertex w of another, placed now or later, differs
+    in color from one of them, u.  Either way the committee through the
+    two that avoids x (x's class has another placed vertex) is
+    disconnected in every completion.
 
     ``committee`` (EDGE, CONNECTED or CDOM) turns on the committee cut:
     once all k colors are open, the branch is cut when some committee
@@ -571,15 +576,16 @@ def _iter_canonical(
     For CONNECTED, the separation-pair cut runs just before each
     committee search at a vertex v that joins an open class, with two
     colors or more open, and a hit skips the search.  It cuts when two
-    placed vertices x != y, each in a class of two or more vertices, are
-    not together the whole of one class and two components of G - {x, y}
-    meet the vertices 0..v (the table of :func:`graphs.separation_pairs`).
-    Each of x's and y's classes then keeps a placed vertex outside
-    {x, y}, so the placed vertices outside {x, y} carry two colors and lie
-    in two components; some u and w of different colors lie in different
-    ones.  The committee through u and w that picks no x or y (each of
-    their classes has another placed vertex) is disconnected in every
-    completion.  The table costs n low-link searches, so it is read when
+    placed vertices x != y that form a separating pair (the table of
+    :func:`graphs.separation_pairs`), each in a class of two or more
+    vertices, are not together the whole of one class.  Each of x's and
+    y's classes then keeps a placed vertex outside {x, y}, so the placed
+    vertices outside {x, y} carry two colors; as for the separator cut,
+    some u and w of different colors, w maybe placed later, lie in
+    different components of G - {x, y}.  The committee through u and w
+    that picks no x or y (each of their classes has another placed vertex)
+    is disconnected in every completion.  The table costs up to n
+    low-link searches, so it is read when
     it is stored on g already, and else built only once n committee
     searches in a row before all k colors are open have cut, and only when
     G has as many edges as vertices.  It holds only the pairs of vertices
@@ -677,7 +683,7 @@ def _iter_canonical(
                     multi = multi_at[v]
                     if c < used:
                         multi |= masks[c] | 1 << v
-                    cut = now_used > 1 and separators and multi & separators[v]
+                    cut = now_used > 1 and separators and multi & separators
                     if not cut and committee is not None and now_used == k:
                         if pairs is not None and c < used and k > 1:
                             cut = _paired(pairs, multi, v, colors, masks, c)
@@ -727,29 +733,26 @@ def _iter_canonical(
 def _paired(pairs, multi: int, v: int, colors, masks, c: int) -> bool:
     """The separation-pair cut of :func:`_iter_canonical`, with v just
     placed in class c: two vertices x != y of ``multi``, the placed
-    vertices in classes of two or more, form a separating pair whose
-    second component starts at v or before, and are not together the
-    whole of one class.  ``pairs`` is the table of
+    vertices in classes of two or more, form a separating pair and are not
+    together the whole of one class.  ``pairs`` is the table of
     :func:`graphs.separation_pairs`; ``masks`` and ``colors`` hold the
-    classes before v joined.  Each x is taken below the highest vertex of
+    classes before v joined.  Each x is taken below the other vertex of
     the pair, so below v, and its class is ``masks[colors[x]]``, with v
     added when v joined it."""
-    rows, partners, armed = pairs
-    cand = multi & armed[v]
+    partners, paired = pairs
+    cand = multi & paired
     while cand & (cand - 1):
         low = cand & -cand
         cand ^= low
         x = low.bit_length() - 1
-        row = rows[x]
         own = masks[colors[x]]
         if colors[x] == c:
             own |= 1 << v
         rest = cand & partners[x]
-        while rest:
-            high = rest & -rest
-            rest ^= high
-            if row[high.bit_length() - 1] <= v and own != low | high:
-                return True
+        # own is {x, y} for at most one partner y, and only when it has
+        # two vertices
+        if rest & ~own or (rest and own.bit_count() > 2):
+            return True
     return False
 
 
@@ -853,21 +856,19 @@ def _search_cover(g: Graph, prop: SubsetProperty):
 def _search_separators(
     g: Graph, prop: SubsetProperty, deadline: float | None = None
 ):
-    """Arming table of the separator cut of :func:`_iter_canonical` for
+    """The mask of the separator cut of :func:`_iter_canonical` for
     CONNECTED and CDOM, or None when the cut never fires on ``g`` or
     ``prop`` is another property.
 
-    Entry v has bit x set when two components of G - x meet the vertices
-    0..v, and bit n set when G itself is disconnected and two of its
-    components meet them.  A coloring in which two components of G - x hold
+    Bit x is set when G - x has two components or more, and bit n when G
+    itself has.  A coloring in which two components of G - x hold
     vertices of different colors, with a second vertex in x's class, has a
     committee that avoids x and meets both components, so it is
     disconnected: the local form of the tree result that every interior
     vertex is a singleton class.
 
-    The table is read off :func:`graphs.cut_table`, one low-link search,
-    O(n + m): the vertices 0..v meet two components of G - x once v
-    reaches the lowest vertex of the second one.
+    The mask is read off :func:`graphs.cut_table`, one low-link search,
+    O(n + m).
 
     With a ``deadline`` (a ``time.monotonic()`` value) it raises
     SearchTimeout when that has passed on entry.
@@ -876,14 +877,11 @@ def _search_separators(
         return None
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout("the deadline passed building the separator table")
-    n = g.n
-    armed = [0] * n
+    mask = 0
     for x, second in enumerate(cut_table(g)):  # x == n removes no vertex
         if second:
-            armed[second] |= 1 << x
-    for v in range(1, n):
-        armed[v] |= armed[v - 1]
-    return tuple(armed) if armed and armed[-1] else None
+            mask |= 1 << x
+    return mask or None
 
 
 def compelling_chromatic_number(

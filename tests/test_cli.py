@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compelling
+from compelling import cli
 from compelling import (
     Graph,
     format_graph,
@@ -652,6 +655,99 @@ def test_check_json(capsys, c5_file, c5_coloring):
 
 
 # ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+
+def mixed_calls(tmp_path) -> list[list[str]]:
+    """chi, check, verify and family-table in every format, with a usage
+    error and a --help among them."""
+    graph, coloring = tmp_path / "c5.graph", tmp_path / "c5.coloring"
+    graph.write_text(format_graph(make_cycle(5)))
+    coloring.write_text("0 0\n1 1\n2 0\n3 1\n4 2\n")
+    g, c = str(graph), str(coloring)
+    calls = []
+    for fmt in ("text", "json"):
+        calls.append(["chi", g, "--property", "connected", "--format", fmt])
+        calls.append(["check", g, c, "--property", "dom", "--format", fmt])
+        calls.append(["verify", "split", "--format", fmt])
+    table = ["family-table", "cycle", "--n-range", "1:6", "--property", "connected"]
+    calls += [table + ["--format", fmt] for fmt in ("csv", "text", "json")]
+    calls[4:4] = [
+        ["chi", g, "--property", "connected", "--format", "xml"],
+        ["family-table", "--help"],
+    ]
+    return calls
+
+
+def outcome(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``main(argv)``, with the measured
+    elapsed_s of a JSON report masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    text = re.sub(r'"elapsed_s": [^,\n]+', '"elapsed_s": <time>', out.getvalue())
+    return code, text, err.getvalue()
+
+
+def test_repeated_main_calls_give_the_same_output(tmp_path):
+    calls = mixed_calls(tmp_path)
+    first = [outcome(argv) for argv in calls]
+    assert [outcome(argv) for argv in calls] == first
+    code, _, err = first[4]
+    assert code == 2 and "invalid choice: 'xml'" in err
+    code, out, _ = first[5]
+    assert code == 0 and out.startswith("usage: compelling family-table")
+    assert all(code == 0 for code, _, _ in first[:4] + first[6:])
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    # one build makes the parser and the parsers of its four subcommands;
+    # every later call, a usage error and --help included, reuses them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init_spy)
+    for argv in mixed_calls(tmp_path) * 2:
+        outcome(argv)
+    assert len(built) == 5
+    assert built[0] == "compelling"
+
+
+def test_report_json_is_the_text_of_its_fields(tmp_path, monkeypatch):
+    # the text json.dumps gives the deep copy that dataclasses.asdict makes
+    reports = []
+    to_json = cli.RunReport.to_json
+
+    def to_json_spy(self):
+        text = to_json(self)
+        reports.append((self, text))
+        return text
+
+    monkeypatch.setattr(cli.RunReport, "to_json", to_json_spy)
+    for argv in mixed_calls(tmp_path):
+        if argv[-2:] == ["--format", "json"]:
+            assert outcome(argv)[0] == 0
+    commands = sorted(report.command.split()[0] for report, _ in reports)
+    assert commands == ["check", "chi", "family-table", "verify"]
+    assert any(report.notes for report, _ in reports)
+    assert any(report.seed is None for report, _ in reports)
+    assert any(report.seed is not None for report, _ in reports)
+    rows = [row for report, _ in reports for row in report.results]
+    assert any(isinstance(row.get("witness"), list) for row in rows)
+    for report, text in reports:
+        assert text == json.dumps(asdict(report), sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
 # python -m compelling
 # ---------------------------------------------------------------------------
 
@@ -726,13 +822,8 @@ def graph_and_coloring_files(draw, n):
 
 def cli_code(argv) -> int:
     """The exit code of ``main(argv)``, its output swallowed."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-    assert "Traceback" not in err.getvalue()
+    code, _, err = outcome(argv)
+    assert "Traceback" not in err
     return code
 
 

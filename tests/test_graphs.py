@@ -39,6 +39,7 @@ from compelling import (
 )
 from compelling.graphs import (
     GraphTooLarge,
+    _cut_table,
     cut_table,
     eccentricities,
     iter_bits,
@@ -556,30 +557,31 @@ def mops(draw, max_n=10):
     SCATTERED,
 )
 def test_separation_pairs_match_component_oracle(g):
-    # every row against one component search per pair, and the pairs of
-    # vertices that are not cut vertices against the component oracle
+    # the cut table of every G - x against one component search per pair,
+    # and the pairs of vertices that are not cut vertices against the
+    # component oracle
     def bits(vertices):
         return sum(1 << x for x in set(vertices))
 
-    rows, partners, armed = separation_pairs(g)
-    assert [list(row) for row in rows] == separation_pair_rows(g)
+    rows = [list(_cut_table(g, g.full_mask & ~(1 << x))) for x in range(g.n)]
+    assert rows == separation_pair_rows(g)
+    partners, paired = separation_pairs(g)
     pairs = separating_pairs(g)
     assert partners == tuple(
         bits(y for y in range(g.n) if frozenset((x, y)) in pairs) for x in range(g.n)
     )
-    assert armed == tuple(
-        bits(x for pair, low in pairs.items() if low <= v for x in pair)
-        for v in range(g.n)
-    )
-    assert armed[-1] == bits(x for pair in pairs for x in pair)
+    assert paired == bits(x for pair in pairs for x in pair)
 
 
 def test_separation_pairs_of_small_graphs():
     # C6: the pairs are the vertices at distance two or three; {0, 2}
     # leaves {1} and {3, 4, 5}, whose second component starts at 3
-    rows, partners, armed = separation_pairs(make_cycle(6))
-    assert rows[0][2] == 3 and rows[0][1] == 0 and rows[0][6] == 0
+    g = make_cycle(6)
+    row = _cut_table(g, g.full_mask & ~1)
+    assert row[2] == 3 and row[1] == 0 and row[6] == 0
+    partners, paired = separation_pairs(g)
     assert partners[0] == 0b011100
+    assert paired == g.full_mask
     # K4 is 3-connected, and trees and disconnected graphs have no pair of
     # vertices that are not cut vertices
     for g in (
@@ -588,8 +590,8 @@ def test_separation_pairs_of_small_graphs():
         make_star(4),
         disjoint_union(make_cycle(4), make_empty(1)),
     ):
-        rows, partners, armed = separation_pairs(g)
-        assert not any(partners) and not any(armed)
+        partners, paired = separation_pairs(g)
+        assert not any(partners) and not paired
 
 
 def test_separation_pairs_deadline_is_checked_per_row():

@@ -27,7 +27,9 @@ from compelling import (
     rainbow_committees,
     validate_coloring,
 )
+from compelling import solver
 from compelling.closed_forms import chi_conn_path, chi_edge_path
+from compelling.graphs import separation_pairs
 from compelling.solver import _iter_canonical
 from oracles import brute_compelling
 
@@ -389,6 +391,28 @@ def test_chi_timeout_on_cut_search(g, prop):
     # still passes them at 7 colors
     with pytest.raises(SearchTimeout, match="within 0.0s"):
         compelling_chromatic_number(g, prop, max_n=40, timeout_s=0.0)
+
+
+def test_chi_timeout_in_the_enumeration(monkeypatch):
+    # a zero timeout stops C12 connected when the separator table is built;
+    # with a clock that passes the deadline only once that table is built
+    # (and the separation-pair table stored before the call), the
+    # enumerator's own check stops the refutation of 10 colors
+    g = make_cycle(12)
+    separation_pairs(g)
+    now = [0.0]
+    monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
+    tables = solver._search_separators
+
+    def tables_then_late(*args):
+        table = tables(*args)
+        now[0] = 10.0
+        return table
+
+    monkeypatch.setattr(solver, "_search_separators", tables_then_late)
+    message = "^no verdict for C12 within 1.0s: the deadline passed at 10 colors$"
+    with pytest.raises(SearchTimeout, match=message):
+        compelling_chromatic_number(g, P.CONNECTED, timeout_s=1.0)
 
 
 @pytest.mark.parametrize(
