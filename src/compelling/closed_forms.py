@@ -154,16 +154,15 @@ def chi_edge_high_chromatic(g: Graph) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _require_mop_cycle(g: Graph) -> tuple[int, ...]:
+def mop_chords(g: Graph) -> list[tuple[int, int]]:
+    """Edges of a maximal outerplanar graph not on its outer cycle.
+
+    The cycle is the one :func:`is_mop` recovers, never the ``outer_cycle``
+    annotation, which a parsed file may get wrong: a maximal outerplanar
+    graph has exactly one Hamiltonian cycle."""
     ok, cycle = is_mop(g)
     if not ok:
         raise ValueError("expected a maximal outerplanar graph")
-    return g.outer_cycle if g.outer_cycle is not None else cycle
-
-
-def mop_chords(g: Graph) -> list[tuple[int, int]]:
-    """Edges of a maximal outerplanar graph not on its outer cycle."""
-    cycle = _require_mop_cycle(g)
     n = g.n
     outer = set()
     for i in range(n):

@@ -17,7 +17,7 @@ subset search, :func:`least_covering_set`.
 Each invariant that a graph is asked for again and again is computed once
 per :class:`Graph` and stored on it by :func:`graph_memo`: connectivity,
 the chromatic number, the least dominating, total dominating and connected
-dominating sets, the cut table of :func:`cut_table` and the
+dominating sets, the cut vertices of :func:`cut_vertices` and the
 separation-pair table of :func:`separation_pairs`.  A stored value
 lives exactly as long as its graph.  The memo is keyed by the invariant
 alone: a deadline does not change a value, so a search that times out
@@ -507,18 +507,15 @@ def is_connected(g: Graph) -> bool:
     )
 
 
-def cut_table(g: Graph) -> tuple[int, ...]:
-    """For x in 0..n-1, the lowest vertex of the second component of
-    G - x, components ordered by their lowest vertex; at x = n, that of G
-    itself; 0 where there is no second component.  No second component
-    starts at 0: vertex 0 lies in the first one, and without vertex 0 the
-    second one starts at 2 or later.  On a connected graph the nonzero
-    entries below n are the cut vertices.
+def cut_vertices(g: Graph) -> int:
+    """The bitmask with bit x set, for x in 0..n-1, when G - x has two
+    components or more, and bit n set when G itself has.  On a connected
+    graph the bits below n are the cut vertices.
 
     One low-link depth-first search per component (Hopcroft and Tarjan,
     1973), O(n + m), stored on ``g``.
     """
-    return graph_memo(g, "_cut_table", lambda: _cut_table(g, g.full_mask))
+    return graph_memo(g, "_cut_vertices", lambda: _cut_mask(g, g.full_mask))
 
 
 def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = True):
@@ -535,7 +532,7 @@ def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = T
     blocks are edges, and so has a disconnected graph, where G - x is
     connected only when x is an isolated vertex and G has two components.
 
-    The table takes O(n) space and one low-link search (:func:`cut_table`)
+    The table takes O(n) space and one low-link search (:func:`cut_vertices`)
     of G - x for each x with G - x connected, O(n(n + m)) time.  With a
     ``deadline`` (a ``time.monotonic()`` value) the build raises
     SearchTimeout once it is passed, checked once per vertex.
@@ -547,42 +544,39 @@ def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = T
 
 def _separation_pairs(g: Graph, deadline: float | None):
     n = g.n
-    cuts = cut_table(g)
-    whole = sum(1 << x for x in range(n) if not cuts[x])  # G - x is connected
+    whole = g.full_mask & ~cut_vertices(g)  # G - x is connected
     partners = [0] * n
     for x in range(n):
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("the deadline passed building the separation pairs")
         if whole >> x & 1:
-            row = _cut_table(g, g.full_mask & ~(1 << x))
-            partners[x] = whole & sum(1 << y for y in range(n) if row[y])
+            partners[x] = whole & _cut_mask(g, g.full_mask & ~(1 << x))
     return tuple(partners), sum(1 << x for x in range(n) if partners[x])
 
 
-def _cut_table(g: Graph, mask: int) -> tuple[int, ...]:
-    """:func:`cut_table` of the subgraph induced by the bitmask ``mask``,
-    indexed by the vertices of ``g``: 0 at every vertex outside ``mask``."""
+def _cut_mask(g: Graph, mask: int) -> int:
+    """:func:`cut_vertices` of the subgraph induced by the bitmask
+    ``mask``, in the vertices of ``g``: bit n stands for removing no
+    vertex, and no vertex outside ``mask`` is set."""
     n = g.n
     adj = g.adj_bits
     order = [-1] * n  # discovery index
     # low[v]: the least discovery index that the subtree of v reaches by
-    # one edge; least[v]: the lowest vertex of the subtree of v
+    # one edge
     low = [0] * n
-    least = list(range(n))
-    # low1[x] < low2[x]: the two lowest values of least[c] over the
-    # children c of x whose subtree is a component of G - x (n when absent)
-    low1 = [n] * n
-    low2 = [n] * n
     todo = [0] * n  # the neighbours of each vertex not yet scanned
-    roots = []  # the lowest vertex of each component, ascending
-    count = 0
+    cuts = lone = comps = count = 0
     for r in iter_bits(mask):
         if order[r] >= 0:
             continue
-        roots.append(r)
+        comps += 1
         order[r] = low[r] = count
         count += 1
         todo[r] = adj[r] & mask
+        if not todo[r]:
+            lone |= 1 << r
+            continue
+        children = 0  # of the root r
         stack = [r]
         while stack:
             v = stack[-1]
@@ -605,29 +599,19 @@ def _cut_table(g: Graph, mask: int) -> tuple[int, ...]:
             p = stack[-1]
             if low[v] < low[p]:
                 low[p] = low[v]
-            if least[v] < least[p]:
-                least[p] = least[v]
-            if low[v] >= order[p]:  # no edge leaves v's subtree above p
-                s = least[v]
-                if s < low1[p]:
-                    low1[p], low2[p] = s, low1[p]
-                elif s < low2[p]:
-                    low2[p] = s
-    # The components of G - x: the other components of G, the subtrees
-    # split off at x, and, unless x is its component's root, the part
-    # holding that root.  With r0 < r1 < r2 the lowest roots, the second
-    # lowest piece is min(low1[x], r1) unless x is r0 or r1, as low1[x] is
-    # above x's own root.
-    r0, r1, r2 = (roots + [n, n, n])[:3]
-    table = [s if s < r1 else r1 for s in low1]
-    if r1 < n:
-        table[r1] = min(low1[r1], r2)
-    if r0 < n:
-        table[r0] = sorted([r1, r2, low1[r0], low2[r0]])[1]
-    for x in iter_bits(g.full_mask & ~mask):
-        table[x] = n
-    table.append(r1)
-    return tuple(s if s < n else 0 for s in table)
+            if p == r:
+                children += 1
+            elif low[v] >= order[p]:  # no edge leaves v's subtree above p
+                cuts |= 1 << p
+        if children > 1:
+            cuts |= 1 << r
+    # With three components or more, every G - x keeps two; with two, so
+    # does every G - x but the isolated vertices'
+    if comps > 2:
+        cuts = mask
+    elif comps == 2:
+        cuts |= mask & ~lone
+    return cuts | (comps > 1) << n
 
 
 def eccentricities(g: Graph) -> list[int]:
@@ -885,20 +869,18 @@ def minimum_connected_dominating_set(
     Every cut vertex x is in every connected dominating set D: a connected
     D that avoids x lies in one component of G - x, and the vertices of
     another component have no neighbour in D.  So the cut vertices of
-    :func:`cut_table` are the must-pick set of the search.
+    :func:`cut_vertices` are the must-pick set of the search.
     """
     check_order(g.n, max_n)
     if not is_connected(g):
         raise ValueError("connected domination requires a connected graph")
-    return graph_memo(g, "_least_cdom", lambda: _least_cds(g, deadline))
-
-
-def _least_cds(g: Graph, deadline: float | None) -> tuple[int, ...]:
-    must = 0
-    for x, split in enumerate(cut_table(g)[:-1]):
-        if split:
-            must |= 1 << x
-    return least_covering_set(g.closed_bits, g.adj_bits, must=must, deadline=deadline)
+    return graph_memo(
+        g,
+        "_least_cdom",
+        lambda: least_covering_set(
+            g.closed_bits, g.adj_bits, must=cut_vertices(g), deadline=deadline
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

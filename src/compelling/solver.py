@@ -95,7 +95,7 @@ from .graphs import (
     SearchTimeout,
     check_order,
     chromatic_number,
-    cut_table,
+    cut_vertices,
     is_connected,
     iter_bits,
     separation_pairs,
@@ -867,7 +867,7 @@ def _search_separators(
     disconnected: the local form of the tree result that every interior
     vertex is a singleton class.
 
-    The mask is read off :func:`graphs.cut_table`, one low-link search,
+    The mask is :func:`graphs.cut_vertices`, one low-link search,
     O(n + m).
 
     With a ``deadline`` (a ``time.monotonic()`` value) it raises
@@ -877,11 +877,7 @@ def _search_separators(
         return None
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout("the deadline passed building the separator table")
-    mask = 0
-    for x, second in enumerate(cut_table(g)):  # x == n removes no vertex
-        if second:
-            mask |= 1 << x
-    return mask or None
+    return cut_vertices(g) or None
 
 
 def compelling_chromatic_number(

@@ -193,51 +193,57 @@ def _minimal_cds_samples(g: Graph, rng: random.Random, tries: int = 4):
 # ---------------------------------------------------------------------------
 
 
+def _family_suite(suite, prop, families, limit_s, timing) -> SuiteResult:
+    """One check per (label, make, closed, sizes) in ``families`` and n in
+    ``sizes``: the solver's value of ``prop`` on ``make(n)`` against
+    ``closed(n)``, named ``label`` + n; then the check ``timing`` that all
+    of them took under ``limit_s`` seconds."""
+    result = SuiteResult(suite)
+    start = time.perf_counter()
+    for label, make, closed, sizes in families:
+        for n in sizes:
+            want = closed(n)
+            got = compelling_chromatic_number(make(n), prop).value
+            result.add(f"{label}{n}", got == want, f"solver={got} closed={want}")
+    elapsed = time.perf_counter() - start
+    result.add(timing, elapsed < limit_s, f"{elapsed:.2f}s")
+    return result
+
+
 def suite_path_edge(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Edge-compelling values on paths P_2..P_12 against the closed form."""
-    result = SuiteResult("path-edge")
-    start = time.perf_counter()
-    for n in range(2, 13):
-        want = chi_edge_path(n)
-        got = compelling_chromatic_number(make_path(n), SubsetProperty.EDGE).value
-        result.add(f"edge-compelling P_{n}", got == want, f"solver={got} closed={want}")
-    elapsed = time.perf_counter() - start
-    result.add("paths finished under 10s", elapsed < 10.0, f"{elapsed:.2f}s")
-    return result
+    return _family_suite(
+        "path-edge",
+        SubsetProperty.EDGE,
+        [("edge-compelling P_", make_path, chi_edge_path, range(2, 13))],
+        10.0,
+        "paths finished under 10s",
+    )
 
 
 def suite_cycle_edge(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Edge-compelling values on cycles C_3..C_12 against the closed form."""
-    result = SuiteResult("cycle-edge")
-    start = time.perf_counter()
-    for n in range(3, 13):
-        want = chi_edge_cycle(n)
-        got = compelling_chromatic_number(make_cycle(n), SubsetProperty.EDGE).value
-        result.add(f"edge-compelling C_{n}", got == want, f"solver={got} closed={want}")
-    elapsed = time.perf_counter() - start
-    result.add("cycles finished under 30s", elapsed < 30.0, f"{elapsed:.2f}s")
-    return result
+    return _family_suite(
+        "cycle-edge",
+        SubsetProperty.EDGE,
+        [("edge-compelling C_", make_cycle, chi_edge_cycle, range(3, 13))],
+        30.0,
+        "cycles finished under 30s",
+    )
 
 
 def suite_connected_families(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Connectivity-compelling values on paths and cycles up to order 9."""
-    result = SuiteResult("connected-families")
-    start = time.perf_counter()
-    for n in range(3, 10):
-        want = chi_conn_path(n)
-        got = compelling_chromatic_number(make_path(n), SubsetProperty.CONNECTED).value
-        result.add(
-            f"connectivity-compelling P_{n}", got == want, f"solver={got} closed={want}"
-        )
-    for n in range(3, 10):
-        want = chi_conn_cycle(n)
-        got = compelling_chromatic_number(make_cycle(n), SubsetProperty.CONNECTED).value
-        result.add(
-            f"connectivity-compelling C_{n}", got == want, f"solver={got} closed={want}"
-        )
-    elapsed = time.perf_counter() - start
-    result.add("paths and cycles finished under 5min", elapsed < 300.0, f"{elapsed:.2f}s")
-    return result
+    return _family_suite(
+        "connected-families",
+        SubsetProperty.CONNECTED,
+        [
+            ("connectivity-compelling P_", make_path, chi_conn_path, range(3, 10)),
+            ("connectivity-compelling C_", make_cycle, chi_conn_cycle, range(3, 10)),
+        ],
+        300.0,
+        "paths and cycles finished under 5min",
+    )
 
 
 def suite_trees(seed: int = DEFAULT_SEED) -> SuiteResult:

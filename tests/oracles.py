@@ -84,54 +84,24 @@ def components(g: Graph, without=frozenset()) -> list[set[int]]:
     return comps
 
 
-def second_component_low(g: Graph, without) -> int:
-    """The lowest vertex of the second component of G - ``without``, a
-    vertex set, by one component search; 0 when there is none."""
-    comps = components(g, without)
-    return min(comps[1]) if len(comps) > 1 else 0
+def splitting_vertices(g: Graph, without=frozenset()) -> int:
+    """With S the vertex set ``without``: the bitmask with bit x set, for
+    each vertex x outside S, when G - S - x has two components or more,
+    and bit n set when G - S itself has; one component search each."""
+    rest = set(range(g.n)) - set(without)
+    mask = sum(1 << x for x in rest if len(components(g, set(without) | {x})) > 1)
+    return mask | (len(components(g, without)) > 1) << g.n
 
 
-def second_component_lows(g: Graph) -> list[int]:
-    """For x in 0..n-1 the lowest vertex of the second component of G - x,
-    and at x = n that of G itself; 0 when there is no second component."""
-    lows = [second_component_low(g, {x}) for x in range(g.n)]
-    return lows + [second_component_low(g, set())]
-
-
-def separation_pair_rows(g: Graph) -> list[list[int]]:
-    """The rows of the separation-pair table by one component search per
-    pair: row x holds, for y != x, the lowest vertex of the second
-    component of G - {x, y}, 0 at y = x, and at y = n that of G - x."""
-    return [
-        [0 if y == x else second_component_low(g, {x, y}) for y in range(g.n)]
-        + [second_component_low(g, {x})]
-        for x in range(g.n)
-    ]
-
-
-def separating_pairs(g: Graph) -> dict[frozenset[int], int]:
+def separating_pairs(g: Graph) -> set[frozenset[int]]:
     """Each pair {x, y} such that G - x and G - y are connected and
-    G - {x, y} is not, mapped to the lowest vertex of the second component
-    of G - {x, y}."""
+    G - {x, y} is not."""
     whole = [len(components(g, {x})) <= 1 for x in range(g.n)]
-    pairs = {}
-    for x, y in itertools.combinations(range(g.n), 2):
-        comps = components(g, {x, y})
-        if whole[x] and whole[y] and len(comps) > 1:
-            pairs[frozenset((x, y))] = min(comps[1])
-    return pairs
-
-
-def separator_table(g: Graph) -> tuple[int, ...] | None:
-    """The arming table of the separator cut from one component search of
-    G - x for each of the n + 1 choices of x (x = n removes no vertex):
-    entry v has bit x set once the vertices 0..v meet two components of
-    G - x.  None when no entry has a bit set."""
-    armed = [0] * g.n
-    for x, low in enumerate(second_component_lows(g)):
-        for v in range(low, g.n) if low else ():
-            armed[v] |= 1 << x
-    return tuple(armed) if any(armed) else None
+    return {
+        frozenset((x, y))
+        for x, y in itertools.combinations(range(g.n), 2)
+        if whole[x] and whole[y] and len(components(g, {x, y})) > 1
+    }
 
 
 def bipartition(

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compelling import (
     Graph,
@@ -16,6 +18,7 @@ from compelling import (
     chromatic_number,
     compelling_chromatic_number,
     edge_compelling_five_coloring,
+    format_graph,
     interior_count,
     is_chord_cover,
     is_compelling,
@@ -29,6 +32,7 @@ from compelling import (
     make_star,
     min_chord_cover,
     mop_chords,
+    parse_graph,
 )
 
 P = SubsetProperty
@@ -160,6 +164,32 @@ def test_mop_chords():
     m4 = make_random_mop(4, 0)
     assert len(mop_chords(m4)) == 1
     assert len(min_chord_cover(m4)) == 1
+
+
+def test_mop_chords_ignore_a_wrong_outer_line():
+    # the file's outer: line lists the identity order, which is not the
+    # outer cycle of this MOP; the chords come from the graph alone
+    g = make_random_mop(7, 3)
+    lines = format_graph(g).splitlines()
+    assert lines[-1].startswith("outer: ")
+    bad = parse_graph("\n".join(lines[:-1] + ["outer: 0 1 2 3 4 5 6"]))
+    assert bad.outer_cycle == tuple(range(7))
+    assert mop_chords(bad) == mop_chords(g) == [(0, 1), (1, 2), (1, 3), (1, 4)]
+    assert min_chord_cover(bad) == (1,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**20), st.randoms(use_true_random=False))
+def test_mop_chords_do_not_read_the_outer_annotation(n, seed, rng):
+    # the generator's true outer cycle, a shuffled one and none at all
+    # give the same chords
+    g = make_random_mop(n, seed)
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    bare = Graph.from_edges(n, g.edges)
+    misnamed = Graph.from_edges(n, g.edges, outer_cycle=shuffled)
+    assert bare.outer_cycle is None
+    assert mop_chords(g) == mop_chords(bare) == mop_chords(misnamed)
 
 
 def test_min_chord_cover_is_minimal_cover():

@@ -39,8 +39,8 @@ from compelling import (
 )
 from compelling.graphs import (
     GraphTooLarge,
-    _cut_table,
-    cut_table,
+    _cut_mask,
+    cut_vertices,
     eccentricities,
     iter_bits,
     least_covering_set,
@@ -54,9 +54,8 @@ from oracles import (
     distances,
     induces_connected,
     is_dominating,
-    second_component_lows,
     separating_pairs,
-    separation_pair_rows,
+    splitting_vertices,
 )
 
 
@@ -525,8 +524,28 @@ def trees_and_cycles(draw, max_n=10):
     EDGELESS,
     SCATTERED,
 )
-def test_cut_table_matches_component_oracle(g):
-    assert cut_table(g) == tuple(second_component_lows(g))
+def test_cut_vertices_match_component_oracle(g):
+    assert cut_vertices(g) == splitting_vertices(g)
+
+
+@BFS_SETTINGS
+@given(
+    st.one_of(
+        graphs_up_to(),
+        st.builds(disjoint_union, trees_and_cycles(5), trees_and_cycles(5)),
+    )
+)
+def test_cut_vertices_bit_n_is_disconnection(g):
+    assert cut_vertices(g) >> g.n == (not is_connected(g))
+
+
+def test_cut_vertices_by_component_count():
+    # two isolated vertices: only bit n; with three components every
+    # vertex splits G - x; a single vertex splits nothing
+    assert cut_vertices(make_empty(2)) == 0b100
+    g = disjoint_union(disjoint_union(make_complete(2), make_empty(1)), make_empty(1))
+    assert cut_vertices(g) == 0b11111
+    assert cut_vertices(make_path(1)) == 0
 
 
 @st.composite
@@ -557,14 +576,14 @@ def mops(draw, max_n=10):
     SCATTERED,
 )
 def test_separation_pairs_match_component_oracle(g):
-    # the cut table of every G - x against one component search per pair,
-    # and the pairs of vertices that are not cut vertices against the
+    # the cut vertices of every G - x against one component search per
+    # pair, and the pairs of vertices that are not cut vertices against the
     # component oracle
     def bits(vertices):
         return sum(1 << x for x in set(vertices))
 
-    rows = [list(_cut_table(g, g.full_mask & ~(1 << x))) for x in range(g.n)]
-    assert rows == separation_pair_rows(g)
+    rows = [_cut_mask(g, g.full_mask & ~(1 << x)) for x in range(g.n)]
+    assert rows == [splitting_vertices(g, {x}) for x in range(g.n)]
     partners, paired = separation_pairs(g)
     pairs = separating_pairs(g)
     assert partners == tuple(
@@ -574,11 +593,10 @@ def test_separation_pairs_match_component_oracle(g):
 
 
 def test_separation_pairs_of_small_graphs():
-    # C6: the pairs are the vertices at distance two or three; {0, 2}
-    # leaves {1} and {3, 4, 5}, whose second component starts at 3
+    # C6: the pairs are the vertices at distance two or three; C6 - 0 is
+    # the path 1..5, split by 2, 3 and 4
     g = make_cycle(6)
-    row = _cut_table(g, g.full_mask & ~1)
-    assert row[2] == 3 and row[1] == 0 and row[6] == 0
+    assert _cut_mask(g, g.full_mask & ~1) == 0b011100
     partners, paired = separation_pairs(g)
     assert partners[0] == 0b011100
     assert paired == g.full_mask

@@ -64,7 +64,7 @@ from compelling.solver import (
     _unplaced_tables,
 )
 from compelling.verify import main_corpus
-from oracles import brute_compelling, brute_min_witness, components, separator_table
+from oracles import brute_compelling, brute_min_witness, components, splitting_vertices
 
 P = SubsetProperty
 
@@ -351,10 +351,8 @@ def test_separator_tables():
 @CUT_SETTINGS
 @given(st.one_of(small_graphs(10), connected_graphs(max_n=10)))
 def test_separator_table_matches_the_component_oracle(g):
-    # the mask read off the cut table against the last entry of the
-    # arming table from n + 1 component searches
-    table = separator_table(g)
-    assert _search_separators(g, P.CONNECTED) == (table[-1] if table else None)
+    # the mask against n + 1 component searches
+    assert _search_separators(g, P.CONNECTED) == (splitting_vertices(g) or None)
 
 
 # ---------------------------------------------------------------------------
