@@ -12,7 +12,10 @@ Every breadth-first search over a vertex bitmask goes through
 :func:`bfs_layers`: connectivity, components and bipartitions here, and the
 induced-subgraph checks of the other modules.  Every least dominating-type
 set (domination, total and connected domination) comes from one pruned
-subset search, :func:`least_covering_set`.
+subset search, :func:`least_covering_set`.  The exact chromatic number has
+no search of its own: past a first-fit bound it runs the solver's
+canonical-coloring enumerator, imported at call time since the solver
+imports this module.
 
 Each invariant that a graph is asked for again and again is computed once
 per :class:`Graph` and stored on it by :func:`graph_memo`: connectivity,
@@ -676,78 +679,57 @@ def _greedy_clique(g: Graph, order) -> list[int]:
 def chromatic_number(
     g: Graph, max_n: int = EXACT_CHROMATIC_CAP, *, deadline: float | None = None
 ) -> int:
-    """Exact chromatic number by branch and bound.
+    """Exact chromatic number: a first-fit bound, then the canonical
+    enumerator on a degree-ordered copy.
 
-    A greedy clique, taken in degree order, is the lower bound and a fixed
-    pre-coloring; the search assigns the remaining vertices in degree
-    order under the canonical new-color rule, pruning against the best
-    coloring found so far.  Its first descent is the first-fit coloring in
-    that order, and a coloring with as many colors as the clique ends the
-    search.  The search is a loop, not a recursion, so any order fits under
-    ``max_n``.
+    A greedy clique, taken in degree order, is the lower bound, and a
+    first-fit coloring, the clique first and then the rest in degree
+    order, the upper one; when the two meet that is the answer.  Otherwise
+    the answer is the least k from the clique's size up at which
+    :func:`solver._iter_canonical` yields a coloring with exactly k colors
+    of a copy of ``g`` relabelled in that order, or the first-fit count
+    when no k below it does.  The canonical rule gives the clique's
+    vertices, which come first, colors 0 to its size - 1.  The search is a
+    loop, not a recursion, so any order fits under ``max_n``.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
-    SearchTimeout once it is passed, checked every 1024 search steps.  The
-    value is stored on ``g`` (:func:`graph_memo`).
+    SearchTimeout once it is passed, checked every 1024 search steps of
+    each k.  The value is stored on ``g`` (:func:`graph_memo`).
     """
     check_order(g.n, max_n)
     return graph_memo(g, "_chromatic_number", lambda: _chromatic_search(g, deadline))
 
 
 def _chromatic_search(g: Graph, deadline: float | None) -> int:
-    # largest degree first, for the clique and then the search
+    from .solver import _iter_canonical  # solver imports this module
+
+    # largest degree first, for the clique and then the rest
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     clique = _greedy_clique(g, order)
-    lower = len(clique)
     in_clique = set(clique)
     order = clique + [v for v in order if v not in in_clique]
-    n = g.n
-    adj = g.adj_bits
-    colors = [0] * n
-    masks = [0] * n  # masks[c]: the vertices of color c
-    for i, v in enumerate(clique):
-        colors[v] = i
-        masks[i] = 1 << v
-    best = n + 1
-    start = lower
-    # On reaching position idx, used_at[idx] colors are in use and c is the
-    # next color to try there.
-    used_at = [lower] * (n + 1)
-    idx = start
-    c = 0
-    steps = 0
-    while True:
-        used = used_at[idx]
-        if idx == n:
-            best = min(best, used)
-            if best == lower:
-                return best
-        elif used < best:
-            if deadline is not None:
-                steps += 1
-                if not steps & 0x3FF and time.monotonic() > deadline:
-                    raise SearchTimeout(
-                        "the deadline passed in the chromatic number search"
-                    )
-            v = order[idx]
-            nb = adj[v]
-            limit = min(used + 1, best - 1)
-            while c < limit and masks[c] & nb:
-                c += 1
-            if c < limit:
-                colors[v] = c
-                masks[c] |= 1 << v
-                idx += 1
-                used_at[idx] = max(used, c + 1)
-                c = 0
-                continue
-        if idx == start:
-            return best
-        idx -= 1
-        v = order[idx]
-        c = colors[v]
-        masks[c] &= ~(1 << v)
-        c += 1
+    masks: list[int] = []  # the first-fit classes
+    for v in order:
+        nb = g.adj_bits[v]
+        for c, m in enumerate(masks):
+            if not m & nb:
+                masks[c] = m | 1 << v
+                break
+        else:
+            masks.append(1 << v)
+    if len(masks) == len(clique):
+        return len(clique)
+    at = {v: i for i, v in enumerate(order)}
+    h = Graph(g.n, tuple(frozenset(at[u] for u in g.adj[v]) for v in order))
+    try:
+        for k in range(len(clique), len(masks)):
+            if next(_iter_canonical(h, k, deadline=deadline), None) is not None:
+                return k
+    except SearchTimeout:
+        raise SearchTimeout(
+            "the deadline passed in the chromatic number search"
+        ) from None
+    return len(masks)
 
 
 def least_covering_set(

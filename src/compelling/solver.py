@@ -836,15 +836,14 @@ def _search_cover(g: Graph, prop: SubsetProperty):
 
     A coloring compels DOM exactly when every vertex has a whole class
     inside its closed neighbourhood, and TDOM or ISOLATE_FREE exactly when
-    every vertex has one inside its open neighbourhood.  A committee that
-    is a connected dominating set is dominating, so CDOM needs the DOM
-    test.  So does CONNECTED on a connected graph with n >= 2: with a
-    committee S missing the closed neighbourhood of u, swapping u in for
-    the vertex of its color leaves u isolated in a set of k >= 2 vertices.
-    On an edgeless graph one color compels connectivity but not
-    domination, so CONNECTED is not cut there.
+    every vertex has one inside its open neighbourhood.  CONNECTED on a
+    connected graph with n >= 2 needs the DOM test too: with a committee S
+    missing the closed neighbourhood of u, swapping u in for the vertex of
+    its color leaves u isolated in a set of k >= 2 vertices.  On an
+    edgeless graph one color compels connectivity but not domination, so
+    CONNECTED is not cut there.  The search runs CDOM as CONNECTED.
     """
-    if prop in (SubsetProperty.DOM, SubsetProperty.CDOM):
+    if prop is SubsetProperty.DOM:
         return g.closed_bits
     if prop is SubsetProperty.CONNECTED and g.n >= 2 and is_connected(g):
         return g.closed_bits
@@ -857,8 +856,8 @@ def _search_separators(
     g: Graph, prop: SubsetProperty, deadline: float | None = None
 ):
     """The mask of the separator cut of :func:`_iter_canonical` for
-    CONNECTED and CDOM, or None when the cut never fires on ``g`` or
-    ``prop`` is another property.
+    CONNECTED, or None when the cut never fires on ``g`` or ``prop`` is
+    another property.  The search runs CDOM as CONNECTED.
 
     Bit x is set when G - x has two components or more, and bit n when G
     itself has.  A coloring in which two components of G - x hold
@@ -873,7 +872,7 @@ def _search_separators(
     With a ``deadline`` (a ``time.monotonic()`` value) it raises
     SearchTimeout when that has passed on entry.
     """
-    if prop not in (SubsetProperty.CONNECTED, SubsetProperty.CDOM):
+    if prop is not _CONNECTED:
         return None
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout("the deadline passed building the separator table")

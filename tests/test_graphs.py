@@ -1,10 +1,16 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import compelling
 from compelling import (
     Graph,
     SearchTimeout,
@@ -60,8 +66,6 @@ from oracles import (
 
 
 def small_corpus(count=30, max_n=7, seed=99):
-    import random
-
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -330,6 +334,91 @@ def test_stored_chromatic_number_needs_no_search():
 def test_chromatic_number_has_no_depth_limit():
     # one search level per vertex, far past the interpreter's recursion limit
     assert chromatic_number(make_cycle(1501), max_n=2000) == 3
+
+
+def relabelled(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# paths, even cycles and MOPs past the brute oracle's reach, with their
+# chromatic numbers
+FAMILY_CHI = (
+    *((make_path(n), 2) for n in (18, 19, 20)),
+    *((make_cycle(n), 2) for n in (18, 20)),
+    *((make_random_mop(n, n), 3) for n in (18, 19, 20)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(10, 24),
+    st.sampled_from((0.3, 0.5, 0.7)),
+    st.integers(0, 2**20),
+    st.data(),
+)
+def test_chromatic_number_is_invariant_under_relabelling(n, p, seed, data):
+    # relabelling moves the degree order, and with it the clique and the
+    # first-fit count that bound the enumerator's levels
+    g = make_random_graph(n, p, seed)
+    h = relabelled(g, data.draw(st.permutations(range(n))))
+    assert chromatic_number(h, max_n=24) == chromatic_number(g, max_n=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY_CHI), st.data())
+def test_chromatic_number_of_relabelled_families(family, data):
+    g, chi = family
+    perm = data.draw(st.permutations(range(g.n)))
+    assert chromatic_number(relabelled(g, perm), max_n=20) == chi
+
+
+def test_relabelled_families_reach_the_enumerator(monkeypatch):
+    # on one of three seeded relabellings of each family graph, first fit
+    # in degree order overshoots the clique, so the tests above reach the
+    # enumerator, not only the first-fit gate; the clique is the answer
+    # there, so one level settles it
+    levels = []
+    enumerate_ = compelling.solver._iter_canonical
+
+    def spy(g, k, *rest, **kw):
+        levels.append(k)
+        return enumerate_(g, k, *rest, **kw)
+
+    monkeypatch.setattr(compelling.solver, "_iter_canonical", spy)
+    for g, chi in FAMILY_CHI:
+        runs = []
+        for seed in range(3):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            levels.clear()
+            assert chromatic_number(relabelled(g, perm), max_n=20) == chi
+            runs.append(tuple(levels))
+        assert (chi,) in runs, g.name
+        assert set(runs) <= {(), (chi,)}, g.name
+
+
+def test_graphs_module_imports_alone():
+    # chromatic_number imports the solver's enumerator at call time, as the
+    # solver imports this module; a fresh interpreter must resolve that
+    src = str(Path(compelling.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    for code, out in (
+        (
+            "from compelling.graphs import chromatic_number, make_cycle; "
+            "print(chromatic_number(make_cycle(5)))",
+            "3\n",
+        ),
+        ("import compelling.graphs", ""),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
 def test_connected_domination_examples():
