@@ -595,11 +595,19 @@ def _iter_canonical(
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
 
+    With no cut asked for (``cover``, ``separators`` and ``committee`` all
+    None) the plain walk :func:`_walk` runs instead: it keeps none of the
+    cut state and colours the last vertex in place.  Its leaves are the
+    same, in the same order, and it yields the same live lists.
+
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
     n = g.n
     if k < 1 or k > n:
+        return
+    if cover is None and separators is None and committee is None:
+        yield from _walk(g, k, deadline)
         return
     adj = g.adj_bits
     full = g.full_mask
@@ -727,6 +735,64 @@ def _iter_canonical(
         c = colors[v]
         masks[c] &= ~(1 << v)
         inside[c] = held_at[v]
+        c += 1
+
+
+def _walk(g: Graph, k: int, deadline: float | None):
+    """The uncut walk of :func:`_iter_canonical`, for 1 <= k <= n: every
+    canonical proper coloring of g with exactly k colors, as the
+    restricted-growth strings in lexicographic order.  The last vertex is
+    coloured in place, one leaf for each color it can take: any open class
+    it has no neighbour in once all k colors are open, else the one color
+    still to be opened."""
+    n = g.n
+    adj = g.adj_bits
+    last = n - 1
+    colors = [0] * n
+    masks = [0] * k
+    # used_at[v]: the colors open on reaching vertex v
+    used_at = [0] * n
+    steps = 0
+    v = 0
+    c = 0  # the next color to try at v
+    while True:
+        used = used_at[v]
+        if k - used <= n - v:
+            if deadline is not None:
+                steps += 1
+                if not steps & 0x3FF and time.monotonic() > deadline:
+                    raise SearchTimeout(f"the deadline passed at {k} colors")
+            nb = adj[v]
+            if v == last:
+                bit = 1 << v
+                if used < k:  # the count check left used == k - 1
+                    colors[v] = used
+                    masks[used] = bit
+                    yield colors, masks
+                    masks[used] = 0
+                else:
+                    for c in range(k):
+                        if not masks[c] & nb:
+                            colors[v] = c
+                            masks[c] |= bit
+                            yield colors, masks
+                            masks[c] ^= bit
+            else:
+                top = used if used < k else k - 1
+                while c <= top and masks[c] & nb:
+                    c += 1
+                if c <= top:
+                    colors[v] = c
+                    masks[c] |= 1 << v
+                    v += 1
+                    used_at[v] = used + 1 if c == used else used
+                    c = 0
+                    continue
+        if not v:
+            return
+        v -= 1
+        c = colors[v]
+        masks[c] &= ~(1 << v)
         c += 1
 
 

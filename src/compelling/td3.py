@@ -72,7 +72,13 @@ def is_total_dominator_coloring(g: Graph, coloring: Coloring) -> bool:
 
 def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
     """Minimum class count of a total dominator coloring by canonical
-    coloring enumeration; None when an isolated vertex rules them all out."""
+    coloring enumeration; None when an isolated vertex rules them all out.
+
+    The enumeration stays uncut (it passes no ``cover=g.adj_bits``), so
+    this reference shares no cut rule with the solver it checks.  A cut
+    would also take a large-n benchmark pass under the roughly 26 ms
+    below which the benchmark's speed sampler has no sample in the timed
+    region and reports NaN."""
     check_order(g.n, max_n)
     if any(not g.adj[v] for v in range(g.n)):
         return None

@@ -32,6 +32,30 @@ def brute_chromatic_number(g: Graph) -> int:
     raise AssertionError("n colors always suffice")
 
 
+def brute_canonical_colorings(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """Every proper coloring of g that uses exactly k colors and is a
+    restricted-growth string (each vertex's color at most one more than
+    the largest color before it), in lexicographic order: the k^n
+    assignments in that order, each tested in full.  n entries
+    take at most n colors, so k > n gives none, and every such string
+    starts with color 0, so the scan stops at the first assignment that
+    does not."""
+    if k > g.n:
+        return []
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    out = []
+    for a in itertools.product(range(k), repeat=g.n):
+        if a[0]:
+            break
+        if (
+            len(set(a)) == k
+            and all(a[v] <= max(a[:v], default=-1) + 1 for v in range(g.n))
+            and all(a[u] != a[v] for u, v in edges)
+        ):
+            out.append(a)
+    return out
+
+
 def is_dominating(g: Graph, s: set[int]) -> bool:
     return all(v in s or g.adj[v] & s for v in range(g.n))
 

@@ -31,7 +31,7 @@ from compelling import solver
 from compelling.closed_forms import chi_conn_path, chi_edge_path
 from compelling.graphs import separation_pairs
 from compelling.solver import _iter_canonical
-from oracles import brute_compelling
+from oracles import brute_canonical_colorings, brute_compelling
 
 P = SubsetProperty
 
@@ -453,6 +453,92 @@ def test_deadline_counts_search_steps_not_leaves():
     assert not any(True for _ in _iter_canonical(g, 6, g.closed_bits))
     with pytest.raises(SearchTimeout, match="at 6 colors"):
         for _ in _iter_canonical(g, 6, g.closed_bits, deadline=time.monotonic() - 1):
+            pass
+
+
+# ---------------------------------------------------------------------------
+# The uncut canonical enumeration
+# ---------------------------------------------------------------------------
+
+
+def _enumerator_piece(draw, n):
+    kind = draw(st.sampled_from(("random", "edgeless", "complete")))
+    if kind == "edgeless":
+        return make_empty(n)
+    if kind == "complete":
+        return make_complete(n)
+    p = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
+    return make_random_graph(n, p, draw(st.integers(0, 2**20)))
+
+
+@st.composite
+def enumerator_cases(draw, max_n=7):
+    """A graph on at most ``max_n`` vertices, G(n, p), edgeless or
+    complete, or the disjoint union of two of those, and a color count k
+    from -1 to n + 1."""
+    n = draw(st.integers(1, max_n))
+    g = _enumerator_piece(draw, n)
+    if n < max_n and draw(st.booleans()):
+        g = disjoint_union(g, _enumerator_piece(draw, draw(st.integers(1, max_n - n))))
+    return g, draw(st.integers(-1, g.n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumerator_cases())
+@example((make_empty(1), 1))
+@example((make_complete(1), 2))
+@example((make_empty(6), 3))
+@example((disjoint_union(make_complete(3), make_complete(3)), 3))
+def test_uncut_enumeration_matches_brute_force(case):
+    g, k = case
+    seen = []
+    for colors, masks in _iter_canonical(g, k):
+        seen.append(tuple(colors))
+        classes = [sum(1 << v for v in range(g.n) if colors[v] == c) for c in range(k)]
+        assert list(masks) == classes
+    assert seen == brute_canonical_colorings(g, k)
+
+
+def _stirling2(n: int, k: int) -> int:
+    """S(n, k), the partitions of n items into k nonempty blocks, by the
+    recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < m else 0) + row[j - 1] for j in range(1, m + 1)]
+    return row[k] if 0 <= k <= n else 0
+
+
+def test_uncut_enumeration_counts_past_the_oracle():
+    # canonical colorings with exactly k colors are the partitions of the
+    # vertices into k independent classes: S(n, k) on E_n, S(n-1, k-1) on
+    # P_n (no two consecutive vertices in one class), and one on K_n at
+    # k = n.  Each count up to 10,000 is walked, for n up to 14.
+    assert [_stirling2(9, k) for k in range(2, 6)] == [255, 3025, 7770, 6951]
+    walked = 0
+    for n in range(1, 15):
+        for k in range(-1, n + 2):
+            want = [
+                (make_path(n), _stirling2(n - 1, k - 1)),
+                (make_empty(n), _stirling2(n, k)),
+                (make_complete(n), int(k == n)),
+            ]
+            for g, count in want:
+                if count <= 10_000:
+                    assert sum(1 for _ in _iter_canonical(g, k)) == count, (g.name, k)
+                    walked += 1
+    assert walked == 384
+    p10 = make_path(10)
+    counts = [sum(1 for _ in _iter_canonical(p10, k)) for k in range(3, 7)]
+    assert counts == [255, 3025, 7770, 6951]
+
+
+def test_uncut_enumeration_deadline():
+    # P12 at 4 colors has 28,501 colorings, at most 4 for each visit of the
+    # last vertex, so the walk takes well over 1024 search steps
+    g = make_path(12)
+    assert sum(1 for _ in _iter_canonical(g, 4)) == 28_501
+    with pytest.raises(SearchTimeout, match="^the deadline passed at 4 colors$"):
+        for _ in _iter_canonical(g, 4, deadline=time.monotonic() - 1):
             pass
 
 

@@ -31,7 +31,7 @@ from compelling import (
 )
 from compelling.solver import _covered, _iter_canonical
 from compelling.verify import named_families, td3_corpus
-from oracles import tdc3_pair_scan
+from oracles import brute_canonical_colorings, tdc3_pair_scan
 
 P = SubsetProperty
 
@@ -80,6 +80,39 @@ def test_chi_td_bruteforce_values():
     assert chi_td_bruteforce(make_complete(3)) == 3
     assert chi_td_bruteforce(make_cycle(5)) == 4
     assert chi_td_bruteforce(disjoint_union(make_complete(2), make_empty(1))) is None
+
+
+@st.composite
+def td_graphs(draw):
+    """G(n, p) on at most 7 vertices, sometimes with an isolated vertex
+    added."""
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from((0.3, 0.5, 0.7, 0.9)))
+    g = make_random_graph(n, p, draw(st.integers(0, 2**20)))
+    if n < 7 and draw(st.booleans()):
+        g = disjoint_union(g, make_empty(1))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(td_graphs())
+def test_chi_td_bruteforce_matches_the_brute_force_colorings(g):
+    # the least k at which one of the k^n assignments is a canonical total
+    # dominator coloring: an oracle that shares no code with the walk
+    want = next(
+        (
+            k
+            for k in range(1, g.n + 1)
+            if any(
+                is_total_dominator_coloring(g, Coloring(colors))
+                for colors in brute_canonical_colorings(g, k)
+            )
+        ),
+        None,
+    )
+    assert chi_td_bruteforce(g) == want
+    if any(not g.adj[v] for v in range(g.n)):
+        assert want is None
 
 
 # ---------------------------------------------------------------------------
