@@ -8,30 +8,34 @@ infeasible when none exists at any number of colors.
 
 Each property has one verdict kernel here, shared by the checker, the
 search, the total dominator tester and the verification suites.  DOM,
-TDOM and ISOLATE_FREE are one per-vertex test, :func:`_covered`: every
-vertex has a whole color class inside its closed neighbourhood (DOM) or
-its open one (TDOM, ISOLATE_FREE).  EDGE, CONNECTED and CDOM are decided
-by one pruned committee walk, :func:`_committee_pick`, which
-:func:`_committee_search` turns into the committee.  The plain
-committee scanner, :func:`_find_violating_committee`, walks the committees
-once for any number of properties and stops once each has a violating
-committee.  It finds the counterexamples of the per-vertex kernels and is
-the reference the committee search is tested against.  Reported
-counterexamples are always the lexicographically least violating committee
-under class-index-then-vertex order, so results are reproducible.
+TDOM and ISOLATE_FREE are one per-vertex test: every vertex u has a whole
+color class inside its closed neighbourhood (DOM) or its open one (TDOM,
+ISOLATE_FREE).  :func:`_covered` gives the yes or no; where it fails at
+u, the least committee that misses ``cover[u]`` takes the lowest vertex
+outside it from each class, and for ISOLATE_FREE u itself from u's class,
+so :func:`_uncovered_committee` finds the least counterexample in
+O(n * k).  EDGE and CONNECTED are decided by one pruned committee walk,
+:func:`_committee_pick`.  A set fails CDOM exactly when it fails
+CONNECTED or DOM, so the checker takes the lesser of those two
+committees.  The plain committee scanner, :func:`_find_violating_committee`,
+walks the committees once for any number of properties and stops once
+each has a violating committee; it is the reference the kernels are
+tested against.  Reported counterexamples are always the lexicographically
+least violating committee under class-index-then-vertex order, so results
+are reproducible.
 
-The committee search walks the classes in index order, each class's
+The committee walk goes over the classes in index order, each class's
 vertices ascending, so its leaves come in the scanner's order; the
 singleton classes, in every committee, are picked first.  For EDGE it
 looks for an independent committee: it picks only vertices outside the
 closed neighbourhood of the picks so far, P, and cuts a subtree once some
-class still to pick lies inside it.  For CONNECTED and CDOM it keeps the
+class still to pick lies inside it.  For CONNECTED it keeps the
 components of P, and cuts a subtree once every vertex of the classes still
-to pick is adjacent to every component, P is connected or a pick remains,
-and (CDOM) P dominates the graph.  The next pick then joins the components
-and every later one is adjacent to them, so each completion is connected
-(and dominating).  No cut loses a violating committee: the first leaf
-reached violates the property and is the least one.
+to pick is adjacent to every component and P is connected or a pick
+remains.  The next pick then joins the components and every later one is
+adjacent to them, so each completion is connected.  No cut loses a
+violating committee: the first leaf reached violates the property and is
+the least one.
 
 The exact search runs CDOM as CONNECTED.  CDOM has no bounds on a
 disconnected graph, so its search runs only on connected ones, and there
@@ -65,7 +69,7 @@ coloring compels the property:
   and y is disconnected.  On a cycle every two vertices that are not
   adjacent form such a pair;
 * the committee test (EDGE and CONNECTED) cuts, once all k colors are
-  open, when the committee search finds a violating committee through the
+  open, when the committee walk finds a violating committee through the
   vertex just placed, which stays a committee, with the same vertex set,
   in every completion.  Every violating committee has a last-placed
   vertex, so no leaf that survives has one.  For CONNECTED it also cuts
@@ -109,8 +113,9 @@ from .properties import (
 _EDGE = SubsetProperty.EDGE
 _CONNECTED = SubsetProperty.CONNECTED
 _CDOM = SubsetProperty.CDOM
-# the properties decided by the committee search, in the checker and the
-# exact search alike
+_IF = SubsetProperty.ISOLATE_FREE
+# the properties decided by the committee walk; the search runs CDOM as
+# CONNECTED, and the checker walks CONNECTED for it
 _COMMITTEE_PROPS = (_EDGE, _CONNECTED, _CDOM)
 
 
@@ -246,8 +251,34 @@ def _covered(cover, class_masks) -> bool:
     return True
 
 
+def _uncovered_committee(cover, class_masks, colors=None):
+    """Least committee that misses ``cover[u]`` for some vertex u, or None
+    when :func:`_covered` holds.  For one u it takes the lowest vertex
+    outside ``cover[u]`` from each class; with ``colors`` (ISOLATE_FREE,
+    whose failing sets hold u and miss its open neighbourhood) it takes u
+    from u's class.  The answer is the least over all u, and the search
+    stops at the least committee of all, the lowest vertex of each class."""
+    first = [(m & -m).bit_length() - 1 for m in class_masks]
+    best = None
+    for u, cb in enumerate(cover):
+        pick = []
+        for m in class_masks:
+            free = m & ~cb
+            if not free:
+                break
+            pick.append((free & -free).bit_length() - 1)
+        else:
+            if colors is not None:
+                pick[colors[u]] = u
+            if best is None or pick < best:
+                best = pick
+                if pick == first:
+                    break
+    return None if best is None else tuple(best)
+
+
 def _find_violating_committee(
-    g: Graph, classes, props, deadline: float | None = None, memo=None
+    g: Graph, classes, props, memo=None
 ) -> tuple[tuple[int, ...] | None, ...]:
     """Least committee whose vertex set fails each of ``props``, or None
     where every committee satisfies it; one answer per property, in order.
@@ -261,18 +292,10 @@ def _find_violating_committee(
     maps each vertex set already tested to the bitmask of the indices of
     the properties it fails; a set met again is not tested again.  A set
     met for the first time is tested against all of ``props``.
-
-    With a ``deadline`` (a ``time.monotonic()`` value) the scan raises
-    SearchTimeout once it is passed, checked every 1024 committees.
     """
     found: list[tuple[int, ...] | None] = [None] * len(props)
     todo = list(enumerate(props))  # the properties with no violation yet
-    steps = 0
     for committee in itertools.product(*classes):
-        if deadline is not None:
-            steps += 1
-            if not steps & 0x3FF and time.monotonic() > deadline:
-                raise SearchTimeout("the deadline passed in the committee scan")
         mask = 0
         for v in committee:
             mask |= 1 << v
@@ -311,40 +334,6 @@ def _join(parts, low: int, nb: int) -> list[int]:
     return out
 
 
-def _committee_search(
-    g: Graph,
-    class_masks,
-    prop: SubsetProperty,
-    deadline: float | None = None,
-    parts=(),
-) -> tuple[int, ...] | None:
-    """Least committee (class-index-then-vertex order) that fails ``prop``,
-    one of EDGE, CONNECTED and CDOM; None when every committee qualifies or
-    some class is empty.  The answer is the one
-    :func:`_find_violating_committee` gives.
-
-    For CONNECTED only, ``parts`` gives a base set B of vertices outside
-    the classes, added to every committee before ``prop`` is tested: per
-    component of B, the vertices adjacent to it.  The default is no base;
-    the early committee cut of :func:`_iter_canonical` passes the unplaced
-    vertices.
-
-    :func:`_committee_pick` finds the vertices picked from the classes of
-    two or more vertices; the singleton classes fill in the rest.
-
-    With a ``deadline`` (a ``time.monotonic()`` value) the search raises
-    SearchTimeout once it is passed, checked every 1024 search steps.
-    """
-    pick = _committee_pick(g, class_masks, prop, deadline, parts)
-    if pick is None:
-        return None
-    # an independent, disconnected or undominating committee
-    picked = iter(pick)
-    return tuple(
-        next(picked) if m & (m - 1) else m.bit_length() - 1 for m in class_masks
-    )
-
-
 def _committee_pick(
     g: Graph,
     class_masks,
@@ -352,10 +341,17 @@ def _committee_pick(
     deadline: float | None = None,
     parts=(),
 ) -> list[int] | None:
-    """:func:`_committee_search` without building the committee: the least
-    violating pick from the classes of two or more vertices, in index
-    order, or None.  The pick is ``[]`` when every class is a singleton and
-    they fail ``prop``, so callers test it against None.
+    """The least committee (class-index-then-vertex order) that fails
+    ``prop``, EDGE or CONNECTED, given by its picks from the classes of two
+    or more vertices, in index order; None when every committee qualifies
+    or some class is empty.  The pick is ``[]`` when every class is a
+    singleton and they fail ``prop``, so callers test it against None.
+
+    For CONNECTED only, ``parts`` gives a base set B of vertices outside
+    the classes, added to every committee before ``prop`` is tested: per
+    component of B, the vertices adjacent to it.  The default is no base;
+    the early committee cut of :func:`_iter_canonical` passes the unplaced
+    vertices.
 
     The singleton classes are in every committee, so they join the base B
     first; two of them in N[ ] of each other put an edge in every
@@ -363,16 +359,15 @@ def _committee_pick(
     depth-first over the other classes, each class's vertices ascending,
     with the pick so far P (B included).  For EDGE a violating set is an
     independent one: picks come only from outside N[P], and a subtree ends
-    once some class still to pick lies inside N[P].  For CONNECTED and
-    CDOM the walk keeps the components of P, each as the set of vertices
-    adjacent to it; a new pick merges those it touches (:func:`_join`), so
-    no BFS runs.  A subtree ends when every vertex of the classes still to
-    pick is adjacent to every component of P, P is connected or at least
-    one pick remains, and (CDOM) N[P] is every vertex: the next pick then
-    joins all the components and each later one is adjacent to them, so
-    every completion is connected (and dominating).  A whole pick that
-    escapes these cuts fails the property, and the first one reached is
-    the least.
+    once some class still to pick lies inside N[P].  For CONNECTED the walk
+    keeps the components of P, each as the set of vertices adjacent to it;
+    a new pick merges those it touches (:func:`_join`), so no BFS runs.  A
+    subtree ends when every vertex of the classes still to pick is adjacent
+    to every component of P, and P is connected or at least one pick
+    remains: the next pick then joins all the components and each later
+    one is adjacent to them, so every completion is connected.  A whole
+    pick that escapes these cuts fails the property, and the first one
+    reached is the least.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the walk raises
     SearchTimeout once it is passed, checked every 1024 search steps.
@@ -381,7 +376,6 @@ def _committee_pick(
     closed = g.closed_bits
     full = g.full_mask
     edge = prop is _EDGE
-    cdom = prop is _CDOM
     reach = 0
     picks = []  # the classes of two or more vertices
     for m in class_masks:
@@ -389,20 +383,18 @@ def _committee_pick(
             return None  # no committee at all
         if m & (m - 1):
             picks.append(m)
-        elif edge and m & reach:
+        elif not edge:
+            parts = _join(parts, m, adj[m.bit_length() - 1])
+        elif m & reach:
             return None  # every committee holds this edge
         else:
-            u = m.bit_length() - 1
-            reach |= closed[u]
-            if not edge:
-                parts = _join(parts, m, adj[u])
+            reach |= closed[m.bit_length() - 1]
     k = len(picks)
-    # For the pick P of B and pick[:i]: near[i] is N[P], and for CONNECTED
-    # and CDOM comps[i] holds, per component of P, the vertices adjacent to
-    # it, and later[i] the vertices of the classes picks[i:].
+    # For the pick P of B and pick[:i]: state[i] is N[P] for EDGE, and for
+    # CONNECTED, per component of P, the vertices adjacent to it; later[i]
+    # holds the vertices of the classes picks[i:].
     pick: list[int] = []
-    near = [reach]
-    comps = [parts]
+    state = [reach if edge else parts]
     later = [0] * (k + 1)
     if not edge:
         for i in range(k - 1, -1, -1):
@@ -411,9 +403,8 @@ def _committee_pick(
     steps = 0
     while True:
         i = len(pick)
-        r = near[i]
         if edge:
-            free = full & ~r  # an independent committee picks outside N[P]
+            free = full & ~state[i]  # an independent committee picks outside N[P]
             for m in picks[i:]:
                 if not m & free:
                     todo.append(0)  # every completion holds an edge
@@ -423,16 +414,11 @@ def _committee_pick(
                     return pick
                 todo.append(picks[i] & free)
         else:
-            parts = comps[i]
+            parts = state[i]
             joins = full  # the vertices adjacent to every component of P
             for m in parts:
                 joins &= m
-            if (
-                parts
-                and (i < k or len(parts) == 1)
-                and not later[i] & ~joins
-                and (r == full or not cdom)
-            ):
+            if parts and (i < k or len(parts) == 1) and not later[i] & ~joins:
                 todo.append(0)  # every completion qualifies
             elif i < k:
                 todo.append(picks[i])
@@ -443,9 +429,7 @@ def _committee_pick(
             if not todo:
                 return None
             pick.pop()
-            near.pop()
-            if not edge:
-                comps.pop()
+            state.pop()
         if deadline is not None:
             steps += 1
             if not steps & 0x3FF and time.monotonic() > deadline:
@@ -454,9 +438,7 @@ def _committee_pick(
         todo[-1] ^= low
         v = low.bit_length() - 1
         pick.append(v)
-        near.append(near[-1] | closed[v])
-        if not edge:
-            comps.append(_join(comps[-1], low, adj[v]))
+        state.append(state[-1] | closed[v] if edge else _join(state[-1], low, adj[v]))
 
 
 def is_compelling(
@@ -469,32 +451,39 @@ def is_compelling(
     """Decide whether ``coloring`` compels ``prop`` on ``g``.
 
     On failure the report carries the least violating rainbow committee.
-    DOM, TDOM and ISOLATE_FREE are decided by the per-vertex kernel
-    :func:`_covered` on the neighbourhood table of :func:`_search_cover`,
-    and only a negative verdict scans the committees for the least
-    counterexample.  EDGE, CONNECTED and CDOM run the committee search
-    (:func:`_committee_search`), which cuts every subtree whose completions
-    all qualify, or for EDGE all hold an edge; it returns the least
-    violating committee the full scan would.
+    DOM, TDOM and ISOLATE_FREE take it from the per-vertex test on the
+    neighbourhood table of :func:`_search_cover`
+    (:func:`_uncovered_committee`).  EDGE and CONNECTED run the committee
+    walk (:func:`_committee_pick`), which cuts every subtree whose
+    completions all qualify, or for EDGE all hold an edge.  CDOM takes the
+    lesser of the CONNECTED and DOM committees.
 
-    ``timeout_s`` bounds the whole check: the searches raise SearchTimeout
-    once it has passed.
+    ``timeout_s`` bounds the committee walks: they raise SearchTimeout once
+    it has passed.
     """
     validate_coloring(g, coloring)
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
     masks = coloring.class_masks
+    if prop not in _COMMITTEE_PROPS:
+        colors = coloring.colors if prop is _IF else None
+        cx = _uncovered_committee(_search_cover(g, prop), masks, colors)
+        return CompellingReport(cx is None, cx, "per-vertex-fast")
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    walk = _CONNECTED if prop is _CDOM else prop
     try:
-        if prop in _COMMITTEE_PROPS:
-            cx = _committee_search(g, masks, prop, deadline)
-            return CompellingReport(cx is None, cx, "rc-search")
-        cx = None
-        if not _covered(_search_cover(g, prop), masks):
-            (cx,) = _find_violating_committee(g, coloring.classes, (prop,), deadline)
+        pick = _committee_pick(g, masks, walk, deadline)
     except SearchTimeout as exc:
         raise SearchTimeout(
             f"no verdict for {g.name or 'graph'} within {timeout_s}s: {exc}"
         ) from None
-    return CompellingReport(cx is None, cx, "per-vertex-fast")
+    cx = None
+    if pick is not None:  # an independent or disconnected committee
+        picked = iter(pick)
+        cx = tuple(next(picked) if m & (m - 1) else m.bit_length() - 1 for m in masks)
+    if prop is _CDOM:
+        dom = _uncovered_committee(g.closed_bits, masks)
+        if cx is None or dom is not None and dom < cx:
+            cx = dom
+    return CompellingReport(cx is None, cx, "rc-search")
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +523,10 @@ def _iter_canonical(
     enough; with no room left it is the all-k test above.
 
     ``separators`` (the mask of :func:`_search_separators`) turns on the
-    separator cut, valid for CONNECTED and CDOM: a branch is cut once two
-    colors are in use and some cut vertex x of the mask lies in a class of
-    two or more vertices (bit n stands for no x at all, on a disconnected
-    graph, and needs no class).  The placed vertices other than x then
+    separator cut, valid for CONNECTED: a branch is cut once two colors
+    are in use and some cut vertex x of the mask lies in a class of two or
+    more vertices (bit n stands for no x at all, on a disconnected graph,
+    and needs no class).  The placed vertices other than x then
     carry two colors, a and b.  If two components of G - x hold vertices
     of different colors, take those two; else all of them lie in one
     component, and any vertex w of another, placed now or later, differs
@@ -545,10 +534,10 @@ def _iter_canonical(
     two that avoids x (x's class has another placed vertex) is
     disconnected in every completion.
 
-    ``committee`` (EDGE, CONNECTED or CDOM) turns on the committee cut:
-    once all k colors are open, the branch is cut when some committee
-    through the vertex v just placed fails that property, searched by
-    :func:`_committee_search` with v's class cut to v.  Classes only grow,
+    ``committee`` (EDGE or CONNECTED) turns on the committee cut: once
+    all k colors are open, the branch is cut when some committee through
+    the vertex v just placed fails that property, searched by
+    :func:`_committee_pick` with v's class cut to v.  Classes only grow,
     so that committee, and its vertex set, is in every completion.  Every
     violating committee of a coloring has a last-placed vertex, at which
     all k colors are open, so every leaf that survives compels the
@@ -559,7 +548,7 @@ def _iter_canonical(
     vertex of U as a class of its own: every committee of that coloring is
     P + U, with P one placed vertex per open class.  When v joins an open
     class, two colors or more are in use and fewer than k,
-    :func:`_committee_search` on the open classes, with U as its base (the
+    :func:`_committee_pick` on the open classes, with U as its base (the
     table of :func:`_unplaced_tables`), looks for a P for which P + U is
     disconnected, and the branch is cut when there is one.  In a
     completion each new class lies in U, so P plus one vertex of each new

@@ -337,6 +337,26 @@ def test_check_ten_classes_of_six_within_the_timeout(capsys, tmp_path, prop):
     assert out.strip() == "COMPELLING"
 
 
+@pytest.mark.parametrize("prop", ["dom", "tdom", "if", "cdom"])
+def test_check_ten_classes_of_six_names_the_committee_at_once(
+    capsys, tmp_path, prop
+):
+    # vertex 0 misses the last vertex of every class: the per-vertex test
+    # names the least committee of 6^10 with no committee scan
+    graph, coloring = class_coloring_files(
+        tmp_path, 10, 6, lambda u, v: u or v % 6 != 5
+    )
+    code, out, _ = run(
+        capsys, "check", graph, coloring, "--property", prop, "--timeout-secs", "0"
+    )
+    first = 1 if prop == "dom" else 0
+    assert code == 0
+    assert out.splitlines() == [
+        "NOT-COMPELLING",
+        "counterexample committee: " + " ".join(map(str, [first, *range(11, 60, 6)])),
+    ]
+
+
 def test_check_timeout_exits_one_without_a_traceback(capsys, tmp_path):
     # each class joined to the next only: the committee search cuts at the
     # last class, after 21,844 steps

@@ -11,14 +11,16 @@ compare it against a leaf-only reference: the uncut enumeration from the
 lower bound up, with each completed coloring judged by the set-level
 oracle.
 
-The committee search behind ``is_compelling`` for EDGE, CONNECTED and CDOM
-cuts subtrees whose completions all qualify, or for EDGE all hold an edge;
-it is compared against the plain committee scan and the set-level oracle,
-on whole colorings and on the partial class masks the committee cut
-passes, and for CONNECTED with the unplaced vertices as a base.  The plain
-scan for several properties at once is compared against one scan per
-property, and the connected domination search of the bounds against
-plain subset enumeration.
+``is_compelling`` takes the least DOM, TDOM and ISOLATE_FREE committees
+from the per-vertex test, walks the committees for EDGE and CONNECTED,
+cutting subtrees whose completions all qualify, or for EDGE all hold an
+edge, and takes CDOM's as the lesser of CONNECTED's and DOM's.  It is
+compared against the plain committee scan and the set-level oracle in all
+six properties, and the walk also on the partial class masks the
+committee cut passes, and for CONNECTED with the unplaced vertices as a
+base.  The plain scan for several properties at once is compared against
+one scan per property, and the connected domination search of the bounds
+against plain subset enumeration.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from compelling.graphs import separation_pairs
 from compelling.properties import eval_property_mask
 from compelling.solver import (
     _classes_from_masks,
-    _committee_search,
+    _committee_pick,
     _find_violating_committee,
     _iter_canonical,
     _search_cover,
@@ -70,6 +72,7 @@ P = SubsetProperty
 
 CUT_SETTINGS = settings(max_examples=200, deadline=None)
 COMMITTEE_PROPS = (P.EDGE, P.CONNECTED, P.CDOM)
+WALK_PROPS = (P.EDGE, P.CONNECTED)  # the properties the committee walk takes
 
 
 def leaf_only_chi(g: Graph, prop: SubsetProperty, **cut) -> ChiResult:
@@ -200,8 +203,10 @@ def test_separator_cut_matches_leaf_only_reference(g, prop):
 @CUT_SETTINGS
 @given(small_graphs(), st.sampled_from(COMMITTEE_PROPS))
 def test_edge_cut_matches_leaf_only_reference(g, prop):
+    # CDOM is searched as CONNECTED, with CONNECTED's committee cut
     want = leaf_only_chi(g, prop)
-    assert leaf_only_chi(g, prop, committee=prop) == want
+    walk = P.CONNECTED if prop is P.CDOM else prop
+    assert leaf_only_chi(g, prop, committee=walk) == want
     assert compelling_chromatic_number(g, prop) == want
 
 
@@ -225,7 +230,7 @@ def test_separator_cut_leaves_are_filtered_uncut_leaves(g, with_cover, data):
 
 
 @CUT_SETTINGS
-@given(small_graphs(), st.sampled_from(COMMITTEE_PROPS), st.data())
+@given(small_graphs(), st.sampled_from(WALK_PROPS), st.data())
 def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
     k = data.draw(st.integers(1, g.n))
     cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, committee=prop)]
@@ -321,13 +326,13 @@ def test_count_rule_cuts(monkeypatch, seed, prop, witness):
 
 
 @CUT_SETTINGS
-@given(small_graphs(), st.sampled_from(COMMITTEE_PROPS))
+@given(small_graphs(), st.sampled_from(WALK_PROPS))
 def test_edge_leaves_that_survive_have_no_independent_committee(g, prop):
-    # so compelling_chromatic_number can take every EDGE, CONNECTED and
-    # CDOM leaf it reaches as compelling
+    # so compelling_chromatic_number can take every EDGE and CONNECTED leaf
+    # it reaches as compelling
     for k in range(1, g.n + 1):
         for _, masks in _iter_canonical(g, k, committee=prop):
-            assert _committee_search(g, masks, prop) is None
+            assert _committee_pick(g, masks, prop) is None
 
 
 def test_separator_table_deadline():
@@ -576,8 +581,17 @@ def test_frontier_random_graphs(n, prop, value, witness):
 
 
 # ---------------------------------------------------------------------------
-# The committee search for EDGE, CONNECTED and CDOM
+# The least violating committee of the checker, and the committee walk
 # ---------------------------------------------------------------------------
+
+
+def committee_of(masks, pick):
+    """The committee of a walk's pick: the picked vertices for the classes
+    of two or more vertices, in order, and the singleton classes' own."""
+    if pick is None:
+        return None
+    picked = iter(pick)
+    return tuple(next(picked) if m & (m - 1) else m.bit_length() - 1 for m in masks)
 
 
 @st.composite
@@ -621,8 +635,8 @@ def test_committee_search_matches_the_scan(case):
     if colors is None:
         return
     coloring = Coloring(colors)
-    for prop in COMMITTEE_PROPS:
-        cx = _committee_search(g, coloring.class_masks, prop)
+    for prop in P:
+        cx = is_compelling(g, coloring, prop).counterexample
         assert (cx,) == _find_violating_committee(g, coloring.classes, (prop,))
         assert (cx is None) == brute_compelling(g, colors, prop)
 
@@ -646,8 +660,8 @@ def test_committee_search_with_the_unplaced_base(g, data):
         if not eval_property_mask(P.CONNECTED, g, bits | unplaced):
             expected = committee
             break
-    base = _unplaced_tables(g)[v]
-    assert _committee_search(g, masks, P.CONNECTED, None, base) == expected
+    pick = _committee_pick(g, masks, P.CONNECTED, None, _unplaced_tables(g)[v])
+    assert committee_of(masks, pick) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -668,8 +682,8 @@ def test_committee_search_on_partial_masks(g, data):
             unplaced.append(1 << v)
     if data.draw(st.booleans()):
         masks += unplaced
-    for prop in COMMITTEE_PROPS:
-        cx = _committee_search(g, masks, prop)
+    for prop in WALK_PROPS:
+        cx = committee_of(masks, _committee_pick(g, masks, prop))
         if not all(masks):
             assert cx is None
         else:
@@ -701,19 +715,3 @@ def test_one_scan_for_several_properties(g, order, count):
         want = sum(1 << i for i, p in enumerate(props) if not eval_property_mask(p, g, mask))
         assert failed == want
 
-
-def test_scan_for_several_properties_times_out():
-    # 8 classes of 4, joined fully but for vertex 0 and the last vertex of
-    # each class: no committee is independent or has an isolated vertex,
-    # and the least undominating one comes after 32,767 others
-    n = 32
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(range(n), 2)
-        if u // 4 != v // 4 and (u or v % 4 != 3)
-    ]
-    g = Graph.from_edges(n, edges)
-    classes = _classes_from_masks(Coloring(tuple(v // 4 for v in range(n))).class_masks)
-    props = (P.EDGE, P.DOM, P.ISOLATE_FREE)
-    with pytest.raises(SearchTimeout, match="committee scan"):
-        _find_violating_committee(g, classes, props, time.monotonic())

@@ -186,19 +186,52 @@ def test_committee_search_on_ten_classes_of_six():
         # so the search cuts there after 21,844 steps
         (*class_graph(8, 4, lambda u, v: u > 3 or v > 27), P.CONNECTED,
          "committee search"),
-        # vertex 0 misses the last vertex of every class, so the least
-        # undominating committee, (1, 7, 11, ..., 31), comes after 32,767
-        # others in committee order
-        (*class_graph(8, 4, lambda u, v: u or v % 4 != 3), P.DOM, "committee scan"),
+        # CDOM walks CONNECTED: the chain above, with every committee
+        # dominating
+        (*class_graph(8, 4, lambda u, v: v // 4 - u // 4 == 1), P.CDOM,
+         "committee search"),
         # 1200 classes of two, one search step each
         (make_empty(2400), Coloring(tuple(v // 2 for v in range(2400))), P.EDGE,
          "committee search"),
     ],
-    ids=["connected-chain", "connected-unjoined", "dom", "edge"],
+    ids=["connected-chain", "connected-unjoined", "cdom", "edge"],
 )
 def test_check_timeout(g, coloring, prop, search):
     with pytest.raises(SearchTimeout, match=f"within 0s: .*{search}"):
         is_compelling(g, coloring, prop, timeout_s=0)
+
+
+def test_least_committees_on_a_path():
+    # P4 colored 0101: ISOLATE_FREE differs from TDOM, whose least
+    # committee (0, 1) is an edge, and CDOM from CONNECTED, since (0, 1)
+    # is connected but does not dominate vertex 3
+    g, coloring = make_path(4), Coloring((0, 1, 0, 1))
+    want = {
+        P.DOM: (0, 1),
+        P.TDOM: (0, 1),
+        P.ISOLATE_FREE: (0, 3),
+        P.EDGE: (0, 3),
+        P.CONNECTED: (0, 3),
+        P.CDOM: (0, 1),
+    }
+    for prop, cx in want.items():
+        assert is_compelling(g, coloring, prop).counterexample == cx, prop
+
+
+def test_per_vertex_committee_takes_no_scan():
+    # vertex 0 misses the last vertex of every class, so the least
+    # undominating committee, (1, 7, 11, ..., 31), comes after 32,767
+    # others in committee order; the per-vertex test names it at once
+    g, coloring = class_graph(8, 4, lambda u, v: u or v % 4 != 3)
+    report = is_compelling(g, coloring, P.DOM, timeout_s=0)
+    assert report.counterexample == (1, 7, *range(11, 32, 4))
+    # ten classes of six, 6^10 committees: the DOM committee swaps vertex
+    # 1 in for 0, the others keep 0, which sees none of the rest
+    g, coloring = class_graph(10, 6, lambda u, v: u or v % 6 != 5)
+    rest = tuple(range(11, 60, 6))
+    for prop in (P.DOM, P.TDOM, P.ISOLATE_FREE, P.CDOM):
+        report = is_compelling(g, coloring, prop, timeout_s=0)
+        assert report.counterexample == (int(prop is P.DOM), *rest), prop
 
 
 def test_committee_search_cuts_once_a_pick_reconnects():
