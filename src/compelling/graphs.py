@@ -12,10 +12,10 @@ Every breadth-first search over a vertex bitmask goes through
 :func:`bfs_layers`: connectivity, components and bipartitions here, and the
 induced-subgraph checks of the other modules.  Every least dominating-type
 set (domination, total and connected domination) comes from one pruned
-subset search, :func:`least_covering_set`.  The exact chromatic number has
-no search of its own: past a first-fit bound it runs the solver's
-canonical-coloring enumerator, imported at call time since the solver
-imports this module.
+subset search, :func:`least_covering_set`.  The plain canonical-coloring
+walk, :func:`canonical_walk`, serves the exact chromatic number past its
+first-fit bound and every enumeration that needs no cut.  This module
+imports no other module of the package.
 
 Each invariant that a graph is asked for again and again is computed once
 per :class:`Graph` and stored on it by :func:`graph_memo`: connectivity,
@@ -408,12 +408,19 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def _mop_reduction(g: Graph):
     """Reduce g to a triangle by repeatedly removing a degree-2 vertex whose
-    neighbors are adjacent (lowest index first).
+    neighbors are adjacent (lowest index first), then certify the result by
+    rebuilding the outer cycle: each removed ear must reinsert between a
+    consecutive pair of the partial cycle.  The rebuild step is what
+    rejects the non-outerplanar graphs (some 2-trees) that ear removal
+    alone would accept.
 
-    Returns (removals, triangle) where removals is the list of (v, x, y)
-    steps taken, or None when the reduction gets stuck.
+    Returns (removals, triangle, cycle), where removals is the list of
+    (v, x, y) steps taken and cycle the outer cycle, or None when g is not
+    maximal outerplanar.
     """
     n = g.n
+    if n < 3 or g.edge_count != 2 * n - 3:
+        return None
     nbrs = [set(s) for s in g.adj]
     alive = [True] * n
     removals: list[tuple[int, int, int]] = []
@@ -438,25 +445,6 @@ def _mop_reduction(g: Graph):
     triangle = [v for v in range(n) if alive[v]]
     if any(len(nbrs[v]) != 2 for v in triangle):
         return None
-    return removals, triangle
-
-
-def is_mop(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Recognize maximal outerplanar graphs and recover the outer cycle.
-
-    Reduces by removing triangle ears down to a triangle, then certifies the
-    result by rebuilding the outer cycle: each removed ear must reinsert
-    between a consecutive pair of the partial cycle.  The rebuild step is
-    what rejects the non-outerplanar graphs (some 2-trees) that ear removal
-    alone would accept.
-    """
-    n = g.n
-    if n < 3 or g.edge_count != 2 * n - 3:
-        return False, None
-    reduction = _mop_reduction(g)
-    if reduction is None:
-        return False, None
-    removals, triangle = reduction
     cycle = list(triangle)
     for v, x, y in reversed(removals):
         i = cycle.index(x)
@@ -467,8 +455,15 @@ def is_mop(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
         elif (j + 1) % size == i:
             cycle.insert(j + 1, v)
         else:
-            return False, None
-    return True, tuple(cycle)
+            return None
+    return removals, triangle, tuple(cycle)
+
+
+def is_mop(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
+    """Recognize maximal outerplanar graphs and recover the outer cycle,
+    by the certified ear reduction of :func:`_mop_reduction`."""
+    reduction = _mop_reduction(g)
+    return (False, None) if reduction is None else (True, reduction[2])
 
 
 def mop_three_coloring(g: Graph) -> tuple[int, ...]:
@@ -477,10 +472,10 @@ def mop_three_coloring(g: Graph) -> tuple[int, ...]:
     Colors the reduction's final triangle 0,1,2 and replays the removed ears
     in reverse, giving each the color its two attachment vertices miss.
     """
-    ok, _ = is_mop(g)
-    if not ok:
+    reduction = _mop_reduction(g)
+    if reduction is None:
         raise ValueError("not a maximal outerplanar graph")
-    removals, triangle = _mop_reduction(g)
+    removals, triangle, _ = reduction
     colors = [-1] * g.n
     for c, v in enumerate(triangle):
         colors[v] = c
@@ -679,18 +674,18 @@ def _greedy_clique(g: Graph, order) -> list[int]:
 def chromatic_number(
     g: Graph, max_n: int = EXACT_CHROMATIC_CAP, *, deadline: float | None = None
 ) -> int:
-    """Exact chromatic number: a first-fit bound, then the canonical
-    enumerator on a degree-ordered copy.
+    """Exact chromatic number: a first-fit bound, then the canonical walk
+    in degree order.
 
     A greedy clique, taken in degree order, is the lower bound, and a
     first-fit coloring, the clique first and then the rest in degree
     order, the upper one; when the two meet that is the answer.  Otherwise
     the answer is the least k from the clique's size up at which
-    :func:`solver._iter_canonical` yields a coloring with exactly k colors
-    of a copy of ``g`` relabelled in that order, or the first-fit count
-    when no k below it does.  The canonical rule gives the clique's
-    vertices, which come first, colors 0 to its size - 1.  The search is a
-    loop, not a recursion, so any order fits under ``max_n``.
+    :func:`canonical_walk` yields a coloring with exactly k colors of the
+    adjacency bitmasks of ``g`` relabelled in that order, or the
+    first-fit count when no k below it does.  The canonical rule gives the
+    clique's vertices, which come first, colors 0 to its size - 1.  The
+    walk is a loop, not a recursion, so any order fits under ``max_n``.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps of
@@ -701,8 +696,6 @@ def chromatic_number(
 
 
 def _chromatic_search(g: Graph, deadline: float | None) -> int:
-    from .solver import _iter_canonical  # solver imports this module
-
     # largest degree first, for the clique and then the rest
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     clique = _greedy_clique(g, order)
@@ -719,17 +712,87 @@ def _chromatic_search(g: Graph, deadline: float | None) -> int:
             masks.append(1 << v)
     if len(masks) == len(clique):
         return len(clique)
-    at = {v: i for i, v in enumerate(order)}
-    h = Graph(g.n, tuple(frozenset(at[u] for u in g.adj[v]) for v in order))
+    # the adjacency bitmasks relabelled in that order: order[i] becomes i
+    new_bit = [1 << i for i in sorted(range(g.n), key=order.__getitem__)]
+    adj = tuple(sum(new_bit[u] for u in g.adj[v]) for v in order)
     try:
         for k in range(len(clique), len(masks)):
-            if next(_iter_canonical(h, k, deadline=deadline), None) is not None:
+            if next(canonical_walk(adj, k, deadline), None) is not None:
                 return k
     except SearchTimeout:
         raise SearchTimeout(
             "the deadline passed in the chromatic number search"
         ) from None
     return len(masks)
+
+
+def canonical_walk(adj_bits: tuple[int, ...], k: int, deadline: float | None = None):
+    """Yield every canonical proper coloring with exactly k colors of the
+    graph whose adjacency bitmasks are ``adj_bits``, as the
+    restricted-growth strings in lexicographic order; nothing when k is
+    not in 1..n.
+
+    Canonical means a vertex may take color c only when c is at most one
+    more than the largest color used on earlier vertices, which picks one
+    representative per color permutation.  Yields (colors, class_masks) as
+    live lists; consumers must copy anything they keep.  The last vertex
+    is coloured in place, one leaf for each color it can take: any open
+    class it has no neighbour in once all k colors are open, else the one
+    color still to be opened.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the walk raises
+    SearchTimeout once it is passed, checked every 1024 search steps.
+    """
+    n = len(adj_bits)
+    if k < 1 or k > n:
+        return
+    last = n - 1
+    colors = [0] * n
+    masks = [0] * k
+    # used_at[v]: the colors open on reaching vertex v
+    used_at = [0] * n
+    steps = 0
+    v = 0
+    c = 0  # the next color to try at v
+    while True:
+        used = used_at[v]
+        if k - used <= n - v:
+            if deadline is not None:
+                steps += 1
+                if not steps & 0x3FF and time.monotonic() > deadline:
+                    raise SearchTimeout(f"the deadline passed at {k} colors")
+            nb = adj_bits[v]
+            if v == last:
+                bit = 1 << v
+                if used < k:  # the count check left used == k - 1
+                    colors[v] = used
+                    masks[used] = bit
+                    yield colors, masks
+                    masks[used] = 0
+                else:
+                    for c in range(k):
+                        if not masks[c] & nb:
+                            colors[v] = c
+                            masks[c] |= bit
+                            yield colors, masks
+                            masks[c] ^= bit
+            else:
+                top = used if used < k else k - 1
+                while c <= top and masks[c] & nb:
+                    c += 1
+                if c <= top:
+                    colors[v] = c
+                    masks[c] |= 1 << v
+                    v += 1
+                    used_at[v] = used + 1 if c == used else used
+                    c = 0
+                    continue
+        if not v:
+            return
+        v -= 1
+        c = colors[v]
+        masks[c] &= ~(1 << v)
+        c += 1
 
 
 def least_covering_set(

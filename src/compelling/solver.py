@@ -97,6 +97,7 @@ from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
     SearchTimeout,
+    canonical_walk,
     check_order,
     chromatic_number,
     cut_vertices,
@@ -167,16 +168,20 @@ def canonical_colors(colors) -> tuple[int, ...]:
 
 
 def validate_coloring(g: Graph, coloring: Coloring) -> None:
-    """Reject colorings that are not total and proper on ``g``."""
-    if len(coloring.colors) != g.n:
-        raise ValueError(
-            f"coloring assigns {len(coloring.colors)} vertices, graph has {g.n}"
-        )
-    for u, v in g.edges:
-        if coloring.colors[u] == coloring.colors[v]:
+    """Reject colorings that are not total and proper on ``g``.  The clash
+    named is the least one, (u, v) with u < v: the lowest u with a
+    neighbour in its own class, and its lowest such neighbour v."""
+    colors = coloring.colors
+    if len(colors) != g.n:
+        raise ValueError(f"coloring assigns {len(colors)} vertices, graph has {g.n}")
+    masks = coloring.class_masks
+    for u, nb in enumerate(g.adj_bits):
+        clash = nb & masks[colors[u]]
+        if clash:
+            v = (clash & -clash).bit_length() - 1
             raise ValueError(
                 f"improper coloring: adjacent vertices {u} and {v} "
-                f"both have color {coloring.colors[u]}"
+                f"both have color {colors[u]}"
             )
 
 
@@ -499,12 +504,11 @@ def _iter_canonical(
     separators=None,
     committee: SubsetProperty | None = None,
 ):
-    """Yield every canonical proper coloring of g with exactly k colors.
-
-    Canonical means a vertex may take color c only when c is at most one
-    more than the largest color used on earlier vertices, which picks one
-    representative per color permutation.  Yields (colors, class_masks) as
-    live lists; consumers must copy anything they keep.
+    """The cut search: the canonical proper colorings of g with exactly k
+    colors that :func:`graphs.canonical_walk` yields, less the subtrees
+    that the cuts asked for drop, as (colors, class_masks) live lists in
+    the walk's order; consumers must copy anything they keep.  Callers
+    that need no cut call the walk itself.
 
     ``cover`` (a symmetric neighbourhood bitmask per vertex) turns on the
     per-vertex cut: then only colorings in which every vertex u has a
@@ -584,19 +588,11 @@ def _iter_canonical(
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
 
-    With no cut asked for (``cover``, ``separators`` and ``committee`` all
-    None) the plain walk :func:`_walk` runs instead: it keeps none of the
-    cut state and colours the last vertex in place.  Its leaves are the
-    same, in the same order, and it yields the same live lists.
-
     With a ``deadline`` (a ``time.monotonic()`` value) the search raises
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
     n = g.n
     if k < 1 or k > n:
-        return
-    if cover is None and separators is None and committee is None:
-        yield from _walk(g, k, deadline)
         return
     adj = g.adj_bits
     full = g.full_mask
@@ -727,64 +723,6 @@ def _iter_canonical(
         c += 1
 
 
-def _walk(g: Graph, k: int, deadline: float | None):
-    """The uncut walk of :func:`_iter_canonical`, for 1 <= k <= n: every
-    canonical proper coloring of g with exactly k colors, as the
-    restricted-growth strings in lexicographic order.  The last vertex is
-    coloured in place, one leaf for each color it can take: any open class
-    it has no neighbour in once all k colors are open, else the one color
-    still to be opened."""
-    n = g.n
-    adj = g.adj_bits
-    last = n - 1
-    colors = [0] * n
-    masks = [0] * k
-    # used_at[v]: the colors open on reaching vertex v
-    used_at = [0] * n
-    steps = 0
-    v = 0
-    c = 0  # the next color to try at v
-    while True:
-        used = used_at[v]
-        if k - used <= n - v:
-            if deadline is not None:
-                steps += 1
-                if not steps & 0x3FF and time.monotonic() > deadline:
-                    raise SearchTimeout(f"the deadline passed at {k} colors")
-            nb = adj[v]
-            if v == last:
-                bit = 1 << v
-                if used < k:  # the count check left used == k - 1
-                    colors[v] = used
-                    masks[used] = bit
-                    yield colors, masks
-                    masks[used] = 0
-                else:
-                    for c in range(k):
-                        if not masks[c] & nb:
-                            colors[v] = c
-                            masks[c] |= bit
-                            yield colors, masks
-                            masks[c] ^= bit
-            else:
-                top = used if used < k else k - 1
-                while c <= top and masks[c] & nb:
-                    c += 1
-                if c <= top:
-                    colors[v] = c
-                    masks[c] |= 1 << v
-                    v += 1
-                    used_at[v] = used + 1 if c == used else used
-                    c = 0
-                    continue
-        if not v:
-            return
-        v -= 1
-        c = colors[v]
-        masks[c] &= ~(1 << v)
-        c += 1
-
-
 def _paired(pairs, multi: int, v: int, colors, masks, c: int) -> bool:
     """The separation-pair cut of :func:`_iter_canonical`, with v just
     placed in class c: two vertices x != y of ``multi``, the placed
@@ -836,7 +774,7 @@ def _unplaced_tables(g: Graph) -> list[list[int]]:
 
 def canonical_colorings(g: Graph, k: int):
     """All canonical proper colorings of ``g`` with exactly ``k`` colors."""
-    for colors, _ in _iter_canonical(g, k):
+    for colors, _ in canonical_walk(g.adj_bits, k):
         yield Coloring(tuple(colors))
 
 

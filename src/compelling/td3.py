@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .graphs import (
     EXACT_CHROMATIC_CAP,
     Graph,
+    canonical_walk,
     check_order,
     is_complete_bipartite,
     is_connected,
@@ -46,7 +47,6 @@ from .graphs import (
 from .solver import (
     Coloring,
     _covered,
-    _iter_canonical,
     canonical_colors,
     validate_coloring,
 )
@@ -74,8 +74,8 @@ def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
     """Minimum class count of a total dominator coloring by canonical
     coloring enumeration; None when an isolated vertex rules them all out.
 
-    The enumeration stays uncut (it passes no ``cover=g.adj_bits``), so
-    this reference shares no cut rule with the solver it checks.  A cut
+    The enumeration is the plain walk :func:`graphs.canonical_walk`, with
+    no cut, so this reference shares no cut rule with the solver it checks.  A cut
     would also take a large-n benchmark pass under the roughly 26 ms
     below which the benchmark's speed sampler has no sample in the timed
     region and reports NaN."""
@@ -83,7 +83,7 @@ def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
     if any(not g.adj[v] for v in range(g.n)):
         return None
     for k in range(1, g.n + 1):
-        for _, masks in _iter_canonical(g, k):
+        for _, masks in canonical_walk(g.adj_bits, k):
             if _covered(g.adj_bits, masks):
                 return k
     return None

@@ -38,6 +38,7 @@ from .closed_forms import (
 from .graphs import (
     Graph,
     bfs_layers,
+    canonical_walk,
     chromatic_number,
     diameter,
     disjoint_union,
@@ -63,7 +64,6 @@ from .solver import (
     _classes_from_masks,
     _covered,
     _find_violating_committee,
-    _iter_canonical,
     compelling_chromatic_number,
     disjoint_union_bounds,
     is_compelling,
@@ -341,7 +341,7 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
             props += (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
         failed: dict[int, int] = {}  # vertex set -> the props it fails
         for k in range(1, min(4, g.n) + 1):
-            for colors, masks in _iter_canonical(g, k):
+            for colors, masks in canonical_walk(g.adj_bits, k):
                 colorings_checked += 1
                 dom, tdom, isolate_free, *conn = (
                     cx is None
@@ -548,7 +548,7 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
             brute = False
         else:
             brute = any(
-                _covered(g.adj_bits, masks) for _, masks in _iter_canonical(g, 3)
+                _covered(g.adj_bits, masks) for _, masks in canonical_walk(g.adj_bits, 3)
             )
         if (witness is not None) != brute:
             bad_agree.append((g.name, witness is not None, brute))

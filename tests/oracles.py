@@ -56,6 +56,21 @@ def brute_canonical_colorings(g: Graph, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def improper_coloring_message(g: Graph, colors) -> str | None:
+    """The error that rejects ``colors`` on g, from a walk over the edges
+    in sorted order: a wrong length, else the first edge whose ends share
+    a color; None for a total proper coloring."""
+    if len(colors) != g.n:
+        return f"coloring assigns {len(colors)} vertices, graph has {g.n}"
+    for u, v in sorted((u, v) for u in range(g.n) for v in g.adj[u] if u < v):
+        if colors[u] == colors[v]:
+            return (
+                f"improper coloring: adjacent vertices {u} and {v} "
+                f"both have color {colors[u]}"
+            )
+    return None
+
+
 def is_dominating(g: Graph, s: set[int]) -> bool:
     return all(v in s or g.adj[v] & s for v in range(g.n))
 

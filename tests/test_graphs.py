@@ -378,13 +378,13 @@ def test_relabelled_families_reach_the_enumerator(monkeypatch):
     # enumerator, not only the first-fit gate; the clique is the answer
     # there, so one level settles it
     levels = []
-    enumerate_ = compelling.solver._iter_canonical
+    walk = compelling.graphs.canonical_walk
 
-    def spy(g, k, *rest, **kw):
+    def spy(adj_bits, k, *rest, **kw):
         levels.append(k)
-        return enumerate_(g, k, *rest, **kw)
+        return walk(adj_bits, k, *rest, **kw)
 
-    monkeypatch.setattr(compelling.solver, "_iter_canonical", spy)
+    monkeypatch.setattr(compelling.graphs, "canonical_walk", spy)
     for g, chi in FAMILY_CHI:
         runs = []
         for seed in range(3):
@@ -398,8 +398,9 @@ def test_relabelled_families_reach_the_enumerator(monkeypatch):
 
 
 def test_graphs_module_imports_alone():
-    # chromatic_number imports the solver's enumerator at call time, as the
-    # solver imports this module; a fresh interpreter must resolve that
+    # a fresh interpreter imports the graph toolkit and computes a chromatic
+    # number with it; test_imports.py checks that the toolkit imports no
+    # other module of the package
     src = str(Path(compelling.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)

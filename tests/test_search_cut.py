@@ -54,7 +54,7 @@ from compelling import (
     minimum_connected_dominating_set,
 )
 from compelling import solver
-from compelling.graphs import separation_pairs
+from compelling.graphs import canonical_walk, separation_pairs
 from compelling.properties import eval_property_mask
 from compelling.solver import (
     _classes_from_masks,
@@ -84,7 +84,8 @@ def leaf_only_chi(g: Graph, prop: SubsetProperty, **cut) -> ChiResult:
         return ChiResult(None, None, None, None)
     lower, upper = bounds
     for k in range(lower, g.n + 1):
-        for colors, _ in _iter_canonical(g, k, **cut):
+        leaves = _iter_canonical(g, k, **cut) if cut else canonical_walk(g.adj_bits, k)
+        for colors, _ in leaves:
             if brute_compelling(g, colors, prop):
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
     return ChiResult(None, None, lower, upper)
@@ -153,7 +154,7 @@ def test_cut_leaves_are_filtered_uncut_leaves(g, table, data):
     cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, cover)]
     kept = [
         (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k)
+        for c, m in canonical_walk(g.adj_bits, k)
         if every_vertex_holds_a_class(cover, m)
     ]
     assert cut == kept
@@ -222,7 +223,7 @@ def test_separator_cut_leaves_are_filtered_uncut_leaves(g, with_cover, data):
     ]
     kept = [
         (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k)
+        for c, m in canonical_walk(g.adj_bits, k)
         if not separated(g, c)
         and (cover is None or every_vertex_holds_a_class(cover, m))
     ]
@@ -236,7 +237,7 @@ def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
     cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, committee=prop)]
     kept = [
         (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k)
+        for c, m in canonical_walk(g.adj_bits, k)
         if brute_compelling(g, c, prop)
     ]
     assert cut == kept
@@ -259,7 +260,7 @@ def test_search_leaves_are_the_compelling_uncut_leaves(prop, data):
     ]
     kept = [
         (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k)
+        for c, m in canonical_walk(g.adj_bits, k)
         if brute_compelling(g, c, prop)
     ]
     assert cut == kept
@@ -409,7 +410,7 @@ def test_pair_cut_leaves_are_the_compelling_uncut_leaves(prop, all_cuts, data):
     cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, *cuts, P.CONNECTED)]
     kept = [
         (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k)
+        for c, m in canonical_walk(g.adj_bits, k)
         if brute_compelling(g, c, prop)
     ]
     assert cut == kept
@@ -599,7 +600,7 @@ def canonical_colorings(draw):
     """A small graph and one of its canonical colorings."""
     g = draw(small_graphs())
     k = draw(st.integers(1, g.n))
-    colorings = [tuple(c) for c, _ in _iter_canonical(g, k)]
+    colorings = [tuple(c) for c, _ in canonical_walk(g.adj_bits, k)]
     if not colorings:
         return g, None
     return g, colorings[draw(st.integers(0, len(colorings) - 1))]
@@ -706,7 +707,7 @@ def test_one_scan_for_several_properties(g, order, count):
     props = tuple(order[:count])
     memo: dict[int, int] = {}
     for k in range(1, min(4, g.n) + 1):
-        for _, masks in _iter_canonical(g, k):
+        for _, masks in canonical_walk(g.adj_bits, k):
             classes = _classes_from_masks(masks)
             alone = tuple(_find_violating_committee(g, classes, (p,))[0] for p in props)
             assert _find_violating_committee(g, classes, props) == alone

@@ -29,9 +29,13 @@ from compelling import (
 )
 from compelling import solver
 from compelling.closed_forms import chi_conn_path, chi_edge_path
-from compelling.graphs import separation_pairs
+from compelling.graphs import canonical_walk, separation_pairs
 from compelling.solver import _iter_canonical
-from oracles import brute_canonical_colorings, brute_compelling
+from oracles import (
+    brute_canonical_colorings,
+    brute_compelling,
+    improper_coloring_message,
+)
 
 P = SubsetProperty
 
@@ -90,6 +94,24 @@ def test_validate_coloring_names_the_bad_edge():
         validate_coloring(make_path(2), Coloring((0, 0)))
     with pytest.raises(ValueError, match="assigns"):
         validate_coloring(make_path(3), Coloring((0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_validate_coloring_matches_the_edge_walk(g, data):
+    # the per-vertex test names the least clashing edge, as a walk over
+    # the sorted edges does; a coloring of the wrong length is drawn too
+    size = data.draw(st.one_of(st.just(g.n), st.integers(1, g.n + 2)))
+    colors: list[int] = []
+    for _ in range(size):
+        colors.append(data.draw(st.integers(0, min(max(colors, default=-1) + 1, 3))))
+    want = improper_coloring_message(g, colors)
+    try:
+        validate_coloring(g, Coloring(tuple(colors)))
+    except ValueError as err:
+        assert str(err) == want
+    else:
+        assert want is None
 
 
 def test_rainbow_committees_order():
@@ -525,11 +547,17 @@ def enumerator_cases(draw, max_n=7):
 def test_uncut_enumeration_matches_brute_force(case):
     g, k = case
     seen = []
-    for colors, masks in _iter_canonical(g, k):
+    for colors, masks in canonical_walk(g.adj_bits, k):
         seen.append(tuple(colors))
         classes = [sum(1 << v for v in range(g.n) if colors[v] == c) for c in range(k)]
         assert list(masks) == classes
     assert seen == brute_canonical_colorings(g, k)
+
+
+def test_uncut_enumeration_of_no_vertices():
+    # the walk takes bare bitmasks, so no Graph rules out n = 0: it yields
+    # nothing at any k, as for every k outside 1..n
+    assert [list(canonical_walk((), k)) for k in (-1, 0, 1)] == [[], [], []]
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -557,11 +585,12 @@ def test_uncut_enumeration_counts_past_the_oracle():
             ]
             for g, count in want:
                 if count <= 10_000:
-                    assert sum(1 for _ in _iter_canonical(g, k)) == count, (g.name, k)
+                    walk = canonical_walk(g.adj_bits, k)
+                    assert sum(1 for _ in walk) == count, (g.name, k)
                     walked += 1
     assert walked == 384
     p10 = make_path(10)
-    counts = [sum(1 for _ in _iter_canonical(p10, k)) for k in range(3, 7)]
+    counts = [sum(1 for _ in canonical_walk(p10.adj_bits, k)) for k in range(3, 7)]
     assert counts == [255, 3025, 7770, 6951]
 
 
@@ -569,9 +598,9 @@ def test_uncut_enumeration_deadline():
     # P12 at 4 colors has 28,501 colorings, at most 4 for each visit of the
     # last vertex, so the walk takes well over 1024 search steps
     g = make_path(12)
-    assert sum(1 for _ in _iter_canonical(g, 4)) == 28_501
+    assert sum(1 for _ in canonical_walk(g.adj_bits, 4)) == 28_501
     with pytest.raises(SearchTimeout, match="^the deadline passed at 4 colors$"):
-        for _ in _iter_canonical(g, 4, deadline=time.monotonic() - 1):
+        for _ in canonical_walk(g.adj_bits, 4, deadline=time.monotonic() - 1):
             pass
 
 

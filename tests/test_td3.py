@@ -29,7 +29,8 @@ from compelling import (
     make_random_mop,
     make_split_graph,
 )
-from compelling.solver import _covered, _iter_canonical
+from compelling.graphs import canonical_walk
+from compelling.solver import _covered
 from compelling.verify import named_families, td3_corpus
 from oracles import brute_canonical_colorings, tdc3_pair_scan
 
@@ -40,7 +41,8 @@ def exists_tdc3_bruteforce(g):
     """Independent 3-class enumeration (used to validate the tester)."""
     if any(not g.adj[v] for v in range(g.n)):
         return False
-    return any(_covered(g.adj_bits, masks) for _, masks in _iter_canonical(g, 3))
+    walk = canonical_walk(g.adj_bits, 3)
+    return any(_covered(g.adj_bits, masks) for _, masks in walk)
 
 
 def td3_test_corpus(count=80, max_n=9, seed=17):
