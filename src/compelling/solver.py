@@ -41,9 +41,10 @@ The exact search runs CDOM as CONNECTED.  CDOM has no bounds on a
 disconnected graph, so its search runs only on connected ones, and there
 the two compel the same colorings: with n >= 2 a coloring compelling
 connectivity compels domination too (:func:`_search_cover`), and with
-n = 1 both have the witness (0,).  The search applies four cuts inside
-the canonical enumeration, each dropping only subtrees in which no
-coloring compels the property:
+n = 1 both have the witness (0,).  The search, :func:`_iter_canonical`,
+takes the property and applies the cuts it has on the graph inside the
+canonical enumeration, each dropping only subtrees in which no coloring
+compels the property:
 
 * the per-vertex test cuts every subtree in which some vertex can no
   longer have a whole class inside its neighbourhood, and every subtree
@@ -115,8 +116,8 @@ _EDGE = SubsetProperty.EDGE
 _CONNECTED = SubsetProperty.CONNECTED
 _CDOM = SubsetProperty.CDOM
 _IF = SubsetProperty.ISOLATE_FREE
-# the properties decided by the committee walk; the search runs CDOM as
-# CONNECTED, and the checker walks CONNECTED for it
+# the properties the checker decides by the committee walk, which it runs
+# as CONNECTED for CDOM
 _COMMITTEE_PROPS = (_EDGE, _CONNECTED, _CDOM)
 
 
@@ -497,22 +498,24 @@ def is_compelling(
 
 
 def _iter_canonical(
-    g: Graph,
-    k: int,
-    cover=None,
-    deadline: float | None = None,
-    separators=None,
-    committee: SubsetProperty | None = None,
+    g: Graph, k: int, prop: SubsetProperty, deadline: float | None = None
 ):
     """The cut search: the canonical proper colorings of g with exactly k
-    colors that :func:`graphs.canonical_walk` yields, less the subtrees
-    that the cuts asked for drop, as (colors, class_masks) live lists in
-    the walk's order; consumers must copy anything they keep.  Callers
-    that need no cut call the walk itself.
+    colors that :func:`graphs.canonical_walk` yields and that compel
+    ``prop``, as (colors, class_masks) live lists in the walk's order;
+    consumers must copy anything they keep.  Callers that need no cut call
+    the walk itself.
 
-    ``cover`` (a symmetric neighbourhood bitmask per vertex) turns on the
-    per-vertex cut: then only colorings in which every vertex u has a
-    whole class inside ``cover[u]`` are yielded.  For each open class c,
+    ``prop`` is DOM, TDOM, ISOLATE_FREE, EDGE or CONNECTED; callers search
+    CDOM as CONNECTED, on connected graphs only.  The search takes every
+    cut that ``prop`` has on g: the per-vertex cut with the table of
+    :func:`_search_cover`, the committee cut for EDGE and CONNECTED, and
+    for CONNECTED also the separator cut, with the mask of
+    :func:`graphs.cut_vertices`, the early committee cut and the
+    separation-pair cut.
+
+    The per-vertex cut yields only colorings in which every vertex u has a
+    whole class inside ``cover[u]``.  For each open class c,
     ``inside[c]`` is the AND of ``cover[w]`` over the vertices w of c,
     which by symmetry is the set of vertices whose cover holds all of c.
     Classes only grow, so a vertex in no ``inside[c]`` stays uncovered
@@ -524,32 +527,29 @@ def _iter_canonical(
     serve the vertices of ``cover[w] & L``, so the branch is cut when
     ``|L| > room * max |cover[w] & L|`` over the w after v.  The scan
     runs only when ``|L| > room`` and stops at the first w that serves
-    enough; with no room left it is the all-k test above.
+    enough; with no room left it is the all-k test above.  A property with
+    no table cuts nothing here.
 
-    ``separators`` (the mask of :func:`_search_separators`) turns on the
-    separator cut, valid for CONNECTED: a branch is cut once two colors
-    are in use and some cut vertex x of the mask lies in a class of two or
-    more vertices (bit n stands for no x at all, on a disconnected graph,
-    and needs no class).  The placed vertices other than x then
-    carry two colors, a and b.  If two components of G - x hold vertices
-    of different colors, take those two; else all of them lie in one
-    component, and any vertex w of another, placed now or later, differs
-    in color from one of them, u.  Either way the committee through the
-    two that avoids x (x's class has another placed vertex) is
-    disconnected in every completion.
+    The separator cut fires once two colors are in use and some cut
+    vertex x lies in a class of two or more vertices (bit n of the mask
+    stands for no x at all, on a disconnected graph, and needs no class).
+    The placed vertices other than x then carry two colors, a and b.  If
+    two components of G - x hold vertices of different colors, take those
+    two; else all of them lie in one component, and any vertex w of
+    another, placed now or later, differs in color from one of them, u.
+    Either way the committee through the two that avoids x (x's class has
+    another placed vertex) is disconnected in every completion.
 
-    ``committee`` (EDGE or CONNECTED) turns on the committee cut: once
-    all k colors are open, the branch is cut when some committee through
-    the vertex v just placed fails that property, searched by
+    The committee cut fires once all k colors are open, when some
+    committee through the vertex v just placed fails ``prop``, searched by
     :func:`_committee_pick` with v's class cut to v.  Classes only grow,
     so that committee, and its vertex set, is in every completion.  Every
     violating committee of a coloring has a last-placed vertex, at which
-    all k colors are open, so every leaf that survives compels the
-    property.
+    all k colors are open, so every leaf that survives compels ``prop``.
 
-    For CONNECTED the cut also fires before all k colors are open.  With
-    U the vertices after v, take the open classes (v in its own) and each
-    vertex of U as a class of its own: every committee of that coloring is
+    For CONNECTED the committee cut also fires before all k colors are
+    open.  With U the vertices after v, take the open classes (v in its
+    own) and each vertex of U as a class of its own: every committee is
     P + U, with P one placed vertex per open class.  When v joins an open
     class, two colors or more are in use and fewer than k,
     :func:`_committee_pick` on the open classes, with U as its base (the
@@ -578,12 +578,12 @@ def _iter_canonical(
     different components of G - {x, y}.  The committee through u and w
     that picks no x or y (each of their classes has another placed vertex)
     is disconnected in every completion.  The table costs up to n
-    low-link searches, so it is read when
-    it is stored on g already, and else built only once n committee
-    searches in a row before all k colors are open have cut, and only when
-    G has as many edges as vertices.  It holds only the pairs of vertices
-    that are not cut vertices, which the separator cut covers; trees, the
-    connected graphs with fewer edges, and disconnected graphs have none.
+    low-link searches, so it is read when it is stored on g already, and
+    else built only once n committee searches in a row before all k colors
+    are open have cut, and only when G has as many edges as vertices.  It
+    holds only the pairs of vertices that are not cut vertices, which the
+    separator cut covers; trees, the connected graphs with fewer edges,
+    and disconnected graphs have none.
 
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
@@ -596,14 +596,15 @@ def _iter_canonical(
         return
     adj = g.adj_bits
     full = g.full_mask
-    if cover is None:
-        cover = (full,) * n  # every class fits: nothing is cut
-    rules = separators is not None or committee is not None
-    # the committee cut before all k colors are open, and its table, built
-    # when it first runs; the separation-pair table, stored on g or built
-    # once ``streak``, the early committee searches that cut in a row,
-    # reaches n
-    early = committee is _CONNECTED
+    # every class fits a property with no per-vertex table: nothing is cut
+    cover = _search_cover(g, prop) or (full,) * n
+    committee = prop is _EDGE or prop is _CONNECTED
+    # the cuts of CONNECTED alone: the separator cut; the committee cut
+    # before all k colors are open, and its table, built when it first
+    # runs; the separation-pair table, stored on g or built once
+    # ``streak``, the early committee searches that cut in a row, reaches n
+    early = prop is _CONNECTED
+    separators = cut_vertices(g) if early else 0
     unplaced = None
     pairs = separation_pairs(g, build=False) if early else None
     streak = 0
@@ -620,9 +621,9 @@ def _iter_canonical(
     # Depth-first over the vertices in index order with an explicit stack.
     # On reaching vertex v: used_at[v] colors are open and loose_at[v] holds
     # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
-    # inside[c] of v's class c before v joined it.  With the separator or
-    # committee cut on, multi_at[v] holds the vertices in classes of two or
-    # more vertices, and bit n, the separator bit that needs no class.
+    # inside[c] of v's class c before v joined it.  With the committee cut
+    # on, multi_at[v] holds the vertices in classes of two or more
+    # vertices, and bit n, the separator bit that needs no class.
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
@@ -672,18 +673,18 @@ def _iter_canonical(
                     break
                 c += 1
             if c <= top:
-                if rules:
+                if committee:
                     multi = multi_at[v]
                     if c < used:
                         multi |= masks[c] | 1 << v
-                    cut = now_used > 1 and separators and multi & separators
-                    if not cut and committee is not None and now_used == k:
+                    cut = now_used > 1 and multi & separators
+                    if not cut and now_used == k:
                         if pairs is not None and c < used and k > 1:
                             cut = _paired(pairs, multi, v, colors, masks, c)
                         if not cut:
                             part = masks.copy()
                             part[c] = 1 << v
-                            pick = _committee_pick(g, part, committee, deadline)
+                            pick = _committee_pick(g, part, prop, deadline)
                             cut = pick is not None
                     elif not cut and early and c < used and 1 < used < v:
                         if pairs is not None:
@@ -694,7 +695,7 @@ def _iter_canonical(
                             part = masks[:used]
                             part[c] |= 1 << v
                             pick = _committee_pick(
-                                g, part, committee, deadline, unplaced[v]
+                                g, part, prop, deadline, unplaced[v]
                             )
                             cut = pick is not None
                             if pairs is None:
@@ -845,33 +846,6 @@ def _search_cover(g: Graph, prop: SubsetProperty):
     return None
 
 
-def _search_separators(
-    g: Graph, prop: SubsetProperty, deadline: float | None = None
-):
-    """The mask of the separator cut of :func:`_iter_canonical` for
-    CONNECTED, or None when the cut never fires on ``g`` or ``prop`` is
-    another property.  The search runs CDOM as CONNECTED.
-
-    Bit x is set when G - x has two components or more, and bit n when G
-    itself has.  A coloring in which two components of G - x hold
-    vertices of different colors, with a second vertex in x's class, has a
-    committee that avoids x and meets both components, so it is
-    disconnected: the local form of the tree result that every interior
-    vertex is a singleton class.
-
-    The mask is :func:`graphs.cut_vertices`, one low-link search,
-    O(n + m).
-
-    With a ``deadline`` (a ``time.monotonic()`` value) it raises
-    SearchTimeout when that has passed on entry.
-    """
-    if prop is not _CONNECTED:
-        return None
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout("the deadline passed building the separator table")
-    return cut_vertices(g) or None
-
-
 def compelling_chromatic_number(
     g: Graph,
     prop: SubsetProperty,
@@ -887,22 +861,12 @@ def compelling_chromatic_number(
     coloring in canonical enumeration order.
 
     CDOM is searched as CONNECTED: its bounds are None on a disconnected
-    graph, and on a connected one the two compel the same colorings.  DOM,
-    TDOM and ISOLATE_FREE, and CONNECTED on a connected graph with n >= 2,
-    cut subtrees inside the enumeration with the per-vertex test of
-    :func:`_search_cover`; CONNECTED also with the separator test of
-    :func:`_search_separators` and its two-vertex form, the separation-pair
-    test, and EDGE and CONNECTED with the committee
-    search for a violating committee through the vertex just placed once
-    all k colors are open (see :func:`_iter_canonical`).  CONNECTED runs
-    that search earlier too, when the vertex just placed joins an open
-    class: on the open classes plus each vertex not yet placed as a class
-    of its own, whose violating committees leave one in every completion.
-    On a cycle of five vertices or more that settles the infeasible level
-    of n - 2 colors once two placed vertices have joined open classes.
-    Every leaf that survives is compelling, so the answer is the first leaf
-    at the smallest k.  The cuts drop only colorings that do not compel, so
-    the witness is the one the uncut scan finds.
+    graph, and on a connected one the two compel the same colorings.  Each
+    level k is the cut search :func:`_iter_canonical`, which picks its
+    cuts from g and the property.  Every leaf that survives is compelling,
+    so the answer is the first leaf at the smallest k.  The cuts drop only
+    colorings that do not compel, so the witness is the one the uncut scan
+    finds.
 
     ``timeout_s`` bounds the whole call: the subset and chromatic number
     searches of the bounds phase and the enumeration raise SearchTimeout
@@ -917,12 +881,8 @@ def compelling_chromatic_number(
         lower, upper = bounds
         if prop is _CDOM:  # bounded only when connected, where the two agree
             prop = _CONNECTED
-        cover = _search_cover(g, prop)
-        separators = _search_separators(g, prop, deadline)
-        committee = prop if prop in _COMMITTEE_PROPS else None
         for k in range(lower, g.n + 1):
-            leaves = _iter_canonical(g, k, cover, deadline, separators, committee)
-            for colors, _ in leaves:
+            for colors, _ in _iter_canonical(g, k, prop, deadline):
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
     except SearchTimeout as exc:
         raise SearchTimeout(

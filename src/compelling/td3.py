@@ -70,23 +70,30 @@ def is_total_dominator_coloring(g: Graph, coloring: Coloring) -> bool:
     return _covered(g.adj_bits, coloring.class_masks)
 
 
-def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
-    """Minimum class count of a total dominator coloring by canonical
-    coloring enumeration; None when an isolated vertex rules them all out.
+def has_tdc_bruteforce(g: Graph, k: int) -> bool:
+    """Whether g has a total dominator coloring with exactly k classes, by
+    canonical coloring enumeration; never with an isolated vertex.
 
     The enumeration is the plain walk :func:`graphs.canonical_walk`, with
-    no cut, so this reference shares no cut rule with the solver it checks.  A cut
-    would also take a large-n benchmark pass under the roughly 26 ms
-    below which the benchmark's speed sampler has no sample in the timed
-    region and reports NaN."""
+    no cut, so this reference shares no cut rule with the tester and the
+    solver it checks.  A cut would also take a large-n benchmark pass
+    under the roughly 26 ms below which the benchmark's speed sampler has
+    no sample in the timed region and reports NaN."""
+    adj = g.adj_bits
+    if not all(adj):
+        return False
+    for _, masks in canonical_walk(adj, k):
+        if _covered(adj, masks):
+            return True
+    return False
+
+
+def chi_td_bruteforce(g: Graph, max_n: int = EXACT_CHROMATIC_CAP) -> int | None:
+    """Minimum class count of a total dominator coloring by
+    :func:`has_tdc_bruteforce`; None when an isolated vertex rules them
+    all out."""
     check_order(g.n, max_n)
-    if any(not g.adj[v] for v in range(g.n)):
-        return None
-    for k in range(1, g.n + 1):
-        for _, masks in canonical_walk(g.adj_bits, k):
-            if _covered(g.adj_bits, masks):
-                return k
-    return None
+    return next((k for k in range(1, g.n + 1) if has_tdc_bruteforce(g, k)), None)
 
 
 def _witness_from_masks(g: Graph, masks, tag: str, guessed) -> TdcWitness | None:

@@ -68,7 +68,12 @@ from .solver import (
     disjoint_union_bounds,
     is_compelling,
 )
-from .td3 import chi_connected_is_3, has_tdc3, is_total_dominator_coloring
+from .td3 import (
+    chi_connected_is_3,
+    has_tdc3,
+    has_tdc_bruteforce,
+    is_total_dominator_coloring,
+)
 
 DEFAULT_SEED = 1729
 CORPUS_SIZE = 500
@@ -544,12 +549,7 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
             )
             if not ok:
                 bad_sound.append((g.name, witness))
-        if any(not g.adj[v] for v in range(g.n)):
-            brute = False
-        else:
-            brute = any(
-                _covered(g.adj_bits, masks) for _, masks in canonical_walk(g.adj_bits, 3)
-            )
+        brute = has_tdc_bruteforce(g, 3)
         if (witness is not None) != brute:
             bad_agree.append((g.name, witness is not None, brute))
     result.add_violations(

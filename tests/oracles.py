@@ -12,6 +12,11 @@ import itertools
 from compelling import Graph, SubsetProperty
 
 
+def relabelled(g: Graph, perm) -> Graph:
+    """g with each vertex u renamed ``perm[u]``."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def brute_chromatic_number(g: Graph) -> int:
     """Smallest k such that some of the k^n assignments is proper.  The
     assignments are built vertex by vertex in index order, and one that

@@ -133,8 +133,8 @@ def test_chi_json_format(capsys, c5_file):
 
 
 def test_chi_timeout_exits_one(capsys, tmp_path):
-    # cycles have no cut vertex, so the search at 10 colors runs past
-    # 1024 steps
+    # the early committee searches at 10 colors all cut, so the search
+    # builds the separation-pair table, whose per-row deadline check stops it
     path = tmp_path / "c12.graph"
     path.write_text(format_graph(make_cycle(12)))
     code, _, err = run(
@@ -473,6 +473,18 @@ def test_zero_timeout_is_accepted(capsys, c5_file):
     )
     assert code == 0
     assert "chi: 3" in out
+
+
+@pytest.mark.parametrize("prop", ["dom", "tdom", "if", "edge", "connected", "cdom"])
+@pytest.mark.parametrize("graph", [make_path(4), make_cycle(5)], ids=["P4", "C5"])
+def test_zero_timeout_answers_as_untimed(capsys, tmp_path, graph, prop):
+    # these searches end before any deadline check fires
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(graph))
+    untimed = run(capsys, "chi", str(path), "--property", prop)
+    timed = run(capsys, "chi", str(path), "--property", prop, "--timeout-secs", "0")
+    assert timed[:2] == untimed[:2]
+    assert untimed[0] == 0
 
 
 def test_family_table_csv_roundtrip(capsys):

@@ -60,6 +60,7 @@ from oracles import (
     distances,
     induces_connected,
     is_dominating,
+    relabelled,
     separating_pairs,
     splitting_vertices,
 )
@@ -334,10 +335,6 @@ def test_stored_chromatic_number_needs_no_search():
 def test_chromatic_number_has_no_depth_limit():
     # one search level per vertex, far past the interpreter's recursion limit
     assert chromatic_number(make_cycle(1501), max_n=2000) == 3
-
-
-def relabelled(g: Graph, perm) -> Graph:
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 # paths, even cycles and MOPs past the brute oracle's reach, with their

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compelling import (
-    Graph,
     SubsetProperty,
     connected_domination_number,
     disjoint_union,
@@ -23,7 +22,7 @@ from compelling import (
     min_property_size,
     min_property_witness,
 )
-from oracles import brute_min_size, brute_min_witness, set_property
+from oracles import brute_min_size, brute_min_witness, relabelled, set_property
 
 P = SubsetProperty
 
@@ -159,12 +158,6 @@ def test_min_witness_matches_size_lex_oracle(g):
         assert min_property_witness(prop, g) == brute_min_witness(prop, g), prop
 
 
-def relabelled(g: Graph, seed: int) -> Graph:
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 FAMILIES = {
     "path": make_path,
     "cycle": make_cycle,
@@ -178,7 +171,9 @@ FAMILIES = {
 def test_domination_witnesses_on_relabelled_families(family, n):
     # paths and cycles need connected dominating sets of n - 2 vertices,
     # so the connected-set bound skips nearly every size on them
-    g = relabelled(FAMILIES[family](n), seed=n)
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    g = relabelled(FAMILIES[family](n), perm)
     for prop in (P.DOM, P.TDOM, P.CDOM):
         assert min_property_witness(prop, g) == brute_min_witness(prop, g), prop
 

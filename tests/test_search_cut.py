@@ -1,15 +1,16 @@
 """The cuts inside the searches.
 
 ``compelling_chromatic_number`` searches CDOM as CONNECTED, since on a
-connected graph the two compel the same colorings, and cuts subtrees of
-the canonical search with per-vertex neighbourhood tests, the separator
-test and its two-vertex form, the separation-pair test (CONNECTED), and
-the committee test (EDGE, CONNECTED), which asks the committee search for
-a violating committee once all k colors are open, and for CONNECTED also
-before, with each unplaced vertex as a class of its own.  Those tests
-compare it against a leaf-only reference: the uncut enumeration from the
-lower bound up, with each completed coloring judged by the set-level
-oracle.
+connected graph the two compel the same colorings.  The cut search takes
+the property and picks its cuts: per-vertex neighbourhood tests, the
+separator test and its two-vertex form, the separation-pair test
+(CONNECTED), and the committee test (EDGE, CONNECTED), which asks the
+committee search for a violating committee once all k colors are open,
+and for CONNECTED also before, with each unplaced vertex as a class of
+its own.  Those tests compare its leaves with the compelling leaves of
+the uncut walk, and the search with a leaf-only reference: the uncut
+enumeration from the lower bound up, with each completed coloring judged
+by the set-level oracle.
 
 ``is_compelling`` takes the least DOM, TDOM and ISOLATE_FREE committees
 from the per-vertex test, walks the committees for EDGE and CONNECTED,
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,6 @@ from compelling import (
     ChiResult,
     Coloring,
     Graph,
-    SearchTimeout,
     SubsetProperty,
     chi_bounds,
     closed_forms,
@@ -62,30 +61,34 @@ from compelling.solver import (
     _find_violating_committee,
     _iter_canonical,
     _search_cover,
-    _search_separators,
     _unplaced_tables,
 )
 from compelling.verify import main_corpus
-from oracles import brute_compelling, brute_min_witness, components, splitting_vertices
+from oracles import brute_compelling, brute_min_witness, components, relabelled
 
 P = SubsetProperty
 
 CUT_SETTINGS = settings(max_examples=200, deadline=None)
 COMMITTEE_PROPS = (P.EDGE, P.CONNECTED, P.CDOM)
 WALK_PROPS = (P.EDGE, P.CONNECTED)  # the properties the committee walk takes
+COVER_PROPS = (P.DOM, P.TDOM, P.ISOLATE_FREE)  # the per-vertex cut alone
+# the properties the cut search takes; it runs CDOM as CONNECTED
+SEARCH_PROPS = (P.DOM, P.TDOM, P.ISOLATE_FREE, P.EDGE, P.CONNECTED)
 
 
-def leaf_only_chi(g: Graph, prop: SubsetProperty, **cut) -> ChiResult:
+def leaf_only_chi(g: Graph, prop: SubsetProperty, keep=None) -> ChiResult:
     """The search without the cuts: every canonical coloring from the lower
-    bound up, each judged at its leaf by the set-level oracle.  ``cut``
-    passes one cut's arguments to the enumerator, to test that cut alone."""
+    bound up, each judged at its leaf by the set-level oracle.  ``keep``,
+    given (colors, masks), drops the leaves it rejects first, to test one
+    cut's rule alone at the leaves."""
     bounds = chi_bounds(g, prop)
     if bounds is None:
         return ChiResult(None, None, None, None)
     lower, upper = bounds
     for k in range(lower, g.n + 1):
-        leaves = _iter_canonical(g, k, **cut) if cut else canonical_walk(g.adj_bits, k)
-        for colors, _ in leaves:
+        for colors, masks in canonical_walk(g.adj_bits, k):
+            if keep is not None and not keep(colors, masks):
+                continue
             if brute_compelling(g, colors, prop):
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)
     return ChiResult(None, None, lower, upper)
@@ -140,24 +143,17 @@ def connected_graphs(draw, min_n=1, max_n=8):
     return Graph.from_edges(n, set(tree.edges) | set(added))
 
 
+@st.composite
+def mop_graphs(draw, max_n=8):
+    """A random maximal outerplanar graph on 3 to ``max_n`` vertices, whose
+    chords are separating pairs."""
+    return make_random_mop(draw(st.integers(3, max_n)), draw(st.integers(0, 2**20)))
+
+
 @CUT_SETTINGS
 @given(small_graphs(), st.sampled_from(list(P)))
 def test_chi_matches_leaf_only_reference(g, prop):
     assert compelling_chromatic_number(g, prop) == leaf_only_chi(g, prop)
-
-
-@CUT_SETTINGS
-@given(small_graphs(), st.sampled_from(("closed", "open")), st.data())
-def test_cut_leaves_are_filtered_uncut_leaves(g, table, data):
-    cover = g.closed_bits if table == "closed" else g.adj_bits
-    k = data.draw(st.integers(1, g.n))
-    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, cover)]
-    kept = [
-        (tuple(c), tuple(m))
-        for c, m in canonical_walk(g.adj_bits, k)
-        if every_vertex_holds_a_class(cover, m)
-    ]
-    assert cut == kept
 
 
 @CUT_SETTINGS
@@ -186,84 +182,103 @@ def test_chi_matches_leaf_only_reference_on_main_corpus():
 
 
 # ---------------------------------------------------------------------------
-# The separator cut (CONNECTED, CDOM) and the committee cut (EDGE,
-# CONNECTED, CDOM)
+# The leaves of the cut search
 # ---------------------------------------------------------------------------
+
+
+@CUT_SETTINGS
+@given(st.sampled_from((*SEARCH_PROPS, P.CDOM)), st.data())
+def test_search_leaves_are_the_compelling_uncut_leaves(prop, data):
+    # every cut of the search drops only colorings that do not compel, and
+    # none lets one through.  CDOM, which has bounds on connected graphs
+    # only, is searched as CONNECTED.
+    shapes = (connected_graphs(), mop_graphs())
+    if prop is not P.CDOM:
+        shapes += (small_graphs(),)
+    g = data.draw(st.one_of(*shapes))
+    k = data.draw(st.integers(1, g.n))
+    search = P.CONNECTED if prop is P.CDOM else prop
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, search)]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in canonical_walk(g.adj_bits, k)
+        if brute_compelling(g, c, prop)
+    ]
+    assert cut == kept
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.sampled_from(COVER_PROPS), st.data())
+def test_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
+    # DOM, TDOM and ISOLATE_FREE take the per-vertex cut alone: the leaves
+    # are the uncut leaves in which every vertex holds a class of its table
+    cover = _search_cover(g, prop)
+    k = data.draw(st.integers(1, g.n))
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, prop)]
+    kept = [
+        (tuple(c), tuple(m))
+        for c, m in canonical_walk(g.adj_bits, k)
+        if every_vertex_holds_a_class(cover, m)
+    ]
+    assert cut == kept
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.booleans(), st.data())
+def test_separator_cut_leaves_are_filtered_uncut_leaves(g, with_cover, data):
+    # the separator test, and with_cover the per-vertex test of CONNECTED,
+    # pass every compelling uncut leaf, and the CONNECTED search keeps just
+    # the compelling ones of the leaves they pass
+    k = data.draw(st.integers(1, g.n))
+    cover = _search_cover(g, P.CONNECTED) if with_cover else None
+    walk = [(tuple(c), tuple(m)) for c, m in canonical_walk(g.adj_bits, k)]
+    passed = {
+        (c, m)
+        for c, m in walk
+        if not separated(g, c)
+        and (cover is None or every_vertex_holds_a_class(cover, m))
+    }
+    compelling = [leaf for leaf in walk if brute_compelling(g, leaf[0], P.CONNECTED)]
+    assert passed.issuperset(compelling)
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, P.CONNECTED)]
+    assert cut == [leaf for leaf in walk if leaf in passed and leaf in compelling]
+
+
+@CUT_SETTINGS
+@given(small_graphs(), st.sampled_from(WALK_PROPS), st.data())
+def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
+    # at a leaf the committee test is the set-level oracle, and the EDGE
+    # and CONNECTED searches keep exactly the leaves it passes
+    k = data.draw(st.integers(1, g.n))
+    walk = [(tuple(c), tuple(m)) for c, m in canonical_walk(g.adj_bits, k)]
+    kept = [leaf for leaf in walk if _committee_pick(g, leaf[1], prop) is None]
+    assert kept == [leaf for leaf in walk if brute_compelling(g, leaf[0], prop)]
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, prop)]
+    assert cut == kept
 
 
 @CUT_SETTINGS
 @given(small_graphs(), st.sampled_from((P.CONNECTED, P.CDOM)))
 def test_separator_cut_matches_leaf_only_reference(g, prop):
-    # CDOM is searched as CONNECTED, with CONNECTED's separator mask
+    # the separator test alone, at the leaves, drops no coloring the
+    # reference needs
     want = leaf_only_chi(g, prop)
-    separators = _search_separators(g, P.CONNECTED)
-    assert leaf_only_chi(g, prop, separators=separators) == want
+    assert leaf_only_chi(g, prop, keep=lambda c, m: not separated(g, c)) == want
     assert compelling_chromatic_number(g, prop) == want
 
 
 @CUT_SETTINGS
 @given(small_graphs(), st.sampled_from(COMMITTEE_PROPS))
 def test_edge_cut_matches_leaf_only_reference(g, prop):
-    # CDOM is searched as CONNECTED, with CONNECTED's committee cut
-    want = leaf_only_chi(g, prop)
+    # the committee test alone, at the leaves; CDOM is searched with
+    # CONNECTED's committee cut
     walk = P.CONNECTED if prop is P.CDOM else prop
-    assert leaf_only_chi(g, prop, committee=walk) == want
+    want = leaf_only_chi(g, prop)
+    def no_committee(colors, masks):
+        return _committee_pick(g, masks, walk) is None
+
+    assert leaf_only_chi(g, prop, keep=no_committee) == want
     assert compelling_chromatic_number(g, prop) == want
-
-
-@CUT_SETTINGS
-@given(small_graphs(), st.booleans(), st.data())
-def test_separator_cut_leaves_are_filtered_uncut_leaves(g, with_cover, data):
-    k = data.draw(st.integers(1, g.n))
-    cover = g.closed_bits if with_cover else None
-    separators = _search_separators(g, P.CONNECTED)
-    cut = [
-        (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k, cover, separators=separators)
-    ]
-    kept = [
-        (tuple(c), tuple(m))
-        for c, m in canonical_walk(g.adj_bits, k)
-        if not separated(g, c)
-        and (cover is None or every_vertex_holds_a_class(cover, m))
-    ]
-    assert cut == kept
-
-
-@CUT_SETTINGS
-@given(small_graphs(), st.sampled_from(WALK_PROPS), st.data())
-def test_edge_cut_leaves_are_filtered_uncut_leaves(g, prop, data):
-    k = data.draw(st.integers(1, g.n))
-    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, committee=prop)]
-    kept = [
-        (tuple(c), tuple(m))
-        for c, m in canonical_walk(g.adj_bits, k)
-        if brute_compelling(g, c, prop)
-    ]
-    assert cut == kept
-
-
-@CUT_SETTINGS
-@given(st.sampled_from((P.CONNECTED, P.CDOM)), st.data())
-def test_search_leaves_are_the_compelling_uncut_leaves(prop, data):
-    # the enumerator as compelling_chromatic_number runs it, every cut on:
-    # per-vertex, separator, and committee both before and once all k
-    # colors are open.  CDOM, which has bounds on connected graphs only, is
-    # searched with the tables and committee of CONNECTED.
-    g = data.draw(small_graphs() if prop is P.CONNECTED else connected_graphs())
-    k = data.draw(st.integers(1, g.n))
-    cover = _search_cover(g, P.CONNECTED)
-    separators = _search_separators(g, P.CONNECTED)
-    cut = [
-        (tuple(c), tuple(m))
-        for c, m in _iter_canonical(g, k, cover, None, separators, P.CONNECTED)
-    ]
-    kept = [
-        (tuple(c), tuple(m))
-        for c, m in canonical_walk(g.adj_bits, k)
-        if brute_compelling(g, c, prop)
-    ]
-    assert cut == kept
 
 
 def test_committee_cut_fires_before_all_colors_are_open(monkeypatch):
@@ -282,9 +297,7 @@ def test_committee_cut_fires_before_all_colors_are_open(monkeypatch):
         return found
 
     monkeypatch.setattr(solver, "_committee_pick", search_spy)
-    cover = _search_cover(g, prop)
-    separators = _search_separators(g, prop)
-    assert not list(_iter_canonical(g, 8, cover, None, separators, prop))
+    assert not list(_iter_canonical(g, 8, prop))
     assert opened
     assert min(opened) < 8
 
@@ -332,50 +345,13 @@ def test_edge_leaves_that_survive_have_no_independent_committee(g, prop):
     # so compelling_chromatic_number can take every EDGE and CONNECTED leaf
     # it reaches as compelling
     for k in range(1, g.n + 1):
-        for _, masks in _iter_canonical(g, k, committee=prop):
+        for _, masks in _iter_canonical(g, k, prop):
             assert _committee_pick(g, masks, prop) is None
-
-
-def test_separator_table_deadline():
-    with pytest.raises(SearchTimeout, match="separator table"):
-        _search_separators(make_path(8), P.CONNECTED, deadline=time.monotonic() - 1)
-
-
-def test_separator_tables():
-    # P4: removing 1 or 2 splits it
-    assert _search_separators(make_path(4), P.CONNECTED) == 0b110
-    # K2 + K1: bit 3 stands for removing no vertex; every vertex but the
-    # isolated one splits the graph
-    g = disjoint_union(make_complete(2), make_empty(1))
-    assert _search_separators(g, P.CONNECTED) == 0b1011
-    # two-connected graphs, K1 and other properties have no table
-    for h in (make_complete(4), make_empty(1)):
-        assert _search_separators(h, P.CONNECTED) is None
-    for prop in (P.DOM, P.TDOM, P.ISOLATE_FREE, P.EDGE, P.CDOM):
-        assert _search_separators(make_path(4), prop) is None
-
-
-@CUT_SETTINGS
-@given(st.one_of(small_graphs(10), connected_graphs(max_n=10)))
-def test_separator_table_matches_the_component_oracle(g):
-    # the mask against n + 1 component searches
-    assert _search_separators(g, P.CONNECTED) == (splitting_vertices(g) or None)
 
 
 # ---------------------------------------------------------------------------
 # The separation-pair cut (CONNECTED, and CDOM searched as CONNECTED)
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def mop_graphs(draw, max_n=8):
-    """A random maximal outerplanar graph on 3 to ``max_n`` vertices, whose
-    chords are separating pairs."""
-    return make_random_mop(draw(st.integers(3, max_n)), draw(st.integers(0, 2**20)))
-
-
-def relabelled(g: Graph, perm) -> Graph:
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 @CUT_SETTINGS
@@ -391,29 +367,36 @@ def test_pair_cut_matches_leaf_only_reference(g, prop):
 
 
 @CUT_SETTINGS
-@given(st.sampled_from((P.CONNECTED, P.CDOM)), st.booleans(), st.data())
-def test_pair_cut_leaves_are_the_compelling_uncut_leaves(prop, all_cuts, data):
-    # with the table stored, the enumerator as compelling_chromatic_number
-    # runs it, or with the committee cuts alone, so that the per-vertex and
-    # separator cuts hide no branch from the pair cut
-    more = (connected_graphs(), mop_graphs())
+@given(st.sampled_from((P.CONNECTED, P.CDOM)), st.data())
+def test_pair_cut_leaves_are_the_compelling_uncut_leaves(prop, data):
+    # with the table stored first, the pair cut runs from the first
+    # committee search, even where the search would not build the table
+    shapes = (connected_graphs(), mop_graphs())
     if prop is P.CONNECTED:
-        more += (small_graphs(),)
-    g = data.draw(st.one_of(*more))
+        shapes += (small_graphs(),)
+    g = data.draw(st.one_of(*shapes))
     separation_pairs(g)
     k = data.draw(st.integers(1, g.n))
-    cuts = (
-        (_search_cover(g, P.CONNECTED), None, _search_separators(g, P.CONNECTED))
-        if all_cuts
-        else (None, None, None)
-    )
-    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, *cuts, P.CONNECTED)]
+    cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, P.CONNECTED)]
     kept = [
         (tuple(c), tuple(m))
         for c, m in canonical_walk(g.adj_bits, k)
         if brute_compelling(g, c, prop)
     ]
     assert cut == kept
+
+
+@CUT_SETTINGS
+@given(
+    st.one_of(small_graphs(max_n=9), connected_graphs(max_n=9), mop_graphs(max_n=9)),
+    st.data(),
+)
+def test_chi_is_invariant_under_relabelling(g, data):
+    # the search and its cuts follow the vertex order; the value does not
+    h = relabelled(g, data.draw(st.permutations(range(g.n))))
+    for prop in P:
+        want = compelling_chromatic_number(g, prop).value
+        assert compelling_chromatic_number(h, prop).value == want, prop
 
 
 @settings(max_examples=60, deadline=None)

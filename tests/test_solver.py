@@ -449,22 +449,22 @@ def test_chi_timeout_on_cut_search(g, prop):
 
 
 def test_chi_timeout_in_the_enumeration(monkeypatch):
-    # a zero timeout stops C12 connected when the separator table is built;
-    # with a clock that passes the deadline only once that table is built
-    # (and the separation-pair table stored before the call), the
-    # enumerator's own check stops the refutation of 10 colors
+    # a zero timeout stops C12 connected when the separation-pair table is
+    # built; with that table stored before the call, and a clock that
+    # passes the deadline only once the bounds are in, the enumerator's own
+    # check stops the refutation of 10 colors
     g = make_cycle(12)
     separation_pairs(g)
     now = [0.0]
     monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
-    tables = solver._search_separators
+    bounds = solver.chi_bounds
 
-    def tables_then_late(*args):
-        table = tables(*args)
+    def bounds_then_late(*args, **kwargs):
+        found = bounds(*args, **kwargs)
         now[0] = 10.0
-        return table
+        return found
 
-    monkeypatch.setattr(solver, "_search_separators", tables_then_late)
+    monkeypatch.setattr(solver, "chi_bounds", bounds_then_late)
     message = "^no verdict for C12 within 1.0s: the deadline passed at 10 colors$"
     with pytest.raises(SearchTimeout, match=message):
         compelling_chromatic_number(g, P.CONNECTED, timeout_s=1.0)
@@ -505,9 +505,9 @@ def test_deadline_counts_search_steps_not_leaves():
     # out, after more than 1024 steps (P16 at 7 colors, the input before the
     # count rule, now takes fewer)
     g = make_random_graph(22, 0.3, 3)
-    assert not any(True for _ in _iter_canonical(g, 6, g.closed_bits))
+    assert not any(True for _ in _iter_canonical(g, 6, P.DOM))
     with pytest.raises(SearchTimeout, match="at 6 colors"):
-        for _ in _iter_canonical(g, 6, g.closed_bits, deadline=time.monotonic() - 1):
+        for _ in _iter_canonical(g, 6, P.DOM, deadline=time.monotonic() - 1):
             pass
 
 

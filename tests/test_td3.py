@@ -29,20 +29,11 @@ from compelling import (
     make_random_mop,
     make_split_graph,
 )
-from compelling.graphs import canonical_walk
-from compelling.solver import _covered
+from compelling.td3 import has_tdc_bruteforce
 from compelling.verify import named_families, td3_corpus
 from oracles import brute_canonical_colorings, tdc3_pair_scan
 
 P = SubsetProperty
-
-
-def exists_tdc3_bruteforce(g):
-    """Independent 3-class enumeration (used to validate the tester)."""
-    if any(not g.adj[v] for v in range(g.n)):
-        return False
-    walk = canonical_walk(g.adj_bits, 3)
-    return any(_covered(g.adj_bits, masks) for _, masks in walk)
 
 
 def td3_test_corpus(count=80, max_n=9, seed=17):
@@ -131,7 +122,7 @@ def test_has_tdc3_triangle():
 
 def test_has_tdc3_four_cycle_matches_bruteforce():
     g = make_complete_bipartite(2, 2)
-    assert (has_tdc3(g) is not None) == exists_tdc3_bruteforce(g)
+    assert (has_tdc3(g) is not None) == has_tdc_bruteforce(g, 3)
 
 
 def test_has_tdc3_rejects_isolated_vertices():
@@ -142,7 +133,7 @@ def test_has_tdc3_rejects_isolated_vertices():
 def test_has_tdc3_agrees_with_bruteforce_on_corpus():
     for g in td3_test_corpus():
         witness = has_tdc3(g)
-        assert (witness is not None) == exists_tdc3_bruteforce(g), g.name
+        assert (witness is not None) == has_tdc_bruteforce(g, 3), g.name
         if witness is not None:
             assert witness.coloring.k == 3
             assert is_total_dominator_coloring(g, witness.coloring)
@@ -156,7 +147,7 @@ def test_has_tdc3_agrees_on_named_families():
     graphs += [make_complete(n) for n in range(3, 10)]
     graphs += [make_complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)]
     for g in graphs:
-        assert (has_tdc3(g) is not None) == exists_tdc3_bruteforce(g), g.name
+        assert (has_tdc3(g) is not None) == has_tdc_bruteforce(g, 3), g.name
 
 
 def test_has_tdc3_deterministic_witness():
