@@ -533,7 +533,9 @@ def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = T
     The table takes O(n) space and one low-link search (:func:`cut_vertices`)
     of G - x for each x with G - x connected, O(n(n + m)) time.  With a
     ``deadline`` (a ``time.monotonic()`` value) the build raises
-    SearchTimeout once it is passed, checked once per vertex.
+    SearchTimeout once it is passed, checked about every 1024 vertex
+    visits, as the searches check theirs: each row counts n, so a small
+    table is built whole and a large one stops within a row.
     """
     if not build:
         return graph_memo(g, "_separation_pairs")
@@ -544,11 +546,14 @@ def _separation_pairs(g: Graph, deadline: float | None):
     n = g.n
     whole = g.full_mask & ~cut_vertices(g)  # G - x is connected
     partners = [0] * n
-    for x in range(n):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("the deadline passed building the separation pairs")
-        if whole >> x & 1:
-            partners[x] = whole & _cut_mask(g, g.full_mask & ~(1 << x))
+    visits = 0  # since the last deadline check; each row visits n vertices
+    for x in iter_bits(whole):
+        visits += n
+        if visits > 0x3FF and deadline is not None:
+            visits = 0
+            if time.monotonic() > deadline:
+                raise SearchTimeout("the deadline passed building the separation pairs")
+        partners[x] = whole & _cut_mask(g, g.full_mask & ~(1 << x))
     return tuple(partners), sum(1 << x for x in range(n) if partners[x])
 
 

@@ -17,12 +17,15 @@ so :func:`_uncovered_committee` finds the least counterexample in
 O(n * k).  EDGE and CONNECTED are decided by one pruned committee walk,
 :func:`_committee_pick`.  A set fails CDOM exactly when it fails
 CONNECTED or DOM, so the checker takes the lesser of those two
-committees.  The plain committee scanner, :func:`_find_violating_committee`,
-walks the committees once for any number of properties and stops once
-each has a violating committee; it is the reference the kernels are
-tested against.  Reported counterexamples are always the lexicographically
-least violating committee under class-index-then-vertex order, so results
-are reproducible.
+committees.  The plain committee scanner, :func:`_failed_props`, answers
+yes or no only: it walks the committees once for any number of
+properties, each committee's vertex set built as a sum of vertex bits,
+and stops once each property has failed.  :func:`is_compelling_naive`
+and the equivalences suite run it; the least-committee reference that
+the kernels are tested against is a plain scan kept with the tests.
+Reported counterexamples are always the lexicographically least violating
+committee under class-index-then-vertex order, so results are
+reproducible.
 
 The committee walk goes over the classes in index order, each class's
 vertices ascending, so its leaves come in the scanner's order; the
@@ -144,7 +147,7 @@ class Coloring:
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each color class, ascending, indexed by color."""
-        return tuple(_classes_from_masks(self.class_masks))
+        return tuple(tuple(iter_bits(m)) for m in self.class_masks)
 
     @cached_property
     def class_masks(self) -> tuple[int, ...]:
@@ -236,7 +239,7 @@ def rainbow_committees(coloring: Coloring):
 def is_compelling_naive(g: Graph, coloring: Coloring, prop: SubsetProperty) -> bool:
     """Reference checker: test the property on every rainbow committee."""
     validate_coloring(g, coloring)
-    return _find_violating_committee(g, coloring.classes, (prop,))[0] is None
+    return not _failed_props(g, coloring.class_masks, (prop,))
 
 
 # ---------------------------------------------------------------------------
@@ -283,47 +286,43 @@ def _uncovered_committee(cover, class_masks, colors=None):
     return None if best is None else tuple(best)
 
 
-def _find_violating_committee(
-    g: Graph, classes, props, memo=None
-) -> tuple[tuple[int, ...] | None, ...]:
-    """Least committee whose vertex set fails each of ``props``, or None
-    where every committee satisfies it; one answer per property, in order.
+def _failed_props(g: Graph, class_masks, props, memo=None) -> int:
+    """Which of ``props`` some rainbow committee of the classes
+    ``class_masks`` fails: bit i of the answer is set when one fails
+    ``props[i]``, and 0 means the coloring compels them all.
 
-    One scan serves all of ``props``: it builds each committee's mask once
-    and tests it only against the properties with no violation yet,
-    stopping once each has one.  Every answer is the one a scan for that
-    property alone gives.
+    The scan walks the committees in class-index-then-vertex order, builds
+    each one's vertex set as the sum of one vertex bit per class, and stops
+    once every property has failed.
 
     ``memo``, a dict shared by scans of one graph with the same ``props``,
-    maps each vertex set already tested to the bitmask of the indices of
-    the properties it fails; a set met again is not tested again.  A set
-    met for the first time is tested against all of ``props``.
+    maps each vertex set already tested to the bitmask of the properties it
+    fails; a set met again is not tested again.
     """
-    found: list[tuple[int, ...] | None] = [None] * len(props)
-    todo = list(enumerate(props))  # the properties with no violation yet
-    for committee in itertools.product(*classes):
-        mask = 0
-        for v in committee:
-            mask |= 1 << v
+    every = (1 << len(props)) - 1
+    failed = 0
+    # the pools as a list: unpacking a map builds an oversized tuple and
+    # shrinks it, which leaves one tuple per call on CPython's free list
+    pools = [_vertex_bits(m) for m in class_masks]
+    for mask in map(sum, itertools.product(*pools)):
         bits = None if memo is None else memo.get(mask)
-        if bits is None:  # the indices of the properties the set fails
+        if bits is None:
             bits = 0
-            for i, prop in todo if memo is None else enumerate(props):
+            for i, prop in enumerate(props):
                 if not eval_property_mask(prop, g, mask):
                     bits |= 1 << i
             if memo is not None:
                 memo[mask] = bits
-        if bits:
-            failed = False
-            for i, _ in todo:
-                if bits >> i & 1:
-                    found[i] = committee
-                    failed = True
-            if failed:
-                todo = [t for t in todo if found[t[0]] is None]
-                if not todo:
-                    break
-    return tuple(found)
+        failed |= bits
+        if failed == every:
+            break
+    return failed
+
+
+@cache
+def _vertex_bits(mask: int) -> tuple[int, ...]:
+    """The one-vertex bitmasks of ``mask``, ascending."""
+    return tuple(1 << v for v in iter_bits(mask))
 
 
 def _join(parts, low: int, nb: int) -> list[int]:
@@ -777,15 +776,6 @@ def canonical_colorings(g: Graph, k: int):
     """All canonical proper colorings of ``g`` with exactly ``k`` colors."""
     for colors, _ in canonical_walk(g.adj_bits, k):
         yield Coloring(tuple(colors))
-
-
-@cache
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
-def _classes_from_masks(masks) -> list[tuple[int, ...]]:
-    return list(map(_mask_vertices, masks))
 
 
 def chi_bounds(

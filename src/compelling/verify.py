@@ -8,12 +8,14 @@ both run these.  All randomness flows from a single seed, so a rerun with
 the same seed reproduces every corpus and every verdict.
 
 The suites hold no verdict code of their own: the per-vertex kernels and
-the committee scanner are the solver's, the total domination test is the
-solver's TDOM kernel, and induced-subgraph searches go through
+the yes/no committee scanner are the solver's, the total domination test
+is the solver's TDOM kernel, and induced-subgraph searches go through
 :func:`compelling.graphs.bfs_layers`.  The per-graph invariants that
 several suites ask for (connectivity, chromatic number, least qualifying
 sets) are stored on each graph by the library itself; compelling
-chromatic numbers are memoized here with :func:`functools.cache`.
+chromatic numbers are memoized here with :func:`functools.cache`, and on
+a connected graph CDOM shares the CONNECTED search, as the solver's
+search does.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ from .graphs import (
 )
 from .properties import SubsetProperty, eval_property, min_property_size
 from .solver import (
-    _classes_from_masks,
     _covered,
-    _find_violating_committee,
+    _failed_props,
     compelling_chromatic_number,
     disjoint_union_bounds,
     is_compelling,
@@ -150,6 +151,15 @@ def named_families(max_n: int = 9) -> list[Graph]:
     return graphs
 
 
+def _chi_p(g: Graph, prop: SubsetProperty) -> int | None:
+    """The compelling chromatic number of ``prop`` on ``g``.  On a
+    connected graph CDOM and CONNECTED compel the same colorings (n = 1
+    included), so CDOM there shares the CONNECTED search."""
+    if prop is SubsetProperty.CDOM and is_connected(g):
+        prop = SubsetProperty.CONNECTED
+    return _chi_value(g, prop)
+
+
 # Several suites ask for the compelling chromatic number of the same
 # corpus graph, so it is memoized process-wide.  The body calls the
 # module-level function, so a wrapper bound to that name sees every
@@ -157,7 +167,7 @@ def named_families(max_n: int = 9) -> list[Graph]:
 
 
 @cache
-def _chi_p(g: Graph, prop: SubsetProperty) -> int | None:
+def _chi_value(g: Graph, prop: SubsetProperty) -> int | None:
     return compelling_chromatic_number(g, prop).value
 
 
@@ -334,8 +344,9 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
     The plain committee scan is the independent side of every check.  It
     runs once per coloring for all the properties compared there: DOM,
     TDOM and ISOLATE_FREE, plus CONNECTED and CDOM on connected graphs with
-    an edge.  The scans of one graph share a memo, so each vertex set is
-    tested against those properties once."""
+    an edge, and says which of them some committee fails.  The scans of
+    one graph share a memo, so each vertex set is tested against those
+    properties once."""
     result = SuiteResult("equivalences")
     corpus = main_corpus(seed)
     violations: dict[str, list] = {"dom": [], "tdom": [], "if": [], "conn": []}
@@ -344,23 +355,19 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
         props = (SubsetProperty.DOM, SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE)
         if g.edge_count > 0 and is_connected(g):
             props += (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
-        failed: dict[int, int] = {}  # vertex set -> the props it fails
+        memo: dict[int, int] = {}  # vertex set -> the props it fails
         for k in range(1, min(4, g.n) + 1):
             for colors, masks in canonical_walk(g.adj_bits, k):
                 colorings_checked += 1
-                dom, tdom, isolate_free, *conn = (
-                    cx is None
-                    for cx in _find_violating_committee(
-                        g, _classes_from_masks(masks), props, memo=failed
-                    )
-                )
-                if _covered(g.closed_bits, masks) != dom:
+                failed = _failed_props(g, masks, props, memo)  # bit i: props[i]
+                tdom = not failed & 2
+                if _covered(g.closed_bits, masks) != (not failed & 1):
                     violations["dom"].append((g.name, tuple(colors)))
                 if _covered(g.adj_bits, masks) != tdom:
                     violations["tdom"].append((g.name, tuple(colors)))
-                if isolate_free != tdom:
+                if (not failed & 4) != tdom:
                     violations["if"].append((g.name, tuple(colors)))
-                if conn and conn[0] != conn[1]:
+                if (failed >> 3 ^ failed >> 4) & 1:  # CONNECTED, CDOM differ
                     violations["conn"].append((g.name, tuple(colors)))
     detail = f"{len(corpus)} graphs, {colorings_checked} colorings"
     for key, name in (

@@ -219,6 +219,18 @@ def brute_compelling(g: Graph, colors, prop: SubsetProperty) -> bool:
     )
 
 
+def least_violating_committee(g: Graph, masks, prop: SubsetProperty, base=()):
+    """The first committee of one vertex per class, the classes given as
+    bitmasks ``masks``, in class-index-then-vertex order, whose vertex set
+    together with the vertices ``base`` fails ``prop``; None when every
+    committee satisfies it or some class is empty.  A plain scan."""
+    classes = [[v for v in range(g.n) if m >> v & 1] for m in masks]
+    for committee in itertools.product(*classes):
+        if not set_property(prop, g, set(committee) | set(base)):
+            return committee
+    return None
+
+
 def tdc3_pair_scan(g: Graph):
     """The three-class total dominator coloring search of ``td3.has_tdc3``
     run over every guess: case 1 for each vertex, then case 2.2 for each

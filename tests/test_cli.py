@@ -133,8 +133,8 @@ def test_chi_json_format(capsys, c5_file):
 
 
 def test_chi_timeout_exits_one(capsys, tmp_path):
-    # the early committee searches at 10 colors all cut, so the search
-    # builds the separation-pair table, whose per-row deadline check stops it
+    # the search at 10 colors runs past 1024 steps, where its deadline
+    # check stops it
     path = tmp_path / "c12.graph"
     path.write_text(format_graph(make_cycle(12)))
     code, _, err = run(
@@ -476,9 +476,12 @@ def test_zero_timeout_is_accepted(capsys, c5_file):
 
 
 @pytest.mark.parametrize("prop", ["dom", "tdom", "if", "edge", "connected", "cdom"])
-@pytest.mark.parametrize("graph", [make_path(4), make_cycle(5)], ids=["P4", "C5"])
+@pytest.mark.parametrize(
+    "graph", [make_path(4), make_cycle(5), make_cycle(8)], ids=["P4", "C5", "C8"]
+)
 def test_zero_timeout_answers_as_untimed(capsys, tmp_path, graph, prop):
-    # these searches end before any deadline check fires
+    # these searches, and C8's separation-pair table, end before any
+    # deadline check fires
     path = tmp_path / "g.graph"
     path.write_text(format_graph(graph))
     untimed = run(capsys, "chi", str(path), "--property", prop)

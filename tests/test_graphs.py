@@ -700,8 +700,10 @@ def test_separation_pairs_of_small_graphs():
 
 
 def test_separation_pairs_deadline_is_checked_per_row():
-    # the table of C1501 takes seconds; the deadline stops it within a
-    # row, and a table that timed out is not stored
+    # the table of C1501 takes seconds; each of its rows counts 1501 vertex
+    # visits, more than the 1024 between two deadline checks, so the
+    # deadline stops it within a row, and a table that timed out is not
+    # stored.  A passed deadline stops it before its first row.
     g = make_cycle(1501)
     start = time.monotonic()
     with pytest.raises(SearchTimeout, match="separation pairs"):
@@ -709,7 +711,12 @@ def test_separation_pairs_deadline_is_checked_per_row():
     assert time.monotonic() - start < 1
     assert separation_pairs(g, build=False) is None
     with pytest.raises(SearchTimeout, match="separation pairs"):
-        separation_pairs(make_path(3), deadline=start - 1)
+        separation_pairs(make_cycle(1501), deadline=start - 1)
+    assert time.monotonic() - start < 1
+    # C8's table, 8 rows of 8 visits, is built whole before any check
+    assert separation_pairs(make_cycle(8), deadline=start - 1) == separation_pairs(
+        make_cycle(8)
+    )
 
 
 @BFS_SETTINGS

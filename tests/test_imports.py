@@ -1,6 +1,8 @@
 """The package's imports, read from its source with ``ast``: every import
-sits at module level, the modules import one another without a cycle, and
-no imported name goes unused."""
+sits at module level, the modules import one another without a cycle, no
+imported name goes unused, and every private function or class is read
+somewhere in the package, so code that only the tests need lives with
+the tests."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -60,6 +62,33 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
 
 
+def _reads(node: ast.AST) -> set[str]:
+    """The names read under ``node``: loaded names and attributes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute)
+    }
+
+
+def _unread_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """The private functions and classes defined at module level that no
+    code reads outside their own definition."""
+    found = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            elsewhere = [other for other in tree.body if other is not node]
+            elsewhere += [t for other, t in modules.items() if other != name]
+            if not any(node.name in _reads(other) for other in elsewhere):
+                found.append(f"{name}.{node.name} (line {node.lineno})")
+    return found
+
+
 def test_every_import_is_at_module_level():
     found = {
         name: lines
@@ -89,6 +118,10 @@ def test_no_imported_name_goes_unused():
     assert found == {}
 
 
+def test_every_private_definition_is_read():
+    assert _unread_private_definitions(MODULES) == []
+
+
 def test_the_checks_see_what_they_look_for():
     # each check on a small module that breaks it
     tree = ast.parse(
@@ -103,3 +136,21 @@ def test_the_checks_see_what_they_look_for():
     assert _unused_imports(tree) == ["os (line 1)", "chromatic_number (line 2)"]
     tree = ast.parse("from . import graphs\nimport compelling.td3\n")
     assert _package_imports(tree) == {"__init__", "graphs", "td3"}
+    # a private definition read only by itself, or by nothing, is unread
+    tree = ast.parse(
+        "def _used():\n"
+        "    return 1\n"
+        "def _itself(n):\n"
+        "    return _itself(n - 1)\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    return _used()\n"
+    )
+    other = ast.parse("from .m import _Imported\nvalue = m._Kept\n")
+    kept = ast.parse("class _Kept:\n    pass\nclass _Imported:\n    pass\n")
+    assert _unread_private_definitions({"m": tree, "n": other, "k": kept}) == [
+        "m._itself (line 3)",
+        "m._Unused (line 5)",
+        "k._Imported (line 3)",
+    ]

@@ -16,12 +16,13 @@ by the set-level oracle.
 from the per-vertex test, walks the committees for EDGE and CONNECTED,
 cutting subtrees whose completions all qualify, or for EDGE all hold an
 edge, and takes CDOM's as the lesser of CONNECTED's and DOM's.  It is
-compared against the plain committee scan and the set-level oracle in all
-six properties, and the walk also on the partial class masks the
-committee cut passes, and for CONNECTED with the unplaced vertices as a
-base.  The plain scan for several properties at once is compared against
-one scan per property, and the connected domination search of the bounds
-against plain subset enumeration.
+compared against the oracles' plain least-committee scan and the
+set-level oracle in all six properties, and the walk also on the partial
+class masks the committee cut passes, and for CONNECTED with the
+unplaced vertices as a base.  The yes/no committee scanner, for several properties at once, is
+compared against the set-level oracle one property at a time, and the
+connected domination search of the bounds against plain subset
+enumeration.
 """
 
 from __future__ import annotations
@@ -53,18 +54,23 @@ from compelling import (
     minimum_connected_dominating_set,
 )
 from compelling import solver
-from compelling.graphs import canonical_walk, separation_pairs
+from compelling.graphs import canonical_walk, is_connected, separation_pairs
 from compelling.properties import eval_property_mask
 from compelling.solver import (
-    _classes_from_masks,
     _committee_pick,
-    _find_violating_committee,
+    _failed_props,
     _iter_canonical,
     _search_cover,
     _unplaced_tables,
 )
-from compelling.verify import main_corpus
-from oracles import brute_compelling, brute_min_witness, components, relabelled
+from compelling.verify import _chi_p, main_corpus, named_families
+from oracles import (
+    brute_compelling,
+    brute_min_witness,
+    components,
+    least_violating_committee,
+    relabelled,
+)
 
 P = SubsetProperty
 
@@ -164,6 +170,26 @@ def test_cdom_and_connected_agree_on_connected_graphs(g):
     cdom = compelling_chromatic_number(g, P.CDOM)
     assert cdom == compelling_chromatic_number(g, P.CONNECTED)
     assert cdom == leaf_only_chi(g, P.CDOM)
+
+
+def test_verify_answers_cdom_with_the_connected_search():
+    # the suites' memo looks CDOM up as CONNECTED on a connected graph:
+    # sound when the two values agree there, K1 included, and CDOM has no
+    # value on a disconnected graph, where the memo keeps it apart
+    graphs = [
+        *main_corpus(1729),
+        *named_families(9),
+        make_complete(1),
+        make_empty(4),
+        disjoint_union(make_path(3), make_cycle(4)),
+    ]
+    for g in graphs:
+        cdom = compelling_chromatic_number(g, P.CDOM).value
+        if is_connected(g):
+            assert cdom == compelling_chromatic_number(g, P.CONNECTED).value
+        else:
+            assert cdom is None
+        assert _chi_p(g, P.CDOM) == cdom
 
 
 @CUT_SETTINGS
@@ -621,7 +647,7 @@ def test_committee_search_matches_the_scan(case):
     coloring = Coloring(colors)
     for prop in P:
         cx = is_compelling(g, coloring, prop).counterexample
-        assert (cx,) == _find_violating_committee(g, coloring.classes, (prop,))
+        assert cx == least_violating_committee(g, coloring.class_masks, prop)
         assert (cx is None) == brute_compelling(g, colors, prop)
 
 
@@ -637,13 +663,7 @@ def test_committee_search_with_the_unplaced_base(g, data):
     for _ in range(v + 1):
         colors.append(data.draw(st.integers(0, max(colors, default=-1) + 1)))
     masks = list(Coloring(tuple(colors)).class_masks)
-    unplaced = g.full_mask & ~((2 << v) - 1)
-    expected = None
-    for committee in itertools.product(*_classes_from_masks(masks)):
-        bits = sum(1 << u for u in committee)
-        if not eval_property_mask(P.CONNECTED, g, bits | unplaced):
-            expected = committee
-            break
+    expected = least_violating_committee(g, masks, P.CONNECTED, range(v + 1, g.n))
     pick = _committee_pick(g, masks, P.CONNECTED, None, _unplaced_tables(g)[v])
     assert committee_of(masks, pick) == expected
 
@@ -668,34 +688,30 @@ def test_committee_search_on_partial_masks(g, data):
         masks += unplaced
     for prop in WALK_PROPS:
         cx = committee_of(masks, _committee_pick(g, masks, prop))
-        if not all(masks):
-            assert cx is None
-        else:
-            assert (cx,) == _find_violating_committee(
-                g, _classes_from_masks(masks), (prop,)
-            )
+        assert cx == least_violating_committee(g, masks, prop)
 
 
 # ---------------------------------------------------------------------------
-# One committee scan for several properties
+# The yes/no committee scanner
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=400, deadline=None)
 @given(small_graphs(max_n=7), st.permutations(list(P)), st.integers(1, 6))
-def test_one_scan_for_several_properties(g, order, count):
+def test_scanner_matches_the_oracle(g, order, count):
     # every canonical coloring with at most 4 colors, as the equivalences
-    # suite scans them: each property gets the committee of its own scan,
-    # also when all the scans of the graph share one memo
+    # suite scans them: bit i is set exactly when some committee fails
+    # props[i], judged by the oracle one property at a time, also when all
+    # the scans of the graph share one memo
     props = tuple(order[:count])
     memo: dict[int, int] = {}
     for k in range(1, min(4, g.n) + 1):
-        for _, masks in canonical_walk(g.adj_bits, k):
-            classes = _classes_from_masks(masks)
-            alone = tuple(_find_violating_committee(g, classes, (p,))[0] for p in props)
-            assert _find_violating_committee(g, classes, props) == alone
-            assert _find_violating_committee(g, classes, props, memo=memo) == alone
+        for colors, masks in canonical_walk(g.adj_bits, k):
+            want = sum(
+                1 << i for i, p in enumerate(props) if not brute_compelling(g, colors, p)
+            )
+            assert _failed_props(g, masks, props) == want
+            assert _failed_props(g, masks, props, memo) == want
     for mask, failed in memo.items():
         want = sum(1 << i for i, p in enumerate(props) if not eval_property_mask(p, g, mask))
         assert failed == want
-
