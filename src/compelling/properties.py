@@ -2,10 +2,14 @@
 minimum qualifying-set sizes.
 
 A subset property is evaluated on a nonempty vertex set against a host
-graph.  Two metadata flags drive the general bounds machinery: whether the
-property is upwards-closed (supersets of a qualifying set also qualify) and
-whether it distributes over disjoint union (a union set qualifies exactly
-when both component restrictions do).
+graph.  One kernel, :func:`property_bits`, judges a set on all six
+properties in one pass over its vertices and returns one bit per property
+in declaration order; :func:`eval_property_mask` tests one bit of it, and
+the committee scanner reads them all.  Two metadata flags drive the
+general bounds machinery: whether the property is upwards-closed
+(supersets of a qualifying set also qualify) and whether it distributes
+over disjoint union (a union set qualifies exactly when both component
+restrictions do).
 
 The least DOM and TDOM sets come from the pruned size-then-lex search
 :func:`graphs.least_covering_set`, and the least CDOM set from its
@@ -27,7 +31,6 @@ from .graphs import (
     is_connected,
     least_covering_set,
     mask_connected,
-    mask_independent,
     minimum_connected_dominating_set,
 )
 
@@ -67,59 +70,58 @@ class SubsetProperty(Enum):
         return self in _DISTRIBUTING
 
 
-# The members under module-level names for the dispatches below:
-# eval_property_mask runs once per committee examined, and with timeit on
-# CPython 3.11.7 ``prop is _EDGE`` took 26 ns against 195 ns for
-# ``prop is SubsetProperty.EDGE``.
 _DOM = SubsetProperty.DOM
 _TDOM = SubsetProperty.TDOM
-_IF = SubsetProperty.ISOLATE_FREE
-_EDGE = SubsetProperty.EDGE
 _CONNECTED = SubsetProperty.CONNECTED
 _CDOM = SubsetProperty.CDOM
 
 # CDOM is upwards-closed: a superset of a connected dominating set still
 # dominates, and each added vertex is dominated, hence adjacent to the
 # connected part.  The test suite spot-checks this flag empirically.
-_UPWARDS_CLOSED = frozenset({_DOM, _TDOM, _EDGE, _CDOM})
-_DISTRIBUTING = frozenset({_DOM, _TDOM, _IF})
+_UPWARDS_CLOSED = frozenset({_DOM, _TDOM, SubsetProperty.EDGE, _CDOM})
+_DISTRIBUTING = frozenset({_DOM, _TDOM, SubsetProperty.ISOLATE_FREE})
+
+# Bit i of property_bits is the i-th member in declaration order.
+_BIT = {prop: 1 << i for i, prop in enumerate(SubsetProperty)}
 
 
-def eval_property_mask(prop: SubsetProperty, g: Graph, mask: int) -> bool:
-    """Evaluate ``prop`` on the nonempty vertex bitmask ``mask``."""
+def property_bits(g: Graph, mask: int) -> int:
+    """The properties the nonempty vertex bitmask ``mask`` has, one bit per
+    :class:`SubsetProperty` in declaration order: bit 0 DOM, 1 TDOM,
+    2 ISOLATE_FREE, 3 EDGE, 4 CONNECTED, 5 CDOM.
+
+    One loop takes the union ``cover`` of the open neighbourhoods of the
+    set's vertices.  Adjacency is symmetric, so ``cover & mask`` holds
+    exactly the set's vertices with a neighbour in the set: EDGE when it
+    is not empty, ISOLATE_FREE when it is all of ``mask``.  A single vertex
+    is connected, a larger set with an isolated vertex is not, and only the
+    remaining sets run the BFS.
+    """
     if mask == 0:
         raise ValueError("the empty set has no defined property value")
     adj = g.adj_bits
-    # DOM, TDOM and CDOM share the cover loop below and come first: every
-    # test here is paid once per committee.
-    if prop is _DOM:
-        cover = mask
-    elif prop is _TDOM:
-        cover = 0
-    elif prop is _CDOM:
-        if not mask_connected(adj, mask):
-            return False
-        cover = mask
-    elif prop is _CONNECTED:
-        return mask_connected(adj, mask)
-    elif prop is _IF:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if not adj[low.bit_length() - 1] & mask:
-                return False
-            rest ^= low
-        return True
-    elif prop is _EDGE:
-        return not mask_independent(adj, mask)
-    else:
-        raise AssertionError(f"unhandled property {prop}")
+    cover = 0
     rest = mask
     while rest:
         low = rest & -rest
         cover |= adj[low.bit_length() - 1]
         rest ^= low
-    return cover == g.full_mask
+    full = g.full_mask
+    inner = cover & mask  # the vertices of the set with a neighbour in it
+    bits = (
+        (cover | mask == full)  # DOM
+        | (cover == full) << 1  # TDOM
+        | (inner == mask) << 2  # ISOLATE_FREE
+        | (inner != 0) << 3  # EDGE
+    )
+    if not mask & (mask - 1) or inner == mask and mask_connected(adj, mask):
+        bits |= 16 | (bits & 1) << 5  # CONNECTED, and CDOM when also DOM
+    return bits
+
+
+def eval_property_mask(prop: SubsetProperty, g: Graph, mask: int) -> bool:
+    """Evaluate ``prop`` on the nonempty vertex bitmask ``mask``."""
+    return bool(property_bits(g, mask) & _BIT[prop])
 
 
 def eval_property(prop: SubsetProperty, g: Graph, members) -> bool:

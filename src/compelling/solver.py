@@ -18,11 +18,14 @@ O(n * k).  EDGE and CONNECTED are decided by one pruned committee walk,
 :func:`_committee_pick`.  A set fails CDOM exactly when it fails
 CONNECTED or DOM, so the checker takes the lesser of those two
 committees.  The plain committee scanner, :func:`_failed_props`, answers
-yes or no only: it walks the committees once for any number of
-properties, each committee's vertex set built as a sum of vertex bits,
-and stops once each property has failed.  :func:`is_compelling_naive`
-and the equivalences suite run it; the least-committee reference that
-the kernels are tested against is a plain scan kept with the tests.
+yes or no only: it walks the committees once for any set of properties,
+given as :func:`properties.property_bits` bits, builds each committee's
+vertex set as a sum of vertex bits, judges it on all six properties in
+one pass, and stops once each property asked for has failed.  Its memo
+holds each vertex set's failed bits over all six, so one memo serves
+every property set on a graph.  :func:`is_compelling_naive` and the
+equivalences suite run it; the least-committee reference that the
+kernels are tested against is a plain scan kept with the tests.
 Reported counterexamples are always the lexicographically least violating
 committee under class-index-then-vertex order, so results are
 reproducible.
@@ -110,9 +113,11 @@ from .graphs import (
     separation_pairs,
 )
 from .properties import (
+    _BIT,
     SubsetProperty,
     eval_property_mask,
     min_property_size,
+    property_bits,
 )
 
 _EDGE = SubsetProperty.EDGE
@@ -122,6 +127,7 @@ _IF = SubsetProperty.ISOLATE_FREE
 # the properties the checker decides by the committee walk, which it runs
 # as CONNECTED for CDOM
 _COMMITTEE_PROPS = (_EDGE, _CONNECTED, _CDOM)
+_ALL_BITS = (1 << len(SubsetProperty)) - 1  # every property_bits bit
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ def rainbow_committees(coloring: Coloring):
 def is_compelling_naive(g: Graph, coloring: Coloring, prop: SubsetProperty) -> bool:
     """Reference checker: test the property on every rainbow committee."""
     validate_coloring(g, coloring)
-    return not _failed_props(g, coloring.class_masks, (prop,))
+    return not _failed_props(g, coloring.class_masks, _BIT[prop])
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +292,20 @@ def _uncovered_committee(cover, class_masks, colors=None):
     return None if best is None else tuple(best)
 
 
-def _failed_props(g: Graph, class_masks, props, memo=None) -> int:
-    """Which of ``props`` some rainbow committee of the classes
-    ``class_masks`` fails: bit i of the answer is set when one fails
-    ``props[i]``, and 0 means the coloring compels them all.
+def _failed_props(g: Graph, class_masks, want: int, memo=None) -> int:
+    """Which of the properties ``want`` some rainbow committee of the
+    classes ``class_masks`` fails, both as :func:`properties.property_bits`
+    bits: 0 means the coloring compels every property in ``want``.
 
     The scan walks the committees in class-index-then-vertex order, builds
-    each one's vertex set as the sum of one vertex bit per class, and stops
-    once every property has failed.
+    each one's vertex set as the sum of one vertex bit per class, judges it
+    on all six properties at once, and stops once every property in
+    ``want`` has failed.
 
-    ``memo``, a dict shared by scans of one graph with the same ``props``,
-    maps each vertex set already tested to the bitmask of the properties it
-    fails; a set met again is not tested again.
+    ``memo``, a dict shared by any scans of one graph, maps each vertex set
+    already judged to the bits of all six properties it fails; a set met
+    again is not judged again, whichever properties the scan wants.
     """
-    every = (1 << len(props)) - 1
     failed = 0
     # the pools as a list: unpacking a map builds an oversized tuple and
     # shrinks it, which leaves one tuple per call on CPython's free list
@@ -307,14 +313,11 @@ def _failed_props(g: Graph, class_masks, props, memo=None) -> int:
     for mask in map(sum, itertools.product(*pools)):
         bits = None if memo is None else memo.get(mask)
         if bits is None:
-            bits = 0
-            for i, prop in enumerate(props):
-                if not eval_property_mask(prop, g, mask):
-                    bits |= 1 << i
+            bits = _ALL_BITS ^ property_bits(g, mask)
             if memo is not None:
                 memo[mask] = bits
-        failed |= bits
-        if failed == every:
+        failed |= bits & want
+        if failed == want:
             break
     return failed
 

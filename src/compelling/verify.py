@@ -61,7 +61,7 @@ from .graphs import (
     mask_independent,
     minimum_connected_dominating_set,
 )
-from .properties import SubsetProperty, eval_property, min_property_size
+from .properties import _BIT, SubsetProperty, eval_property, min_property_size
 from .solver import (
     _covered,
     _failed_props,
@@ -334,6 +334,14 @@ def suite_mop_claims(seed: int = DEFAULT_SEED) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+# the property_bits bits that the equivalences suite reads
+_DOM_BIT = _BIT[SubsetProperty.DOM]
+_TDOM_BIT = _BIT[SubsetProperty.TDOM]
+_IF_BIT = _BIT[SubsetProperty.ISOLATE_FREE]
+_CONNECTED_BIT = _BIT[SubsetProperty.CONNECTED]
+_CDOM_BIT = _BIT[SubsetProperty.CDOM]
+
+
 def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Per-coloring equivalences over every canonical proper coloring with
     at most 4 colors of every corpus graph: the per-vertex dominator and
@@ -345,29 +353,29 @@ def suite_equivalences(seed: int = DEFAULT_SEED) -> SuiteResult:
     runs once per coloring for all the properties compared there: DOM,
     TDOM and ISOLATE_FREE, plus CONNECTED and CDOM on connected graphs with
     an edge, and says which of them some committee fails.  The scans of
-    one graph share a memo, so each vertex set is tested against those
-    properties once."""
+    one graph share a memo, so each vertex set is judged once, on all six
+    properties in one pass of :func:`properties.property_bits`."""
     result = SuiteResult("equivalences")
     corpus = main_corpus(seed)
     violations: dict[str, list] = {"dom": [], "tdom": [], "if": [], "conn": []}
     colorings_checked = 0
     for g in corpus:
-        props = (SubsetProperty.DOM, SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE)
+        want = _DOM_BIT | _TDOM_BIT | _IF_BIT
         if g.edge_count > 0 and is_connected(g):
-            props += (SubsetProperty.CONNECTED, SubsetProperty.CDOM)
-        memo: dict[int, int] = {}  # vertex set -> the props it fails
+            want |= _CONNECTED_BIT | _CDOM_BIT
+        memo: dict[int, int] = {}  # vertex set -> the properties it fails
         for k in range(1, min(4, g.n) + 1):
             for colors, masks in canonical_walk(g.adj_bits, k):
                 colorings_checked += 1
-                failed = _failed_props(g, masks, props, memo)  # bit i: props[i]
-                tdom = not failed & 2
-                if _covered(g.closed_bits, masks) != (not failed & 1):
+                failed = _failed_props(g, masks, want, memo)
+                tdom = not failed & _TDOM_BIT
+                if _covered(g.closed_bits, masks) != (not failed & _DOM_BIT):
                     violations["dom"].append((g.name, tuple(colors)))
                 if _covered(g.adj_bits, masks) != tdom:
                     violations["tdom"].append((g.name, tuple(colors)))
-                if (not failed & 4) != tdom:
+                if (not failed & _IF_BIT) != tdom:
                     violations["if"].append((g.name, tuple(colors)))
-                if (failed >> 3 ^ failed >> 4) & 1:  # CONNECTED, CDOM differ
+                if (not failed & _CONNECTED_BIT) != (not failed & _CDOM_BIT):
                     violations["conn"].append((g.name, tuple(colors)))
     detail = f"{len(corpus)} graphs, {colorings_checked} colorings"
     for key, name in (

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compelling import (
+    Graph,
     SubsetProperty,
     connected_domination_number,
     disjoint_union,
@@ -22,6 +23,7 @@ from compelling import (
     min_property_size,
     min_property_witness,
 )
+from compelling.properties import property_bits
 from oracles import brute_min_size, brute_min_witness, relabelled, set_property
 
 P = SubsetProperty
@@ -96,6 +98,54 @@ def test_cdom_implies_connected_and_dominating(g, data):
     if eval_property(P.CDOM, g, members):
         assert eval_property(P.CONNECTED, g, members)
         assert eval_property(P.DOM, g, members)
+
+
+def test_property_bits_follow_declaration_order():
+    # bit i is the i-th member; the scanner and the equivalences suite
+    # address the bits by this order
+    assert [p.value for p in P] == ["dom", "tdom", "if", "edge", "connected", "cdom"]
+    p3 = make_path(3)
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    edge_and_vertex = Graph.from_edges(3, [(0, 1)])
+    cases = [
+        (p3, 0b010, 0b110001),  # DOM, CONNECTED, CDOM
+        (p3, 0b101, 0b000001),  # DOM alone
+        (p3, 0b011, 0b111111),  # all six
+        (make_empty(2), 0b01, 0b010000),  # CONNECTED alone
+        (two_edges, 0b1111, 0b001111),  # all but CONNECTED and CDOM
+        (edge_and_vertex, 0b111, 0b001001),  # DOM and EDGE
+        (make_path(4), 0b1001, 0b000001),  # DOM, not TDOM
+    ]
+    for g, mask, bits in cases:
+        assert property_bits(g, mask) == bits, (g.name, bin(mask))
+        members = {v for v in range(g.n) if mask >> v & 1}
+        for i, prop in enumerate(P):
+            assert bool(bits >> i & 1) == set_property(prop, g, members), prop
+
+
+@st.composite
+def edge_subsets(draw, max_n=7):
+    """A graph on at most ``max_n`` vertices with any subset of the edges:
+    edgeless and disconnected graphs come up often."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_subsets())
+@example(make_empty(1))
+@example(make_empty(5))
+@example(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]))
+@example(make_complete(7))
+def test_property_bits_match_set_level_definitions(g):
+    # every nonempty vertex set, the single vertices included, against the
+    # oracle's definition of each of the six properties
+    for mask in range(1, 1 << g.n):
+        members = {v for v in range(g.n) if mask >> v & 1}
+        want = sum(set_property(p, g, members) << i for i, p in enumerate(P))
+        assert property_bits(g, mask) == want, (g.edges, sorted(members))
 
 
 # ---------------------------------------------------------------------------

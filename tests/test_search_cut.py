@@ -19,10 +19,11 @@ edge, and takes CDOM's as the lesser of CONNECTED's and DOM's.  It is
 compared against the oracles' plain least-committee scan and the
 set-level oracle in all six properties, and the walk also on the partial
 class masks the committee cut passes, and for CONNECTED with the
-unplaced vertices as a base.  The yes/no committee scanner, for several properties at once, is
-compared against the set-level oracle one property at a time, and the
-connected domination search of the bounds against plain subset
-enumeration.
+unplaced vertices as a base.  The yes/no committee scanner, for several
+properties at once and with one memo shared by scans for different
+property sets, is compared against the set-level oracle one property at
+a time, and the connected domination search of the bounds against plain
+subset enumeration.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from compelling import (
 )
 from compelling import solver
 from compelling.graphs import canonical_walk, is_connected, separation_pairs
-from compelling.properties import eval_property_mask
 from compelling.solver import (
     _committee_pick,
     _failed_props,
@@ -70,6 +70,7 @@ from oracles import (
     components,
     least_violating_committee,
     relabelled,
+    set_property,
 )
 
 P = SubsetProperty
@@ -697,21 +698,30 @@ def test_committee_search_on_partial_masks(g, data):
 
 
 @settings(max_examples=400, deadline=None)
-@given(small_graphs(max_n=7), st.permutations(list(P)), st.integers(1, 6))
-def test_scanner_matches_the_oracle(g, order, count):
+@given(
+    small_graphs(max_n=7),
+    st.integers(1, (1 << len(P)) - 1),
+    st.integers(0, (1 << len(P)) - 1),
+)
+def test_scanner_matches_the_oracle(g, want, other):
     # every canonical coloring with at most 4 colors, as the equivalences
-    # suite scans them: bit i is set exactly when some committee fails
-    # props[i], judged by the oracle one property at a time, also when all
-    # the scans of the graph share one memo
-    props = tuple(order[:count])
+    # suite scans them: the answer holds exactly the bits of ``want`` whose
+    # property some committee fails, judged by the oracle one property at a
+    # time, also when all the scans of the graph share one memo, and also
+    # when that memo is shared with scans for another property set
+    # ``other``; bit i is the i-th member of SubsetProperty
     memo: dict[int, int] = {}
     for k in range(1, min(4, g.n) + 1):
         for colors, masks in canonical_walk(g.adj_bits, k):
-            want = sum(
-                1 << i for i, p in enumerate(props) if not brute_compelling(g, colors, p)
+            fails = sum(
+                1 << i for i, p in enumerate(P) if not brute_compelling(g, colors, p)
             )
-            assert _failed_props(g, masks, props) == want
-            assert _failed_props(g, masks, props, memo) == want
+            assert _failed_props(g, masks, want) == fails & want
+            assert _failed_props(g, masks, other, memo) == fails & other
+            assert _failed_props(g, masks, want, memo) == fails & want
+    # each memo entry holds the failed bits of all six properties
     for mask, failed in memo.items():
-        want = sum(1 << i for i, p in enumerate(props) if not eval_property_mask(p, g, mask))
-        assert failed == want
+        members = {v for v in range(g.n) if mask >> v & 1}
+        assert failed == sum(
+            1 << i for i, p in enumerate(P) if not set_property(p, g, members)
+        )
