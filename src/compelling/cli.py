@@ -455,7 +455,6 @@ def cmd_verify(args) -> int:
         suite_results = run_suite(args.suite, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc))
-    all_ok = True
     if args.format == "json":
         report = RunReport(command=f"verify {args.suite}", seed=args.seed)
         for suite in suite_results:
@@ -468,19 +467,17 @@ def cmd_verify(args) -> int:
                         "detail": check.detail,
                     }
                 )
-                all_ok &= check.passed
             report.notes.extend(f"{suite.suite}: {note}" for note in suite.notes)
         print(report.to_json())
-        return 0 if all_ok else 1
-    for suite in suite_results:
-        for check in suite.checks:
-            tag = "PASS" if check.passed else "FAIL"
-            detail = f" ({check.detail})" if check.detail else ""
-            print(f"{tag} [{suite.suite}] {check.name}{detail}")
-            all_ok &= check.passed
-        for note in suite.notes:
-            print(f"NOTE [{suite.suite}] {note}")
-    return 0 if all_ok else 1
+    else:
+        for suite in suite_results:
+            for check in suite.checks:
+                tag = "PASS" if check.passed else "FAIL"
+                detail = f" ({check.detail})" if check.detail else ""
+                print(f"{tag} [{suite.suite}] {check.name}{detail}")
+            for note in suite.notes:
+                print(f"NOTE [{suite.suite}] {note}")
+    return 0 if all(suite.passed for suite in suite_results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,91 +4,28 @@ A rainbow committee of a proper coloring is a vertex set with exactly one
 vertex of each color.  A coloring compels a subset property when every
 rainbow committee satisfies it; the compelling chromatic number of a graph
 is the minimum number of colors over all compelling proper colorings, or
-infeasible when none exists at any number of colors.
+infeasible when none exists at any number of colors.  A counterexample is
+always the least violating committee in class-index-then-vertex order.
 
-Each property has one verdict kernel here, shared by the checker, the
-search, the total dominator tester and the verification suites.  DOM,
-TDOM and ISOLATE_FREE are one per-vertex test: every vertex u has a whole
-color class inside its closed neighbourhood (DOM) or its open one (TDOM,
-ISOLATE_FREE).  :func:`_covered` gives the yes or no; where it fails at
-u, the least committee that misses ``cover[u]`` takes the lowest vertex
-outside it from each class, and for ISOLATE_FREE u itself from u's class,
-so :func:`_uncovered_committee` finds the least counterexample in
-O(n * k).  EDGE and CONNECTED are decided by one pruned committee walk,
-:func:`_committee_pick`.  A set fails CDOM exactly when it fails
-CONNECTED or DOM, so the checker takes the lesser of those two
-committees.  The plain committee scanner, :func:`_failed_props`, answers
-yes or no only: it walks the committees once for any set of properties,
-given as :func:`properties.property_bits` bits, builds each committee's
-vertex set as a sum of vertex bits, judges it on all six properties in
-one pass, and stops once each property asked for has failed.  Its memo
-holds each vertex set's failed bits over all six, so one memo serves
-every property set on a graph.  :func:`is_compelling_naive` and the
-equivalences suite run it; the least-committee reference that the
-kernels are tested against is a plain scan kept with the tests.
-Reported counterexamples are always the lexicographically least violating
-committee under class-index-then-vertex order, so results are
-reproducible.
+Each property has one verdict kernel, shared by the checker, the search,
+the total dominator tester and the suites (:func:`is_compelling`):
 
-The committee walk goes over the classes in index order, each class's
-vertices ascending, so its leaves come in the scanner's order; the
-singleton classes, in every committee, are picked first.  For EDGE it
-looks for an independent committee: it picks only vertices outside the
-closed neighbourhood of the picks so far, P, and cuts a subtree once some
-class still to pick lies inside it.  For CONNECTED it keeps the
-components of P, and cuts a subtree once every vertex of the classes still
-to pick is adjacent to every component and P is connected or a pick
-remains.  The next pick then joins the components and every later one is
-adjacent to them, so each completion is connected.  No cut loses a
-violating committee: the first leaf reached violates the property and is
-the least one.
+* DOM, TDOM, ISOLATE_FREE: the per-vertex test, :func:`_uncovered_committee`;
+* EDGE, CONNECTED: the pruned committee walk, :func:`_committee_pick`;
+* CDOM: the lesser of the CONNECTED and DOM committees;
+* yes or no for any set of properties: the scanner, :func:`_failed_props`.
 
-The exact search runs CDOM as CONNECTED.  CDOM has no bounds on a
-disconnected graph, so its search runs only on connected ones, and there
-the two compel the same colorings: with n >= 2 a coloring compelling
-connectivity compels domination too (:func:`_search_cover`), and with
-n = 1 both have the witness (0,).  The search, :func:`_iter_canonical`,
-takes the property and applies the cuts it has on the graph inside the
-canonical enumeration, each dropping only subtrees in which no coloring
-compels the property:
+:func:`compelling_chromatic_number` runs the cut search
+:func:`_iter_canonical` at each color count, on the property that
+:func:`_search_property` picks.  Each cut drops only subtrees with no
+compelling leaf, as the docstring of :func:`_iter_canonical` argues:
 
-* the per-vertex test cuts every subtree in which some vertex can no
-  longer have a whole class inside its neighbourhood, and every subtree
-  in which more vertices lack one than the classes still to be opened can
-  serve: a class opened at a later vertex w serves only the vertices in
-  w's neighbourhood.  CONNECTED on a connected graph with at least two
-  vertices is cut with the DOM test, since a coloring compelling it also
-  compels domination;
-* the separator test (CONNECTED, any graph) cuts once two colors are
-  open and a cut vertex x has a second vertex in its class (or G is
-  disconnected, with no x at all): the placed vertices other than x then
-  carry two colors, so in every completion two vertices of different
-  colors lie in different components of G - x, and the committee through
-  them that avoids x is disconnected.  It is the local form of the tree
-  result that every interior vertex of a tree is a singleton class, and
-  2-connected graphs get nothing from it;
-* the separation-pair test (CONNECTED) is its two-vertex form: it cuts
-  once two colors are open and two placed vertices x != y that form a
-  separating pair each sit in a class that keeps a placed vertex outside
-  {x, y}.  The placed vertices outside {x, y} then carry two colors, so
-  in every completion two vertices of different colors lie in different
-  components of G - {x, y}, and the committee through them that avoids x
-  and y is disconnected.  On a cycle every two vertices that are not
-  adjacent form such a pair;
-* the committee test (EDGE and CONNECTED) cuts, once all k colors are
-  open, when the committee walk finds a violating committee through the
-  vertex just placed, which stays a committee, with the same vertex set,
-  in every completion.  Every violating committee has a last-placed
-  vertex, so no leaf that survives has one.  For CONNECTED it also cuts
-  earlier, once the vertex just placed joins an open class while two to
-  k - 1 colors are in use: with U the vertices not yet placed, it cuts
-  when P + U is disconnected for some P of one placed vertex per open
-  class.  Every completion then has a violating committee inside P + U
-  that keeps P, or all of P but one vertex together with a vertex of a
-  component of P + U that lies in U.
-
-So every leaf that survives compels the property, none is checked again,
-and the witness is the one the uncut search finds.
+* per-vertex (DOM, TDOM, ISOLATE_FREE, CONNECTED): :func:`_search_cover`;
+* count (the same properties): :func:`_outnumbered`;
+* separator (CONNECTED): :func:`graphs.cut_vertices`;
+* separation pair (CONNECTED): :func:`_paired`;
+* committee, once all k colors are open (EDGE, CONNECTED), and early
+  (CONNECTED): :func:`_committee_pick`.
 
 Everything here is a pure function; single-threaded execution throughout.
 """
@@ -463,8 +400,9 @@ def is_compelling(
     neighbourhood table of :func:`_search_cover`
     (:func:`_uncovered_committee`).  EDGE and CONNECTED run the committee
     walk (:func:`_committee_pick`), which cuts every subtree whose
-    completions all qualify, or for EDGE all hold an edge.  CDOM takes the
-    lesser of the CONNECTED and DOM committees.
+    completions all qualify, or for EDGE all hold an edge.  A set fails
+    CDOM exactly when it fails CONNECTED or DOM, so CDOM takes the lesser
+    of the CONNECTED and DOM committees.
 
     ``timeout_s`` bounds the committee walks: they raise SearchTimeout once
     it has passed.
@@ -509,12 +447,15 @@ def _iter_canonical(
     the walk itself.
 
     ``prop`` is DOM, TDOM, ISOLATE_FREE, EDGE or CONNECTED; callers search
-    CDOM as CONNECTED, on connected graphs only.  The search takes every
-    cut that ``prop`` has on g: the per-vertex cut with the table of
-    :func:`_search_cover`, the committee cut for EDGE and CONNECTED, and
-    for CONNECTED also the separator cut, with the mask of
-    :func:`graphs.cut_vertices`, the early committee cut and the
-    separation-pair cut.
+    CDOM through :func:`_search_property`.  The search takes every cut that
+    ``prop`` has on g.  The per-vertex cut, with the table of
+    :func:`_search_cover`, tests each color c tried for a vertex v.  For a
+    c that passes it, one chain of rules runs, and the first to fire cuts:
+    for CONNECTED the separator cut, with the mask of
+    :func:`graphs.cut_vertices`, then the separation-pair cut; then one
+    committee walk, the committee cut once all k colors are open (EDGE and
+    CONNECTED), or else the early committee cut (CONNECTED).  A cut sends
+    the search back to v for its next color.
 
     The per-vertex cut yields only colorings in which every vertex u has a
     whole class inside ``cover[u]``.  For each open class c,
@@ -540,7 +481,28 @@ def _iter_canonical(
     two; else all of them lie in one component, and any vertex w of
     another, placed now or later, differs in color from one of them, u.
     Either way the committee through the two that avoids x (x's class has
-    another placed vertex) is disconnected in every completion.
+    another placed vertex) is disconnected in every completion.  It is the
+    local form of the tree result that every interior vertex of a tree is
+    a singleton class; 2-connected graphs get nothing from it.
+
+    The separation-pair cut is the separator cut's two-vertex form.  It
+    runs when v joins an open class, with two colors or more open, and
+    cuts when two placed vertices x != y that form a separating pair (the
+    table of :func:`graphs.separation_pairs`), each in a class of two or
+    more vertices, are not together the whole of one class.  Each of x's and
+    y's classes then keeps a placed vertex outside {x, y}, so the placed
+    vertices outside {x, y} carry two colors; as for the separator cut,
+    some u and w of different colors, w maybe placed later, lie in
+    different components of G - {x, y}.  The committee through u and w
+    that picks no x or y (each of their classes has another placed vertex)
+    is disconnected in every completion.  The table costs up to n
+    low-link searches, so it is read when it is stored on g already, and
+    else built only once n committee searches in a row before all k colors
+    are open have cut, and only when G has as many edges as vertices.  It
+    holds only the pairs of vertices that are not cut vertices, which the
+    separator cut covers; trees, the connected graphs with fewer edges,
+    and disconnected graphs have none.  On a cycle every two vertices that
+    are not adjacent form such a pair.
 
     The committee cut fires once all k colors are open, when some
     committee through the vertex v just placed fails ``prop``, searched by
@@ -567,25 +529,6 @@ def _iter_canonical(
     opens a class, which leaves those committees as they were, and while
     at most one placed vertex has joined an open class, which is the
     separator cut's case.
-
-    For CONNECTED, the separation-pair cut runs just before each
-    committee search at a vertex v that joins an open class, with two
-    colors or more open, and a hit skips the search.  It cuts when two
-    placed vertices x != y that form a separating pair (the table of
-    :func:`graphs.separation_pairs`), each in a class of two or more
-    vertices, are not together the whole of one class.  Each of x's and
-    y's classes then keeps a placed vertex outside {x, y}, so the placed
-    vertices outside {x, y} carry two colors; as for the separator cut,
-    some u and w of different colors, w maybe placed later, lie in
-    different components of G - {x, y}.  The committee through u and w
-    that picks no x or y (each of their classes has another placed vertex)
-    is disconnected in every completion.  The table costs up to n
-    low-link searches, so it is read when it is stored on g already, and
-    else built only once n committee searches in a row before all k colors
-    are open have cut, and only when G has as many edges as vertices.  It
-    holds only the pairs of vertices that are not cut vertices, which the
-    separator cut covers; trees, the connected graphs with fewer edges,
-    and disconnected graphs have none.
 
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
@@ -623,9 +566,9 @@ def _iter_canonical(
     # Depth-first over the vertices in index order with an explicit stack.
     # On reaching vertex v: used_at[v] colors are open and loose_at[v] holds
     # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
-    # inside[c] of v's class c before v joined it.  With the committee cut
-    # on, multi_at[v] holds the vertices in classes of two or more
-    # vertices, and bit n, the separator bit that needs no class.
+    # inside[c] of v's class c before v joined it.  For CONNECTED,
+    # multi_at[v] holds the vertices in classes of two or more vertices,
+    # and bit n, the separator bit that needs no class.
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
@@ -676,39 +619,39 @@ def _iter_canonical(
                 c += 1
             if c <= top:
                 if committee:
-                    multi = multi_at[v]
-                    if c < used:
-                        multi |= masks[c] | 1 << v
-                    cut = now_used > 1 and multi & separators
+                    cut = False
+                    if early:
+                        multi = multi_at[v]
+                        if c < used:
+                            multi |= masks[c] | 1 << v
+                        multi_at[v + 1] = multi  # read only once v is placed
+                        cut = now_used > 1 and multi & separators or (
+                            pairs is not None
+                            and c < used
+                            and used > 1
+                            and _paired(pairs, multi, v, colors, masks, c)
+                        )
                     if not cut and now_used == k:
-                        if pairs is not None and c < used and k > 1:
-                            cut = _paired(pairs, multi, v, colors, masks, c)
-                        if not cut:
-                            part = masks.copy()
-                            part[c] = 1 << v
-                            pick = _committee_pick(g, part, prop, deadline)
-                            cut = pick is not None
+                        part = masks.copy()
+                        part[c] = 1 << v
+                        cut = _committee_pick(g, part, prop, deadline) is not None
                     elif not cut and early and c < used and 1 < used < v:
-                        if pairs is not None:
-                            cut = _paired(pairs, multi, v, colors, masks, c)
-                        if not cut:
-                            if unplaced is None:
-                                unplaced = _unplaced_tables(g)
-                            part = masks[:used]
-                            part[c] |= 1 << v
-                            pick = _committee_pick(
-                                g, part, prop, deadline, unplaced[v]
-                            )
-                            cut = pick is not None
-                            if pairs is None:
-                                streak = streak + 1 if cut else 0
-                                if streak == n and g.edge_count >= n:
-                                    pairs = separation_pairs(g, deadline)
+                        if unplaced is None:
+                            unplaced = _unplaced_tables(g)
+                        part = masks[:used]
+                        part[c] |= 1 << v
+                        cut = (
+                            _committee_pick(g, part, prop, deadline, unplaced[v])
+                            is not None
+                        )
+                        if pairs is None:
+                            streak = streak + 1 if cut else 0
+                            if streak == n and g.edge_count >= n:
+                                pairs = separation_pairs(g, deadline)
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
                         continue
-                    multi_at[v + 1] = multi
                 colors[v] = c
                 masks[c] |= 1 << v
                 held_at[v] = held
@@ -828,7 +771,7 @@ def _search_cover(g: Graph, prop: SubsetProperty):
     missing the closed neighbourhood of u, swapping u in for the vertex of
     its color leaves u isolated in a set of k >= 2 vertices.  On an
     edgeless graph one color compels connectivity but not domination, so
-    CONNECTED is not cut there.  The search runs CDOM as CONNECTED.
+    CONNECTED is not cut there.
     """
     if prop is SubsetProperty.DOM:
         return g.closed_bits
@@ -837,6 +780,15 @@ def _search_cover(g: Graph, prop: SubsetProperty):
     if prop in (SubsetProperty.TDOM, SubsetProperty.ISOLATE_FREE):
         return g.adj_bits
     return None
+
+
+def _search_property(g: Graph, prop: SubsetProperty) -> SubsetProperty:
+    """The property whose compelling colorings of g the search looks for:
+    CONNECTED for CDOM on a connected graph, ``prop`` otherwise.  There the
+    two compel the same colorings: with n >= 2 a coloring compelling
+    connectivity compels domination too (:func:`_search_cover`), and with
+    n = 1 both have the witness (0,)."""
+    return _CONNECTED if prop is _CDOM and is_connected(g) else prop
 
 
 def compelling_chromatic_number(
@@ -848,15 +800,17 @@ def compelling_chromatic_number(
     """Exact minimum number of colors in a proper coloring compelling
     ``prop``, with a witness coloring.
 
-    Scans k upward from the lower bound over canonical colorings;
-    compellingness is not assumed monotone in k, so the first success is
-    the minimum by definition.  The witness is the first compelling
-    coloring in canonical enumeration order.
+    Scans k upward from the lower bound over canonical colorings, so the
+    first success is the minimum by definition.  The scan does not rely on
+    monotonicity: for the upwards-closed properties the feasible k run
+    from the value to n (splitting a class of two or more vertices into a
+    singleton and the rest keeps a coloring compelling), but not for
+    CONNECTED: on an edgeless graph of two or more vertices one color
+    compels it and no other count does.  The witness is the first
+    compelling coloring in canonical enumeration order.
 
-    CDOM is searched as CONNECTED: its bounds are None on a disconnected
-    graph, and on a connected one the two compel the same colorings.  Each
-    level k is the cut search :func:`_iter_canonical`, which picks its
-    cuts from g and the property.  Every leaf that survives is compelling,
+    Each level k is the cut search :func:`_iter_canonical` on the property
+    of :func:`_search_property`.  Every leaf that survives is compelling,
     so the answer is the first leaf at the smallest k.  The cuts drop only
     colorings that do not compel, so the witness is the one the uncut scan
     finds.
@@ -872,8 +826,7 @@ def compelling_chromatic_number(
         if bounds is None:
             return ChiResult(None, None, None, None)
         lower, upper = bounds
-        if prop is _CDOM:  # bounded only when connected, where the two agree
-            prop = _CONNECTED
+        prop = _search_property(g, prop)
         for k in range(lower, g.n + 1):
             for colors, _ in _iter_canonical(g, k, prop, deadline):
                 return ChiResult(k, Coloring(tuple(colors)), lower, upper)

@@ -150,8 +150,6 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
     for v in range(n):
         red = full & ~adj[v]
         rest = adj[v]
-        if rest == 0:
-            continue
         if all(adj[w] == rest for w in iter_bits(red)):
             split = _split_bipartition(g, rest)
             if split is None:
@@ -181,8 +179,6 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
     # is the split a breadth-first 2-coloring from that vertex gives.
     for red, uv in reds:
         rest = full & ~red
-        if rest == 0:
-            continue
         low = rest & -rest
         side_b = adj[low.bit_length() - 1] & rest
         side_a = rest ^ side_b

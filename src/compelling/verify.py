@@ -13,9 +13,8 @@ is the solver's TDOM kernel, and induced-subgraph searches go through
 :func:`compelling.graphs.bfs_layers`.  The per-graph invariants that
 several suites ask for (connectivity, chromatic number, least qualifying
 sets) are stored on each graph by the library itself; compelling
-chromatic numbers are memoized here with :func:`functools.cache`, and on
-a connected graph CDOM shares the CONNECTED search, as the solver's
-search does.
+chromatic numbers are memoized here with :func:`functools.cache`, keyed
+by the property the solver searches (:func:`solver._search_property`).
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from .properties import _BIT, SubsetProperty, eval_property, min_property_size
 from .solver import (
     _covered,
     _failed_props,
+    _search_property,
     compelling_chromatic_number,
     disjoint_union_bounds,
     is_compelling,
@@ -152,16 +152,15 @@ def named_families(max_n: int = 9) -> list[Graph]:
 
 
 def _chi_p(g: Graph, prop: SubsetProperty) -> int | None:
-    """The compelling chromatic number of ``prop`` on ``g``.  On a
-    connected graph CDOM and CONNECTED compel the same colorings (n = 1
-    included), so CDOM there shares the CONNECTED search."""
-    if prop is SubsetProperty.CDOM and is_connected(g):
-        prop = SubsetProperty.CONNECTED
-    return _chi_value(g, prop)
+    """The compelling chromatic number of ``prop`` on ``g``, memoized under
+    the property the solver searches, so properties that compel the same
+    colorings on ``g`` share one search."""
+    return _chi_value(g, _search_property(g, prop))
 
 
 # Several suites ask for the compelling chromatic number of the same
-# corpus graph, so it is memoized process-wide.  The body calls the
+# corpus graph, so it is memoized process-wide, as ints: storing each
+# result on its graph held more memory and ran slower.  The body calls the
 # module-level function, so a wrapper bound to that name sees every
 # computed value.
 

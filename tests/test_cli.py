@@ -34,6 +34,7 @@ from compelling.cli import (
     parse_family_csv,
     render_family_csv,
 )
+from compelling.verify import SuiteResult
 
 
 @pytest.fixture
@@ -625,6 +626,21 @@ def test_verify_json(capsys):
     assert code == 0
     report = json.loads(out)
     assert all(r["passed"] for r in report["results"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch, fmt):
+    good, bad = SuiteResult("good"), SuiteResult("bad")
+    good.add("holds", True)
+    bad.add("holds", True)
+    bad.add("breaks", False, "a counterexample")
+    results = {"passing": [good], "failing": [good, bad, SuiteResult("empty")]}
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed: results[name])
+    code, _, _ = run(capsys, "verify", "passing", "--format", fmt)
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "failing", "--format", fmt)
+    assert code == 1
+    assert "breaks" in out and "a counterexample" in out
 
 
 # Reports of `verify td3`, `verify equivalences` and `verify mop-claims`

@@ -2,9 +2,10 @@
 sits at module level, the modules import one another without a cycle, no
 imported name goes unused, and every private function or class is read
 somewhere in the package, so code that only the tests need lives with
-the tests."""
+the tests.  The names that docstrings and the README point to exist."""
 
 import ast
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -12,6 +13,13 @@ import compelling
 
 PACKAGE = Path(compelling.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a Sphinx-style pointer in a docstring, and a name qualified by one of the
+# package's modules in prose
+_DOC_REFERENCE = re.compile(r":(?:func|class):`([\w.]+)`")
+_QUALIFIED_NAME = re.compile(
+    r"(?<![\w./])((?:%s)\.(?!py\b)\w+)" % "|".join(m for m in MODULES if m[0] != "_")
+)
 
 
 def _imports_in_functions(tree: ast.AST):
@@ -89,6 +97,49 @@ def _unread_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _definitions(tree: ast.Module) -> set[str]:
+    """The names that a module's top-level statements define."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _docstring_references(tree: ast.Module) -> list[str]:
+    """The names that the docstrings of a module, its classes and its
+    functions point to with ``:func:`` or ``:class:``."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            refs += _DOC_REFERENCE.findall(ast.get_docstring(node) or "")
+    return refs
+
+
+def _dangling(refs, modules: dict[str, ast.Module]) -> list[str]:
+    """The references, each ``name`` or ``module.name``, that name nothing
+    the package defines: a bare name must be defined in some module, a
+    qualified one in its module.  A name qualified by a module outside the
+    package, such as ``functools.cache``, is not checked."""
+    defined = {name: _definitions(tree) for name, tree in modules.items()}
+    anywhere = set().union(*defined.values())
+    found = []
+    for ref in refs:
+        owner, _, name = ref.removeprefix("compelling.").rpartition(".")
+        if owner in defined:
+            if name not in defined[owner]:
+                found.append(ref)
+        elif not owner and name not in anywhere:
+            found.append(ref)
+    return found
+
+
 def test_every_import_is_at_module_level():
     found = {
         name: lines
@@ -120,6 +171,15 @@ def test_no_imported_name_goes_unused():
 
 def test_every_private_definition_is_read():
     assert _unread_private_definitions(MODULES) == []
+
+
+def test_docstring_and_readme_references_resolve():
+    refs = [ref for tree in MODULES.values() for ref in _docstring_references(tree)]
+    assert len(refs) > 50
+    assert _dangling(refs, MODULES) == []
+    named = _QUALIFIED_NAME.findall(README.read_text())
+    assert len(named) > 5
+    assert _dangling(named, MODULES) == []
 
 
 def test_the_checks_see_what_they_look_for():
@@ -154,3 +214,20 @@ def test_the_checks_see_what_they_look_for():
         "m._Unused (line 5)",
         "k._Imported (line 3)",
     ]
+    # a pointer to a name that no module defines, or that its module lacks
+    tree = ast.parse(
+        '"""See :func:`_here`, :class:`m.Box` and :func:`functools.cache`."""\n'
+        "def _here():\n"
+        '    """Unlike :func:`m._gone` or :func:`compelling.m.LIMIT`."""\n'
+        "class Box:\n"
+        '    """Built by :func:`_nowhere`."""\n'
+        "LIMIT: int = 3\n"
+    )
+    refs = _docstring_references(tree)
+    assert refs == [
+        "_here", "m.Box", "functools.cache", "m._gone", "compelling.m.LIMIT", "_nowhere"
+    ]
+    assert _dangling(refs, {"m": tree}) == ["m._gone", "_nowhere"]
+    assert _QUALIFIED_NAME.findall(
+        "`solver.is_compelling`, compelling.graphs, bench/cli.py, verify.py, td3.x"
+    ) == ["solver.is_compelling", "td3.x"]

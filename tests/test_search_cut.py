@@ -10,7 +10,8 @@ and for CONNECTED also before, with each unplaced vertex as a class of
 its own.  Those tests compare its leaves with the compelling leaves of
 the uncut walk, and the search with a leaf-only reference: the uncut
 enumeration from the lower bound up, with each completed coloring judged
-by the set-level oracle.
+by the set-level oracle.  A spy on the committee walk checks that the
+separator and separation-pair tests run before any walk.
 
 ``is_compelling`` takes the least DOM, TDOM and ISOLATE_FREE committees
 from the per-vertex test, walks the committees for EDGE and CONNECTED,
@@ -55,7 +56,13 @@ from compelling import (
     minimum_connected_dominating_set,
 )
 from compelling import solver
-from compelling.graphs import canonical_walk, is_connected, separation_pairs
+from compelling.graphs import (
+    canonical_walk,
+    cut_vertices,
+    is_connected,
+    iter_bits,
+    separation_pairs,
+)
 from compelling.solver import (
     _committee_pick,
     _failed_props,
@@ -451,6 +458,39 @@ def test_pair_cut_on_relabelled_mops(n, seed, prop, data):
     res = compelling_chromatic_number(g, prop, max_n=40, timeout_s=10)
     assert res.value == closed_forms.chi_conn_mop(mop)
     assert brute_compelling(g, res.witness.colors, prop)
+
+
+@CUT_SETTINGS
+@given(st.one_of(connected_graphs(max_n=9), mop_graphs(max_n=9)))
+def test_the_rule_chain_cuts_before_any_walk(g):
+    # A committee walk runs only where the rules before it in the chain
+    # hold: no cut vertex shares its class, and before all k colors are
+    # open no separating pair sits in two classes (or one of three or
+    # more vertices) that keep a vertex outside it.  The walk sees the
+    # open classes whole then; once all colors are open it sees v's class
+    # as v alone, so only the separator is checked there.
+    separation_pairs(g)  # stored, so the pair cut runs from the first search
+    separators = cut_vertices(g)
+    walk = solver._committee_pick
+    walks = []
+
+    def walk_spy(graph, class_masks, prop, *rest):
+        held = [m for m in class_masks if m & (m - 1)]
+        multi = sum(held)
+        assert not multi & separators
+        if rest[1:]:  # the early walk, with the unplaced vertices as a base
+            for x, y in itertools.combinations(iter_bits(multi), 2):
+                if 1 << x | 1 << y not in held:
+                    assert len(components(g, {x, y})) < 2
+        walks.append(len(rest))
+        return walk(graph, class_masks, prop, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_committee_pick", walk_spy)
+        for k in range(1, g.n + 1):
+            for _ in _iter_canonical(g, k, P.CONNECTED):
+                pass
+    assert walks or g.n < 3
 
 
 def test_pair_cut_fires_on_a_cycle(monkeypatch):

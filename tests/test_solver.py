@@ -605,11 +605,14 @@ def test_uncut_enumeration_deadline():
 
 
 def test_monotonicity_probe():
-    # whether compellingness is monotone in the color count is open; record
-    # any (graph, property, k) with k compelling but k+1 not, never assert
+    # For an upwards-closed property, splitting a class of two or more
+    # vertices into a singleton and the rest keeps a coloring compelling: a
+    # committee of the new coloring, less its vertex from the rest, is one
+    # of the old coloring.  So the feasible k run from the value to n.  For
+    # CONNECTED and ISOLATE_FREE record any k compelling with k + 1 not.
     findings = []
     scanned = 0
-    for g in solver_corpus(count=10, max_n=6, seed=81):
+    for g in [*solver_corpus(count=10, max_n=6, seed=81), make_empty(3)]:
         for prop in P:
             compelled_at = set()
             for k in range(1, g.n + 1):
@@ -619,6 +622,10 @@ def test_monotonicity_probe():
                 ):
                     compelled_at.add(k)
                 scanned += 1
+            if prop.upwards_closed:
+                value = compelling_chromatic_number(g, prop).value
+                interval = set() if value is None else set(range(value, g.n + 1))
+                assert compelled_at == interval, (g.name, prop.value)
             for k in compelled_at:
                 if k + 1 <= g.n and k + 1 not in compelled_at:
                     findings.append((g.name, prop.value, k))
