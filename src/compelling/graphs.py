@@ -740,18 +740,23 @@ def canonical_walk(adj_bits: tuple[int, ...], k: int, deadline: float | None = N
     Canonical means a vertex may take color c only when c is at most one
     more than the largest color used on earlier vertices, which picks one
     representative per color permutation.  Yields (colors, class_masks) as
-    live lists; consumers must copy anything they keep.  The last vertex
-    is coloured in place, one leaf for each color it can take: any open
-    class it has no neighbour in once all k colors are open, else the one
-    color still to be opened.
+    live lists; consumers must copy anything they keep.  The last two
+    vertices are coloured in place: under each color of vertex n - 2, one
+    leaf for each color the last vertex can take: any class it has no
+    neighbour in once all k colors are open, else the one still to open.
 
     With a ``deadline`` (a ``time.monotonic()`` value) the walk raises
-    SearchTimeout once it is passed, checked every 1024 search steps.
+    SearchTimeout once it is passed, checked every 1024 vertex visits.
     """
     n = len(adj_bits)
     if k < 1 or k > n:
         return
+    if n == 1:  # then k == 1
+        yield [0], [1]
+        return
+    pen = n - 2
     last = n - 1
+    last_nb, last_bit = adj_bits[last], 1 << last
     colors = [0] * n
     masks = [0] * k
     # used_at[v]: the colors open on reaching vertex v
@@ -767,22 +772,29 @@ def canonical_walk(adj_bits: tuple[int, ...], k: int, deadline: float | None = N
                 if not steps & 0x3FF and time.monotonic() > deadline:
                     raise SearchTimeout(f"the deadline passed at {k} colors")
             nb = adj_bits[v]
-            if v == last:
+            top = used if used < k else k - 1
+            if v == pen:
                 bit = 1 << v
-                if used < k:  # the count check left used == k - 1
-                    colors[v] = used
-                    masks[used] = bit
-                    yield colors, masks
-                    masks[used] = 0
-                else:
-                    for c in range(k):
-                        if not masks[c] & nb:
-                            colors[v] = c
-                            masks[c] |= bit
-                            yield colors, masks
-                            masks[c] ^= bit
+                for c in range(top + 1):
+                    if masks[c] & nb:
+                        continue
+                    colors[v] = c
+                    masks[c] |= bit
+                    now = used + 1 if c == used else used
+                    if now == k:
+                        for d in range(k):
+                            if not masks[d] & last_nb:
+                                colors[last] = d
+                                masks[d] |= last_bit
+                                yield colors, masks
+                                masks[d] ^= last_bit
+                    elif now == k - 1:
+                        colors[last] = now
+                        masks[now] = last_bit
+                        yield colors, masks
+                        masks[now] = 0
+                    masks[c] ^= bit
             else:
-                top = used if used < k else k - 1
                 while c <= top and masks[c] & nb:
                     c += 1
                 if c <= top:

@@ -83,19 +83,23 @@ _DISTRIBUTING = frozenset({_DOM, _TDOM, SubsetProperty.ISOLATE_FREE})
 
 # Bit i of property_bits is the i-th member in declaration order.
 _BIT = {prop: 1 << i for i, prop in enumerate(SubsetProperty)}
+_ALL_BITS = (1 << len(SubsetProperty)) - 1
+_CONNECTED_BITS = _BIT[_CONNECTED] | _BIT[_CDOM]  # the bits that need the BFS
 
 
-def property_bits(g: Graph, mask: int) -> int:
-    """The properties the nonempty vertex bitmask ``mask`` has, one bit per
-    :class:`SubsetProperty` in declaration order: bit 0 DOM, 1 TDOM,
-    2 ISOLATE_FREE, 3 EDGE, 4 CONNECTED, 5 CDOM.
+def property_bits(g: Graph, mask: int, want: int = _ALL_BITS) -> int:
+    """Which of the properties ``want`` the nonempty vertex bitmask ``mask``
+    has, one bit per :class:`SubsetProperty` in declaration order: bit 0
+    DOM, 1 TDOM, 2 ISOLATE_FREE, 3 EDGE, 4 CONNECTED, 5 CDOM.  ``want``
+    defaults to all six; bits outside it read 0.
 
     One loop takes the union ``cover`` of the open neighbourhoods of the
     set's vertices.  Adjacency is symmetric, so ``cover & mask`` holds
     exactly the set's vertices with a neighbour in the set: EDGE when it
     is not empty, ISOLATE_FREE when it is all of ``mask``.  A single vertex
     is connected, a larger set with an isolated vertex is not, and only the
-    remaining sets run the BFS.
+    remaining sets run the BFS, and only when ``want`` holds CONNECTED or
+    CDOM.
     """
     if mask == 0:
         raise ValueError("the empty set has no defined property value")
@@ -114,14 +118,16 @@ def property_bits(g: Graph, mask: int) -> int:
         | (inner == mask) << 2  # ISOLATE_FREE
         | (inner != 0) << 3  # EDGE
     )
-    if not mask & (mask - 1) or inner == mask and mask_connected(adj, mask):
+    if want & _CONNECTED_BITS and (
+        not mask & (mask - 1) or inner == mask and mask_connected(adj, mask)
+    ):
         bits |= 16 | (bits & 1) << 5  # CONNECTED, and CDOM when also DOM
-    return bits
+    return bits & want
 
 
 def eval_property_mask(prop: SubsetProperty, g: Graph, mask: int) -> bool:
     """Evaluate ``prop`` on the nonempty vertex bitmask ``mask``."""
-    return bool(property_bits(g, mask) & _BIT[prop])
+    return bool(property_bits(g, mask, _BIT[prop]))
 
 
 def eval_property(prop: SubsetProperty, g: Graph, members) -> bool:

@@ -50,6 +50,7 @@ from .graphs import (
     separation_pairs,
 )
 from .properties import (
+    _ALL_BITS,
     _BIT,
     SubsetProperty,
     eval_property_mask,
@@ -64,7 +65,6 @@ _IF = SubsetProperty.ISOLATE_FREE
 # the properties the checker decides by the committee walk, which it runs
 # as CONNECTED for CDOM
 _COMMITTEE_PROPS = (_EDGE, _CONNECTED, _CDOM)
-_ALL_BITS = (1 << len(SubsetProperty)) - 1  # every property_bits bit
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,15 @@ def _failed_props(g: Graph, class_masks, want: int, memo=None) -> int:
 
     The scan walks the committees in class-index-then-vertex order, builds
     each one's vertex set as the sum of one vertex bit per class, judges it
-    on all six properties at once, and stops once every property in
-    ``want`` has failed.
+    in one pass of :func:`properties.property_bits`, and stops once every
+    property in ``want`` has failed.  With no ``memo`` the pass judges
+    ``want`` only, so the connectivity BFS runs only for CONNECTED or CDOM.
 
     ``memo``, a dict shared by any scans of one graph, maps each vertex set
     already judged to the bits of all six properties it fails; a set met
     again is not judged again, whichever properties the scan wants.
     """
+    ask = _ALL_BITS if memo is not None else want
     failed = 0
     # the pools as a list: unpacking a map builds an oversized tuple and
     # shrinks it, which leaves one tuple per call on CPython's free list
@@ -250,7 +252,7 @@ def _failed_props(g: Graph, class_masks, want: int, memo=None) -> int:
     for mask in map(sum, itertools.product(*pools)):
         bits = None if memo is None else memo.get(mask)
         if bits is None:
-            bits = _ALL_BITS ^ property_bits(g, mask)
+            bits = _ALL_BITS ^ property_bits(g, mask, ask)
             if memo is not None:
                 memo[mask] = bits
         failed |= bits & want

@@ -61,6 +61,26 @@ def brute_canonical_colorings(g: Graph, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def rgs_canonical_colorings(g: Graph) -> dict[int, list[tuple[int, ...]]]:
+    """Every proper restricted-growth string on g, by its color count k,
+    each list in lexicographic order.  The strings grow one vertex at a
+    time, each entry at most one more than the largest before it, with no
+    regard to the edges; each finished string is then tested for
+    properness in full.  So the cost is Bell(n), not k^n, which reaches
+    n = 10 where :func:`brute_canonical_colorings` stops near 7."""
+    grown = [((), -1)]  # (string, its largest entry)
+    for _ in range(g.n):
+        grown = [
+            (a + (c,), max(top, c)) for a, top in grown for c in range(top + 2)
+        ]
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for a, top in grown:
+        if all(a[u] != a[v] for u, v in edges):
+            out.setdefault(top + 1, []).append(a)
+    return out
+
+
 def improper_coloring_message(g: Graph, colors) -> str | None:
     """The error that rejects ``colors`` on g, from a walk over the edges
     in sorted order: a wrong length, else the first edge whose ends share

@@ -134,18 +134,21 @@ def edge_subsets(draw, max_n=7):
 
 
 @settings(max_examples=150, deadline=None)
-@given(edge_subsets())
-@example(make_empty(1))
-@example(make_empty(5))
-@example(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]))
-@example(make_complete(7))
-def test_property_bits_match_set_level_definitions(g):
+@given(edge_subsets(), st.integers(0, (1 << len(P)) - 1))
+@example(make_empty(1), 0b111111)
+@example(make_empty(5), 0b010000)  # CONNECTED alone
+@example(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), 0b000001)  # DOM: no BFS
+@example(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), 0b100000)  # CDOM alone
+@example(make_complete(7), 0b001111)  # all but the two that need the BFS
+def test_property_bits_match_set_level_definitions(g, want):
     # every nonempty vertex set, the single vertices included, against the
-    # oracle's definition of each of the six properties
+    # oracle's definition of each of the six properties: all six by
+    # default, and exactly the bits of ``want`` when the caller names them
     for mask in range(1, 1 << g.n):
         members = {v for v in range(g.n) if mask >> v & 1}
-        want = sum(set_property(p, g, members) << i for i, p in enumerate(P))
-        assert property_bits(g, mask) == want, (g.edges, sorted(members))
+        has = sum(set_property(p, g, members) << i for i, p in enumerate(P))
+        assert property_bits(g, mask) == has, (g.edges, sorted(members))
+        assert property_bits(g, mask, want) == has & want, (g.edges, sorted(members))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from compelling import (
     make_path,
     make_random_graph,
     make_random_tree,
+    make_star,
     min_property_witness,
     rainbow_committees,
     validate_coloring,
@@ -35,6 +36,7 @@ from oracles import (
     brute_canonical_colorings,
     brute_compelling,
     improper_coloring_message,
+    rgs_canonical_colorings,
 )
 
 P = SubsetProperty
@@ -527,21 +529,37 @@ def _enumerator_piece(draw, n):
 
 
 @st.composite
-def enumerator_cases(draw, max_n=7):
+def enumerator_graphs(draw, max_n=7):
     """A graph on at most ``max_n`` vertices, G(n, p), edgeless or
-    complete, or the disjoint union of two of those, and a color count k
-    from -1 to n + 1."""
+    complete, or the disjoint union of two of those."""
     n = draw(st.integers(1, max_n))
     g = _enumerator_piece(draw, n)
     if n < max_n and draw(st.booleans()):
         g = disjoint_union(g, _enumerator_piece(draw, draw(st.integers(1, max_n - n))))
+    return g
+
+
+@st.composite
+def enumerator_cases(draw, max_n=7):
+    """An :func:`enumerator_graphs` graph and a color count k from -1 to
+    n + 1."""
+    g = draw(enumerator_graphs(max_n))
     return g, draw(st.integers(-1, g.n + 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(enumerator_cases())
-@example((make_empty(1), 1))
+# the walk colours vertices n - 2 and n - 1 in place; each example below
+# takes one branch of that tail
+@example((make_complete(1), 1))  # n = 1, answered before the loop
 @example((make_complete(1), 2))
+@example((make_empty(2), 1))  # n = 2: vertex n - 2 is vertex 0
+@example((make_empty(2), 2))
+@example((make_complete(2), 2))
+@example((make_path(3), 2))  # vertex n - 2 opens the k-th class: (0, 1, 0)
+@example((make_empty(3), 3))  # the last vertex opens it: (0, 1, 2)
+@example((make_path(4), 2))  # all k open, last adjacent to n - 2: (0, 1, 0, 1)
+@example((make_star(3), 2))  # all k open, last not adjacent to n - 2: (0, 1, 1, 1)
 @example((make_empty(6), 3))
 @example((disjoint_union(make_complete(3), make_complete(3)), 3))
 def test_uncut_enumeration_matches_brute_force(case):
@@ -552,6 +570,27 @@ def test_uncut_enumeration_matches_brute_force(case):
         classes = [sum(1 << v for v in range(g.n) if colors[v] == c) for c in range(k)]
         assert list(masks) == classes
     assert seen == brute_canonical_colorings(g, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(enumerator_graphs(max_n=10))
+@example(make_empty(10))
+@example(make_path(10))
+@example(make_complete(10))
+def test_uncut_enumeration_matches_restricted_growth_strings(g):
+    # past the k^n oracle's reach: at every k the walk yields exactly the
+    # proper restricted-growth strings with k colors, in order, and its
+    # live class masks match each one
+    by_k = rgs_canonical_colorings(g)
+    for k in range(-1, g.n + 2):
+        seen = []
+        for colors, masks in canonical_walk(g.adj_bits, k):
+            seen.append(tuple(colors))
+            classes = [0] * k
+            for v, c in enumerate(colors):
+                classes[c] |= 1 << v
+            assert masks == classes
+        assert seen == by_k.get(k, [])
 
 
 def test_uncut_enumeration_of_no_vertices():
@@ -595,8 +634,9 @@ def test_uncut_enumeration_counts_past_the_oracle():
 
 
 def test_uncut_enumeration_deadline():
-    # P12 at 4 colors has 28,501 colorings, at most 4 for each visit of the
-    # last vertex, so the walk takes well over 1024 search steps
+    # P12 at 4 colors has 28,501 colorings, which the walk reaches in
+    # 9,853 visits of the vertices 0..10 (one visit of vertex 10 yields
+    # every leaf below it), so it takes well over 1024 search steps
     g = make_path(12)
     assert sum(1 for _ in canonical_walk(g.adj_bits, 4)) == 28_501
     with pytest.raises(SearchTimeout, match="^the deadline passed at 4 colors$"):
@@ -631,6 +671,27 @@ def test_monotonicity_probe():
                     findings.append((g.name, prop.value, k))
     print(f"monotonicity probe: scanned {scanned} levels, findings: {findings}")
     assert scanned > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumerator_graphs(max_n=7), st.sampled_from((P.DOM, P.TDOM, P.EDGE, P.CDOM)))
+@example(make_empty(4), P.DOM)  # n colors compel DOM and nothing less does
+@example(make_empty(4), P.TDOM)  # an isolated vertex: no level is feasible
+@example(disjoint_union(make_path(3), make_path(3)), P.CDOM)  # disconnected
+@example(make_complete(5), P.EDGE)
+def test_feasible_levels_are_monotone(g, prop):
+    # the hypothesis form of the probe above, for the upwards-closed
+    # properties: each level is decided by the plain walk and the oracle's
+    # committee scan, and the feasible k run from the value to n, or there
+    # are none when the value is None
+    feasible = [
+        k
+        for k in range(1, g.n + 1)
+        if any(brute_compelling(g, c, prop) for c, _ in canonical_walk(g.adj_bits, k))
+    ]
+    value = compelling_chromatic_number(g, prop).value
+    interval = [] if value is None else list(range(value, g.n + 1))
+    assert feasible == interval, (g.edges, prop)
 
 
 # ---------------------------------------------------------------------------
