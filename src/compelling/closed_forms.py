@@ -60,8 +60,9 @@ def is_double_broom(t: Graph) -> bool:
     for x, y in t.edges:
         if t.degree(x) != 2 or t.degree(y) != 2:
             continue
-        (s,) = t.adj[x] - {y}
-        (s2,) = t.adj[y] - {x}
+        # x and y have degree 2, so each has one neighbour besides the other
+        s = (t.adj_bits[x] & ~(1 << y)).bit_length() - 1
+        s2 = (t.adj_bits[y] & ~(1 << x)).bit_length() - 1
         if s == s2:
             continue
         core = {s, x, y, s2}

@@ -1,12 +1,17 @@
-"""Small simple-graph toolkit: immutable adjacency-set graphs, family
-generators, exact classical invariants, and a plain text file format.
+"""Small simple-graph toolkit: immutable graphs held as adjacency
+bitmasks, family generators, exact classical invariants, and a plain text
+file format.
 
-Vertices are always the dense range 0..n-1.  Every function here is pure and
-every :class:`Graph` is immutable after construction, so values are safe to
-share between threads (two threads may both compute an invariant that is
-not stored yet; they store the same value).  The exponential routines (exact chromatic number,
-subset enumerations) take an explicit ``max_n`` cap so callers opt in to
-larger searches deliberately.
+Vertices are always the dense range 0..n-1, and a :class:`Graph` keeps one
+table, ``adj_bits``, with bit v of row u set when u and v are adjacent;
+every routine of the package reads it, and the frozenset view ``adj`` is
+built only when a set-based caller asks for it.  Every function here is
+pure and every :class:`Graph` is immutable after construction, so values
+are safe to share between threads (two threads may both compute an
+invariant that is not stored yet; they store the same value).  The
+exponential routines (exact chromatic number, subset enumerations) take
+an explicit ``max_n`` cap so callers opt in to larger searches
+deliberately.
 
 Every breadth-first search over a vertex bitmask goes through
 :func:`bfs_layers`: connectivity, components and bipartitions here, and the
@@ -149,7 +154,7 @@ def graph_memo(g: "Graph", key: str, compute=None):
     or None.
 
     Values go in the graph's ``__dict__``, where
-    :func:`functools.cached_property` keeps ``adj_bits``, so a value lives
+    :func:`functools.cached_property` keeps ``closed_bits``, so a value lives
     exactly as long as its graph.  A ``compute`` that raises stores
     nothing.  ``key`` names one invariant; it must not clash with an
     attribute of :class:`Graph`, and leaves out what does not change the
@@ -166,33 +171,49 @@ def graph_memo(g: "Graph", key: str, compute=None):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with set adjacency.
+    """Simple undirected graph on vertices 0..n-1, held as its adjacency
+    bitmasks: bit v of ``adj_bits[u]`` is set when u and v are adjacent.
 
-    ``name`` and ``outer_cycle`` are annotations (generator provenance and,
-    for maximal outerplanar graphs, the outer-cycle vertex order); they are
-    excluded from equality and hashing.
+    Equality and hashing use ``n`` and ``adj_bits`` alone.  ``name`` and
+    ``outer_cycle`` are annotations (generator provenance and, for maximal
+    outerplanar graphs, the outer-cycle vertex order); they are excluded
+    from equality and hashing.  ``adj``, the neighbourhoods as frozensets,
+    is a view derived on demand for set-based callers.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj_bits: tuple[int, ...]
     name: str = field(default="", compare=False)
     outer_cycle: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("a graph needs at least one vertex")
-        if len(self.adj) != self.n:
+        rows = self.adj_bits
+        if len(rows) != n:
             raise ValueError("adjacency table length differs from vertex count")
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"neighbor {v} of vertex {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if u not in self.adj[v]:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # under[v]: the neighbours of v below it, read from their rows, so
+        # each unordered pair is looked at once
+        under = [0] * n
+        for u, bits in enumerate(rows):
+            if bits < 0 or bits >> n:
+                raise ValueError(f"a neighbor of vertex {u} is out of range")
+            bit = 1 << u
+            if bits & bit:
+                raise ValueError(f"self-loop at vertex {u}")
+            if bits & bit - 1 != under[u]:
+                w = ((bits & bit - 1) ^ under[u]).bit_length() - 1
+                raise ValueError(f"asymmetric adjacency between {u} and {w}")
+            above = bits >> u + 1
+            v = u
+            while above:
+                skip = (above & -above).bit_length()
+                v += skip
+                above >>= skip
+                under[v] |= bit
         if self.outer_cycle is not None:
-            if sorted(self.outer_cycle) != list(range(self.n)):
+            if sorted(self.outer_cycle) != list(range(n)):
                 raise ValueError("outer cycle must be a permutation of the vertices")
 
     @classmethod
@@ -203,25 +224,26 @@ class Graph:
         name: str = "",
         outer_cycle=None,
     ) -> "Graph":
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        bits = [0] * n
+        one = [1 << v for v in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            bits[u] |= one[v]
+            bits[v] |= one[u]
         return cls(
             n,
-            tuple(frozenset(s) for s in nbrs),
+            tuple(bits),
             name=name,
             outer_cycle=tuple(outer_cycle) if outer_cycle is not None else None,
         )
 
     @cached_property
-    def adj_bits(self) -> tuple[int, ...]:
-        """Open neighborhoods as bitmasks (bit v set iff v is a neighbor)."""
-        return tuple(sum(1 << v for v in nbrs) for nbrs in self.adj)
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Open neighborhoods as frozensets, derived from ``adj_bits``."""
+        return tuple(frozenset(iter_bits(bits)) for bits in self.adj_bits)
 
     @cached_property
     def closed_bits(self) -> tuple[int, ...]:
@@ -235,19 +257,26 @@ class Graph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return tuple(
-            (u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v
-        )
+        out = []
+        for u, bits in enumerate(self.adj_bits):
+            above = bits >> u + 1
+            v = u
+            while above:
+                skip = (above & -above).bit_length()
+                v += skip
+                above >>= skip
+                out.append((u, v))
+        return tuple(out)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(bits.bit_count() for bits in self.adj_bits) >> 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.adj_bits[u] >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +364,8 @@ def make_fan(n: int) -> Graph:
 
 def join_dominator(g: Graph) -> Graph:
     """Add one new vertex adjacent to every existing vertex."""
-    edges = list(g.edges) + [(v, g.n) for v in range(g.n)]
-    return Graph.from_edges(g.n + 1, edges, name=f"{g.name or 'G'}+dominator")
+    rows = tuple(bits | 1 << g.n for bits in g.adj_bits) + (g.full_mask,)
+    return Graph(g.n + 1, rows, name=f"{g.name or 'G'}+dominator")
 
 
 def make_random_graph(n: int, p: float, seed: int, name: str = "") -> Graph:
@@ -395,10 +424,8 @@ def make_random_mop(n: int, seed: int) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union, with h's vertices shifted up by g.n."""
-    edges = list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
-    return Graph.from_edges(
-        g.n + h.n, edges, name=f"{g.name or 'G'}|{h.name or 'H'}"
-    )
+    rows = g.adj_bits + tuple(bits << g.n for bits in h.adj_bits)
+    return Graph(g.n + h.n, rows, name=f"{g.name or 'G'}|{h.name or 'H'}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +448,30 @@ def _mop_reduction(g: Graph):
     n = g.n
     if n < 3 or g.edge_count != 2 * n - 3:
         return None
-    nbrs = [set(s) for s in g.adj]
+    nbrs = list(g.adj_bits)
     alive = [True] * n
     removals: list[tuple[int, int, int]] = []
     remaining = n
     while remaining > 3:
         pick = None
         for v in range(n):
-            if alive[v] and len(nbrs[v]) == 2:
-                x, y = sorted(nbrs[v])
-                if y in nbrs[x]:
+            if alive[v] and nbrs[v].bit_count() == 2:
+                low = nbrs[v] & -nbrs[v]
+                x, y = low.bit_length() - 1, (nbrs[v] ^ low).bit_length() - 1
+                if nbrs[x] >> y & 1:
                     pick = (v, x, y)
                     break
         if pick is None:
             return None
         v, x, y = pick
-        nbrs[x].discard(v)
-        nbrs[y].discard(v)
-        nbrs[v].clear()
+        nbrs[x] &= ~(1 << v)
+        nbrs[y] &= ~(1 << v)
+        nbrs[v] = 0
         alive[v] = False
         removals.append((v, x, y))
         remaining -= 1
     triangle = [v for v in range(n) if alive[v]]
-    if any(len(nbrs[v]) != 2 for v in triangle):
+    if any(nbrs[v].bit_count() != 2 for v in triangle):
         return None
     cycle = list(triangle)
     for v, x, y in reversed(removals):
@@ -719,7 +747,7 @@ def _chromatic_search(g: Graph, deadline: float | None) -> int:
         return len(clique)
     # the adjacency bitmasks relabelled in that order: order[i] becomes i
     new_bit = [1 << i for i in sorted(range(g.n), key=order.__getitem__)]
-    adj = tuple(sum(new_bit[u] for u in g.adj[v]) for v in order)
+    adj = tuple(sum(new_bit[u] for u in iter_bits(g.adj_bits[v])) for v in order)
     try:
         for k in range(len(clique), len(masks)):
             if next(canonical_walk(adj, k, deadline), None) is not None:

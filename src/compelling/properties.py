@@ -172,8 +172,13 @@ def min_property_witness(
     if prop is _CONNECTED:
         return (0,)
     # EDGE and ISOLATE_FREE: no single vertex qualifies and every edge does,
-    # so the least set is the first edge
-    return g.edges[0] if g.edges else None
+    # so the least set is the first edge: the lowest u with a neighbour
+    # above it, and its lowest such neighbour
+    for u, bits in enumerate(g.adj_bits):
+        above = bits >> u + 1
+        if above:
+            return u, u + (above & -above).bit_length()
+    return None
 
 
 def min_property_size(

@@ -141,7 +141,7 @@ def has_tdc3(g: Graph) -> TdcWitness | None:
     n = g.n
     if n < 3:
         return None
-    if any(not g.adj[v] for v in range(n)):
+    if 0 in g.adj_bits:
         return None
     adj = g.adj_bits
     full = g.full_mask
@@ -225,6 +225,6 @@ def chi_connected_is_3(g: Graph) -> bool:
     """
     if not is_connected(g):
         raise ValueError("expected a connected graph")
-    if any(not g.adj[v] for v in range(g.n)):
+    if 0 in g.adj_bits:
         raise ValueError("expected a graph without isolated vertices")
     return chi_td_is_3(g)

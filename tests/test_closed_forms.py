@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from compelling import (
     mop_chords,
     parse_graph,
 )
+from oracles import relabelled
 
 P = SubsetProperty
 
@@ -76,11 +78,16 @@ def test_chi_conn_cycle_table():
 
 
 def test_double_broom_generator_roundtrip():
-    # the recognizer must accept exactly the generator's outputs; any
-    # mismatch over this grid is a build failure
+    # the recognizer must accept exactly the generator's outputs, under any
+    # vertex labels; any mismatch over this grid is a build failure
+    rng = random.Random(11)
     for a in range(1, 6):
         for b in range(1, 6):
-            assert is_double_broom(make_double_broom(a, b)), (a, b)
+            g = make_double_broom(a, b)
+            assert is_double_broom(g), (a, b)
+            for _ in range(4):
+                perm = rng.sample(range(g.n), g.n)
+                assert is_double_broom(relabelled(g, perm)), (a, b, perm)
 
 
 def test_double_broom_path_boundary():

@@ -92,8 +92,8 @@ def test_graph_rejects_out_of_range():
 
 
 def test_graph_rejects_asymmetric_adjacency():
-    with pytest.raises(ValueError):
-        Graph(2, (frozenset({1}), frozenset()))
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(2, (0b10, 0))
 
 
 def test_graph_rejects_empty():
@@ -107,6 +107,70 @@ def test_adjacency_is_symmetric():
         for v in g.adj[u]:
             assert u in g.adj[v]
             assert v != u
+
+
+@pytest.mark.parametrize(
+    "n,rows",
+    [
+        (0, ()),  # no vertex
+        (2, (0b10,)),  # a row short
+        (2, (0b10, 0b01, 0)),  # a row over
+        (2, (-1, 0)),  # a negative row
+        (2, (0b100, 0)),  # a neighbour past n - 1
+        (3, (0b1000, 0, 0)),  # a neighbour past n - 1 in a wider int
+        (2, (0b11, 0b01)),  # a self-loop
+        (2, (0b10, 0)),  # an edge its upper end does not list
+        (3, (0, 0, 0b010)),  # an edge its lower end does not list
+        (4, (0b1010, 1, 0, 0b0100)),  # 3 lists 2, not 0: counts agree, sets do not
+    ],
+)
+def test_graph_rejects_malformed_mask_table(n, rows):
+    with pytest.raises(ValueError):
+        Graph(n, rows)
+
+
+def _edge_lists(max_n=12):
+    """(n, edges) with 1 <= n <= max_n, repeats and both orientations."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=3 * n,
+            ),
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_lists(), st.randoms(use_true_random=False))
+@example((1, []), random.Random(0))
+@example((5, []), random.Random(0))
+@example((4, [(0, 1), (1, 0), (0, 1), (3, 2)]), random.Random(0))
+def test_mask_table_matches_set_neighbourhoods(case, rnd):
+    n, edges = case
+    g = Graph.from_edges(n, edges, name="g")
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert g.adj == tuple(frozenset(s) for s in nbrs)
+    pairs = sorted({(min(e), max(e)) for e in edges})
+    assert list(g.edges) == pairs
+    assert g.edge_count == len(pairs)
+    for u in range(n):
+        assert g.degree(u) == len(nbrs[u])
+        assert [g.has_edge(u, v) for v in range(n)] == [v in nbrs[u] for v in range(n)]
+    # edge order, orientation, repeats and name leave the graph as it is
+    turned = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    rnd.shuffle(turned)
+    h = Graph.from_edges(n, turned + turned[:2], name="h")
+    assert h == g and hash(h) == hash(g)
+    assert Graph(n, g.adj_bits) == g
+    if pairs:
+        assert Graph.from_edges(n, pairs[1:]) != g
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 sits at module level, the modules import one another without a cycle, no
 imported name goes unused, and every private function or class is read
 somewhere in the package, so code that only the tests need lives with
-the tests.  The names that docstrings and the README point to exist."""
+the tests.  The names that docstrings and the README point to exist.  No
+module reads the frozenset view ``Graph.adj``, and a full verification
+run builds it on no corpus graph."""
 
 import ast
 import re
@@ -10,6 +12,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import compelling
+from compelling import verify
 
 PACKAGE = Path(compelling.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
@@ -97,6 +100,22 @@ def _unread_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _adj_reads(tree: ast.AST) -> list[int]:
+    """The lines that read an attribute named ``adj``, outside the body of
+    a definition of that name."""
+    own = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "adj"
+        for inner in ast.walk(node)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "adj" and id(node) not in own
+    ]
+
+
 def _definitions(tree: ast.Module) -> set[str]:
     """The names that a module's top-level statements define."""
     names = set()
@@ -182,6 +201,27 @@ def test_docstring_and_readme_references_resolve():
     assert _dangling(named, MODULES) == []
 
 
+def test_no_module_reads_the_set_adjacency_view():
+    # every kernel reads ``adj_bits``; ``adj`` is built on demand for
+    # set-based callers outside the package, and kept on the graph once built
+    assert "adj" in vars(compelling.Graph)
+    found = {name: lines for name, tree in MODULES.items() if (lines := _adj_reads(tree))}
+    assert found == {}
+
+
+def test_verification_builds_no_set_adjacency_view():
+    # a seed of its own, so that no other test has touched these corpora
+    seed = 3729
+    results = verify.run_suite("all", seed)
+    assert len(results) == len(verify.SUITES)
+    built = [
+        g.name
+        for g in verify.main_corpus(seed) + verify.td3_corpus(seed)
+        if "adj" in g.__dict__
+    ]
+    assert built == []
+
+
 def test_the_checks_see_what_they_look_for():
     # each check on a small module that breaks it
     tree = ast.parse(
@@ -228,6 +268,16 @@ def test_the_checks_see_what_they_look_for():
         "_here", "m.Box", "functools.cache", "m._gone", "compelling.m.LIMIT", "_nowhere"
     ]
     assert _dangling(refs, {"m": tree}) == ["m._gone", "_nowhere"]
+    # a read of ``adj`` anywhere but in its own definition
+    tree = ast.parse(
+        "class Graph:\n"
+        "    def adj(self):\n"
+        "        return self.adj\n"
+        "def degree(g, v):\n"
+        "    return len(g.adj[v])\n"
+        "bits = g.adj_bits\n"
+    )
+    assert _adj_reads(tree) == [5]
     assert _QUALIFIED_NAME.findall(
         "`solver.is_compelling`, compelling.graphs, bench/cli.py, verify.py, td3.x"
     ) == ["solver.is_compelling", "td3.x"]
