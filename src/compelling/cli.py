@@ -2,8 +2,11 @@
 
 Subcommands: ``chi`` (exact compelling chromatic number of a graph file),
 ``check`` (is a given coloring compelling), ``family-table`` (solver vs
-closed form over a parameter range, CSV by default), and ``verify`` (run a
-verification suite).
+closed form over a parameter range of a family of
+``closed_forms.FAMILIES``, CSV by default), and ``verify`` (run a
+verification suite of :mod:`compelling.verify`).  The module holds the
+commands only; the families and their closed forms live in
+:mod:`compelling.closed_forms`.
 
 Exit codes: 0 on success (including infeasible and not-compelling
 verdicts), 1 on a failed verification assertion or timeout, 2 on usage,
@@ -22,28 +25,8 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 
-from .closed_forms import (
-    chi_conn_cycle,
-    chi_conn_mop,
-    chi_conn_path,
-    chi_conn_tree,
-    chi_edge_cycle,
-    chi_edge_path,
-    chi_edge_tree,
-)
-from .graphs import (
-    EXACT_CHROMATIC_CAP,
-    Graph,
-    GraphTooLarge,
-    load_graph,
-    make_cycle,
-    make_double_broom,
-    make_fan,
-    make_path,
-    make_random_mop,
-    make_random_tree,
-    make_split_graph,
-)
+from .closed_forms import FAMILIES
+from .graphs import EXACT_CHROMATIC_CAP, Graph, GraphTooLarge, load_graph
 from .properties import SubsetProperty
 from .solver import (
     Coloring,
@@ -279,52 +262,6 @@ def cmd_check(args) -> int:
 # family-table
 # ---------------------------------------------------------------------------
 
-_EDGE = SubsetProperty.EDGE
-_CONNECTED = SubsetProperty.CONNECTED
-_TREE_FORMS = {_EDGE: chi_edge_tree, _CONNECTED: chi_conn_tree}
-
-# Per family: the smallest n; the order of the instance at n, known before
-# it is built, so an order over the cap is refused without building it; the
-# instance at n and seed; and the closed forms of its value, by property,
-# each applied to an instance of two vertices or more.
-_FAMILIES = {
-    "path": (
-        1,
-        lambda n: n,
-        lambda n, seed: make_path(n),
-        {_EDGE: lambda g: chi_edge_path(g.n), _CONNECTED: lambda g: chi_conn_path(g.n)},
-    ),
-    "cycle": (
-        3,
-        lambda n: n,
-        lambda n, seed: make_cycle(n),
-        {
-            _EDGE: lambda g: chi_edge_cycle(g.n),
-            _CONNECTED: lambda g: chi_conn_cycle(g.n),
-        },
-    ),
-    "tree-random": (
-        1,
-        lambda n: n,
-        lambda n, seed: make_random_tree(n, seed=seed * 1_000_003 + n),
-        _TREE_FORMS,
-    ),
-    "mop-random": (
-        3,
-        lambda n: n,
-        lambda n, seed: make_random_mop(n, seed=seed * 1_000_003 + n),
-        {_CONNECTED: chi_conn_mop},
-    ),
-    "double-broom": (
-        1,
-        lambda n: 2 * n + 2,
-        lambda n, seed: make_double_broom(n, n),
-        _TREE_FORMS,
-    ),
-    "split": (2, lambda n: 2 * n, lambda n, seed: make_split_graph(n), {}),
-    "fan": (1, lambda n: n + 1, lambda n, seed: make_fan(n), {}),
-}
-
 
 def family_rows(
     family: str,
@@ -335,12 +272,12 @@ def family_rows(
     max_n: int,
     timeout_s: float | None = None,
 ) -> tuple[list[dict], list[str]]:
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise CliError(
             f"unknown family {family!r}; expected one of: "
-            + ", ".join(sorted(_FAMILIES))
+            + ", ".join(sorted(FAMILIES))
         )
-    floor, family_order, build, forms = _FAMILIES[family]
+    floor, family_order, build, forms = FAMILIES[family]
     rows = []
     warnings = []
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
@@ -356,11 +293,10 @@ def family_rows(
             )
             break
         budget = None if deadline is None else deadline - time.monotonic()
-        if budget is not None and budget <= 0:
-            warnings.append(f"range truncated at n={n}: time budget exhausted")
-            break
-        g = build(n, seed)
-        try:
+        try:  # a budget spent before the instance or inside its search
+            if budget is not None and budget <= 0:
+                raise SearchTimeout
+            g = build(n, seed)
             value = compelling_chromatic_number(g, prop, max_n=max_n, timeout_s=budget).value
         except SearchTimeout:
             warnings.append(f"range truncated at n={n}: time budget exhausted")
@@ -392,28 +328,6 @@ def render_family_csv(rows: list[dict]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def parse_family_csv(text: str) -> list[dict]:
-    """Inverse of :func:`render_family_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["n", "solver", "closed_form", "match"]:
-        raise ValueError(f"unexpected header {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        n, solver, closed, match = rec
-        rows.append(
-            {
-                "n": int(n),
-                "solver": None if solver == "infeasible" else int(solver),
-                "closed_form": int(closed) if closed else None,
-                "match": None if match == "" else match == "true",
-            }
-        )
-    return rows
 
 
 def cmd_family_table(args) -> int:
@@ -515,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser(
         "family-table", help="solver vs closed form over a family range"
     )
-    p_table.add_argument(
-        "family", help="path|cycle|tree-random|mop-random|double-broom|split|fan"
-    )
+    p_table.add_argument("family", help="|".join(FAMILIES))
     p_table.add_argument("--n-range", required=True, help="inclusive range like 2:12")
     p_table.add_argument("--property", required=True)
     p_table.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -1,9 +1,11 @@
 """Closed-form values of the edge- and connectivity-compelling chromatic
-numbers on the families where they are known exactly, plus the chord
-machinery for maximal outerplanar graphs.
+numbers on the families where they are known exactly, the table
+:data:`FAMILIES` that names each family's instances and closed forms, plus
+the chord machinery for maximal outerplanar graphs.
 
 These functions are independent of the exact solver and serve as oracles
-for it in the verification suites.
+for it: the ``family-table`` command and the family suites of
+:mod:`compelling.verify` both read :data:`FAMILIES`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,17 @@ from .graphs import (
     is_complete_bipartite,
     is_mop,
     is_tree,
+    make_cycle,
+    make_double_broom,
+    make_fan,
+    make_path,
+    make_random_mop,
+    make_random_tree,
+    make_split_graph,
     mop_three_coloring,
     radius,
 )
+from .properties import SubsetProperty
 from .solver import Coloring, canonical_colors
 
 
@@ -60,11 +70,10 @@ def is_double_broom(t: Graph) -> bool:
     for x, y in t.edges:
         if t.degree(x) != 2 or t.degree(y) != 2:
             continue
-        # x and y have degree 2, so each has one neighbour besides the other
+        # x and y have degree 2, so each has one neighbour besides the other;
+        # the two differ, as s-x-y would otherwise close a triangle
         s = (t.adj_bits[x] & ~(1 << y)).bit_length() - 1
         s2 = (t.adj_bits[y] & ~(1 << x)).bit_length() - 1
-        if s == s2:
-            continue
         core = {s, x, y, s2}
         if all(
             v in core or (t.degree(v) == 1 and (t.has_edge(v, s) or t.has_edge(v, s2)))
@@ -148,6 +157,57 @@ def chi_edge_high_chromatic(g: Graph) -> int | None:
     if 2 * chi >= g.n + 2:
         return chi
     return None
+
+
+# ---------------------------------------------------------------------------
+# Families with closed forms
+# ---------------------------------------------------------------------------
+
+_EDGE = SubsetProperty.EDGE
+_CONNECTED = SubsetProperty.CONNECTED
+_TREE_FORMS = {_EDGE: chi_edge_tree, _CONNECTED: chi_conn_tree}
+
+# Per family: the smallest n; the order of the instance at n, known before
+# it is built, so an order over a cap is refused without building it; the
+# instance at n and seed; and the closed forms of its value, by property,
+# each applied to an instance of two vertices or more.
+FAMILIES = {
+    "path": (
+        1,
+        lambda n: n,
+        lambda n, seed: make_path(n),
+        {_EDGE: lambda g: chi_edge_path(g.n), _CONNECTED: lambda g: chi_conn_path(g.n)},
+    ),
+    "cycle": (
+        3,
+        lambda n: n,
+        lambda n, seed: make_cycle(n),
+        {
+            _EDGE: lambda g: chi_edge_cycle(g.n),
+            _CONNECTED: lambda g: chi_conn_cycle(g.n),
+        },
+    ),
+    "tree-random": (
+        1,
+        lambda n: n,
+        lambda n, seed: make_random_tree(n, seed=seed * 1_000_003 + n),
+        _TREE_FORMS,
+    ),
+    "mop-random": (
+        3,
+        lambda n: n,
+        lambda n, seed: make_random_mop(n, seed=seed * 1_000_003 + n),
+        {_CONNECTED: chi_conn_mop},
+    ),
+    "double-broom": (
+        1,
+        lambda n: 2 * n + 2,
+        lambda n, seed: make_double_broom(n, n),
+        _TREE_FORMS,
+    ),
+    "split": (2, lambda n: 2 * n, lambda n, seed: make_split_graph(n), {}),
+    "fan": (1, lambda n: n + 1, lambda n, seed: make_fan(n), {}),
+}
 
 
 # ---------------------------------------------------------------------------

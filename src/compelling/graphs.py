@@ -383,8 +383,6 @@ def make_random_tree(n: int, seed: int) -> Graph:
         raise ValueError("tree needs at least one vertex")
     if n == 1:
         return Graph.from_edges(1, [], name=f"T({n};{seed})")
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)], name=f"T({n};{seed})")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -470,9 +468,9 @@ def _mop_reduction(g: Graph):
         alive[v] = False
         removals.append((v, x, y))
         remaining -= 1
+    # each removal took a vertex and its two edges, so the three left keep
+    # 2n - 3 - 2(n - 3) = 3 edges among themselves: a triangle
     triangle = [v for v in range(n) if alive[v]]
-    if any(nbrs[v].bit_count() != 2 for v in triangle):
-        return None
     cycle = list(triangle)
     for v, x, y in reversed(removals):
         i = cycle.index(x)

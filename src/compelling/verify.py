@@ -15,6 +15,8 @@ several suites ask for (connectivity, chromatic number, least qualifying
 sets) are stored on each graph by the library itself; compelling
 chromatic numbers are memoized here with :func:`functools.cache`, keyed
 by the property the solver searches (:func:`solver._search_property`).
+The family suites build their instances and closed forms from
+:data:`closed_forms.FAMILIES`, the table that ``family-table`` reads.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 from .closed_forms import (
-    chi_conn_cycle,
+    FAMILIES,
     chi_conn_mop,
-    chi_conn_path,
     chi_conn_tree,
-    chi_edge_cycle,
-    chi_edge_path,
     chi_edge_tree,
     chord_covers,
     edge_compelling_five_coloring,
@@ -111,28 +110,29 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def main_corpus(seed: int = DEFAULT_SEED) -> tuple[Graph, ...]:
-    """500 seeded random graphs with 3..8 vertices and mixed densities."""
+def _corpus(seed: int, largest: int) -> tuple[Graph, ...]:
+    """500 seeded random graphs with 3..largest vertices and mixed
+    densities, named ``corpus<largest>[i]``."""
     rng = random.Random(seed)
     out = []
     for i in range(CORPUS_SIZE):
-        n = rng.randint(3, 8)
+        n = rng.randint(3, largest)
         p = rng.choice((0.3, 0.5, 0.7))
-        out.append(make_random_graph(n, p, seed=rng.getrandbits(32), name=f"corpus8[{i}]"))
+        name = f"corpus{largest}[{i}]"
+        out.append(make_random_graph(n, p, seed=rng.getrandbits(32), name=name))
     return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def main_corpus(seed: int = DEFAULT_SEED) -> tuple[Graph, ...]:
+    """500 seeded random graphs with 3..8 vertices and mixed densities."""
+    return _corpus(seed, 8)
 
 
 @lru_cache(maxsize=8)
 def td3_corpus(seed: int = DEFAULT_SEED) -> tuple[Graph, ...]:
     """500 seeded random graphs with 3..9 vertices for the tester checks."""
-    rng = random.Random(seed + 7)
-    out = []
-    for i in range(CORPUS_SIZE):
-        n = rng.randint(3, 9)
-        p = rng.choice((0.3, 0.5, 0.7))
-        out.append(make_random_graph(n, p, seed=rng.getrandbits(32), name=f"corpus9[{i}]"))
-    return tuple(out)
+    return _corpus(seed + 7, 9)
 
 
 def named_families(max_n: int = 9) -> list[Graph]:
@@ -207,17 +207,20 @@ def _minimal_cds_samples(g: Graph, rng: random.Random, tries: int = 4):
 # ---------------------------------------------------------------------------
 
 
-def _family_suite(suite, prop, families, limit_s, timing) -> SuiteResult:
-    """One check per (label, make, closed, sizes) in ``families`` and n in
-    ``sizes``: the solver's value of ``prop`` on ``make(n)`` against
-    ``closed(n)``, named ``label`` + n; then the check ``timing`` that all
-    of them took under ``limit_s`` seconds."""
+def _family_suite(suite, prop, rows, seed, limit_s, timing) -> SuiteResult:
+    """One check per (label, family, sizes) in ``rows`` and n in ``sizes``:
+    the solver's value of ``prop`` on the instance of ``family`` in
+    :data:`closed_forms.FAMILIES` at n and ``seed`` against that family's
+    closed form, named ``label`` + n; then the check ``timing`` that all of
+    them took under ``limit_s`` seconds."""
     result = SuiteResult(suite)
     start = time.perf_counter()
-    for label, make, closed, sizes in families:
+    for label, family, sizes in rows:
+        _, _, build, forms = FAMILIES[family]
         for n in sizes:
-            want = closed(n)
-            got = compelling_chromatic_number(make(n), prop).value
+            g = build(n, seed)
+            want = forms[prop](g)
+            got = compelling_chromatic_number(g, prop).value
             result.add(f"{label}{n}", got == want, f"solver={got} closed={want}")
     elapsed = time.perf_counter() - start
     result.add(timing, elapsed < limit_s, f"{elapsed:.2f}s")
@@ -229,7 +232,8 @@ def suite_path_edge(seed: int = DEFAULT_SEED) -> SuiteResult:
     return _family_suite(
         "path-edge",
         SubsetProperty.EDGE,
-        [("edge-compelling P_", make_path, chi_edge_path, range(2, 13))],
+        [("edge-compelling P_", "path", range(2, 13))],
+        seed,
         10.0,
         "paths finished under 10s",
     )
@@ -240,7 +244,8 @@ def suite_cycle_edge(seed: int = DEFAULT_SEED) -> SuiteResult:
     return _family_suite(
         "cycle-edge",
         SubsetProperty.EDGE,
-        [("edge-compelling C_", make_cycle, chi_edge_cycle, range(3, 13))],
+        [("edge-compelling C_", "cycle", range(3, 13))],
+        seed,
         30.0,
         "cycles finished under 30s",
     )
@@ -252,9 +257,10 @@ def suite_connected_families(seed: int = DEFAULT_SEED) -> SuiteResult:
         "connected-families",
         SubsetProperty.CONNECTED,
         [
-            ("connectivity-compelling P_", make_path, chi_conn_path, range(3, 10)),
-            ("connectivity-compelling C_", make_cycle, chi_conn_cycle, range(3, 10)),
+            ("connectivity-compelling P_", "path", range(3, 10)),
+            ("connectivity-compelling C_", "cycle", range(3, 10)),
         ],
+        seed,
         300.0,
         "paths and cycles finished under 5min",
     )

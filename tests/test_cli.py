@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import itertools
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compelling
-from compelling import cli
+from compelling import cli, solver
 from compelling import (
     Graph,
     format_graph,
@@ -27,13 +28,8 @@ from compelling import (
     make_path,
     make_random_graph,
 )
-from compelling.closed_forms import chi_edge_cycle
-from compelling.cli import (
-    _FAMILIES,
-    main,
-    parse_family_csv,
-    render_family_csv,
-)
+from compelling.closed_forms import FAMILIES, chi_edge_cycle
+from compelling.cli import main, render_family_csv
 from compelling.verify import SuiteResult
 
 
@@ -413,6 +409,29 @@ def test_check_rejects_a_bad_timeout(capsys, c5_file, c5_coloring, value):
 # ---------------------------------------------------------------------------
 
 
+def parse_family_csv(text: str) -> list[dict]:
+    """The rows of a ``family-table`` CSV report: the inverse of
+    :func:`compelling.cli.render_family_csv`."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != ["n", "solver", "closed_form", "match"]:
+        raise ValueError(f"unexpected header {header}")
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        n, solver_value, closed, match = rec
+        rows.append(
+            {
+                "n": int(n),
+                "solver": None if solver_value == "infeasible" else int(solver_value),
+                "closed_form": int(closed) if closed else None,
+                "match": None if match == "" else match == "true",
+            }
+        )
+    return rows
+
+
 def test_family_table_paths_all_match(capsys):
     code, out, _ = run(
         capsys, "family-table", "path", "--n-range", "2:12", "--property", "edge"
@@ -553,8 +572,59 @@ def test_family_table_keeps_the_line_of_a_single_skipped_n(capsys):
     assert err == "warning: skipping n=2: below the cycle family minimum\n"
 
 
+def test_family_table_budget_runs_out_between_instances(capsys, monkeypatch):
+    # the clock passes the deadline once P2 is solved, so P3 is never built
+    now = [0.0]
+    monkeypatch.setattr(cli.time, "monotonic", lambda: now[0])
+    solve = cli.compelling_chromatic_number
+    built = []
+
+    def solve_then_late(g, *args, **kwargs):
+        built.append(g.n)
+        found = solve(g, *args, **kwargs)
+        now[0] = 10.0
+        return found
+
+    monkeypatch.setattr(cli, "compelling_chromatic_number", solve_then_late)
+    code, out, err = run(
+        capsys, "family-table", "path", "--n-range", "2:6", "--property", "edge",
+        "--timeout-secs", "1",
+    )
+    assert code == 0
+    assert err == "warning: range truncated at n=3: time budget exhausted\n"
+    assert parse_family_csv(out) == [
+        {"n": 2, "solver": 2, "closed_form": 2, "match": True}
+    ]
+    assert built == [2]
+
+
+def test_family_table_budget_runs_out_inside_an_instance(capsys, monkeypatch):
+    # the clock passes the deadline once the bounds of C12 are in, so the
+    # solver raises inside that instance; the row of C11 stays
+    now = [0.0]
+    monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
+    bounds = solver.chi_bounds
+
+    def bounds_then_late(g, *args, **kwargs):
+        found = bounds(g, *args, **kwargs)
+        if g.n == 12:
+            now[0] = 10.0
+        return found
+
+    monkeypatch.setattr(solver, "chi_bounds", bounds_then_late)
+    code, out, err = run(
+        capsys, "family-table", "cycle", "--n-range", "11:13",
+        "--property", "connected", "--timeout-secs", "1",
+    )
+    assert code == 0
+    assert err == "warning: range truncated at n=12: time budget exhausted\n"
+    assert parse_family_csv(out) == [
+        {"n": 11, "solver": 10, "closed_form": 10, "match": True}
+    ]
+
+
 def test_family_order_is_the_instance_order():
-    for floor, order, build, _ in _FAMILIES.values():
+    for floor, order, build, _ in FAMILIES.values():
         for n in range(floor, floor + 6):
             assert order(n) == build(n, 1729).n
 
@@ -565,6 +635,38 @@ def test_family_table_unknown_family(capsys):
     )
     assert code == 2
     assert "unknown family" in err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def test_readme_usage_lines_name_the_parser_options():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    usage = {
+        line.split()[1]: set(re.findall(r"--[\w-]+", line))
+        for line in block.splitlines()
+    }
+    options = {
+        name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, sub in _subcommands().items()
+    }
+    assert usage == options
+
+
+def test_readme_and_family_help_list_the_families():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"families: ((?:`[\w-]+`,?\s*)+)", text).group(1)
+    assert re.findall(r"`([\w-]+)`", listed) == list(FAMILIES)
+    family = next(
+        a for a in _subcommands()["family-table"]._actions if a.dest == "family"
+    )
+    assert family.help.split("|") == list(FAMILIES)
 
 
 def test_family_table_bad_range(capsys):
@@ -904,7 +1006,7 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path_factory, data):
     elif command == "check":
         argv = ["check", str(graph), str(coloring), *options]
     else:
-        family = draw(st.sampled_from(sorted(_FAMILIES) + ["nope"]))
+        family = draw(st.sampled_from(sorted(FAMILIES) + ["nope"]))
         ends = st.one_of(st.integers(-3, 6), st.integers(-99999999999, -4))
         lo, hi = draw(ends), draw(ends)
         span = f"{lo}{draw(st.sampled_from((':', ':', '..', '-', '~')))}{hi}"

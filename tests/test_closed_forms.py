@@ -35,6 +35,7 @@ from compelling import (
     mop_chords,
     parse_graph,
 )
+from compelling.closed_forms import FAMILIES
 from oracles import relabelled
 
 P = SubsetProperty
@@ -72,6 +73,23 @@ def test_chi_conn_cycle_table():
         chi_conn_cycle(2)
 
 
+@pytest.mark.parametrize("seed", [1729, 3729])
+def test_family_table_closed_forms_match_the_solver(seed):
+    # every closed form of the family table, on each instance it builds
+    # from two vertices up to order 12
+    checked = 0
+    for family, (floor, order, build, forms) in FAMILIES.items():
+        for n in itertools.takewhile(lambda n: order(n) <= 12, itertools.count(floor)):
+            g = build(n, seed)
+            if g.n < 2:
+                continue
+            for prop, form in forms.items():
+                want = compelling_chromatic_number(g, prop).value
+                assert form(g) == want, (family, n, prop)
+                checked += 1
+    assert checked == 84
+
+
 # ---------------------------------------------------------------------------
 # Double brooms
 # ---------------------------------------------------------------------------
@@ -104,6 +122,9 @@ def test_double_broom_negatives():
     # double star: centers adjacent directly, no joining leaf pair
     double_star = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
     assert not is_double_broom(double_star)
+    # a double broom has four vertices or more
+    for n in range(1, 4):
+        assert not is_double_broom(make_path(n))
     with pytest.raises(ValueError):
         is_double_broom(make_cycle(5))
 

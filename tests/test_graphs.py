@@ -330,6 +330,8 @@ def test_is_mop_rejects_non_mops():
     assert is_mop(make_cycle(6)) == (False, None)
     assert is_mop(make_complete(4)) == (False, None)
     assert is_mop(make_path(5)) == (False, None)
+    # 2n - 3 edges, but no vertex of degree 2 to start the reduction
+    assert is_mop(make_complete_bipartite(3, 3)) == (False, None)
 
 
 def test_is_mop_rejects_non_outerplanar_two_tree():
@@ -351,6 +353,8 @@ def test_mop_three_coloring_is_proper():
 def test_mop_three_coloring_rejects_non_mop():
     with pytest.raises(ValueError):
         mop_three_coloring(make_cycle(5))
+    with pytest.raises(ValueError):
+        mop_three_coloring(make_complete_bipartite(3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +866,12 @@ def test_random_generators_deterministic():
     assert make_random_graph(8, 0.5, seed=12) == make_random_graph(8, 0.5, seed=12)
     assert make_random_tree(8, seed=12) == make_random_tree(8, seed=12)
     assert make_random_mop(8, seed=12) == make_random_mop(8, seed=12)
+
+
+def test_random_tree_on_two_vertices_is_the_edge():
+    for seed in (0, 1, 12, 1729, 2**40):
+        t = make_random_tree(2, seed)
+        assert (t.n, t.adj_bits, t.name) == (2, (0b10, 0b01), f"T(2;{seed})")
 
 
 @pytest.mark.parametrize("n", range(1, 10))
