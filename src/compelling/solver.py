@@ -24,6 +24,7 @@ compelling leaf, as the docstring of :func:`_iter_canonical` argues:
 * count (the same properties): :func:`_outnumbered`;
 * separator (CONNECTED): :func:`graphs.cut_vertices`;
 * separation pair (CONNECTED): :func:`_paired`;
+* required merge (CONNECTED): :func:`_must_merge`;
 * committee, once all k colors are open (EDGE, CONNECTED), and early
   (CONNECTED): :func:`_committee_pick`.
 
@@ -454,7 +455,8 @@ def _iter_canonical(
     :func:`_search_cover`, tests each color c tried for a vertex v.  For a
     c that passes it, one chain of rules runs, and the first to fire cuts:
     for CONNECTED the separator cut, with the mask of
-    :func:`graphs.cut_vertices`, then the separation-pair cut; then one
+    :func:`graphs.cut_vertices`, then the separation-pair cut, then the
+    required-merge cut; then one
     committee walk, the committee cut once all k colors are open (EDGE and
     CONNECTED), or else the early committee cut (CONNECTED).  A cut sends
     the search back to v for its next color.
@@ -506,6 +508,23 @@ def _iter_canonical(
     and disconnected graphs have none.  On a cycle every two vertices that
     are not adjacent form such a pair.
 
+    The required-merge cut looks ahead at U, the vertices after v.  Call
+    a vertex doomed when it is a cut vertex, or a partner in the table of
+    a placed vertex x whose class has two placed vertices or more.  With
+    k > 1 colors, the cut fires when |U| exceeds the k - now_used classes
+    still to be opened and every vertex of U is doomed (:func:`_must_merge`).
+    In any completion each new class is opened by one vertex of U, so
+    some vertex u of U opens none and ends in a class of two or more
+    vertices.  If u is a cut vertex, the separator argument applies to
+    the completed coloring, which has k >= 2 colors.  Else u pairs with a
+    placed x != u whose class holds two placed vertices, so x and u are
+    not together the whole of one class, and the separation-pair argument
+    applies.  Either way no completion compels CONNECTED.  The doomed
+    vertices grow along the path: when v joins an open class, v's
+    partners join them, and so do those of the class's one earlier vertex
+    when the class was a singleton.  When the table is built part way
+    through a level they are recomputed along the current path.
+
     The committee cut fires once all k colors are open, when some
     committee through the vertex v just placed fails ``prop``, searched by
     :func:`_committee_pick` with v's class cut to v.  Classes only grow,
@@ -554,6 +573,7 @@ def _iter_canonical(
     separators = cut_vertices(g) if early else 0
     unplaced = None
     pairs = separation_pairs(g, build=False) if early else None
+    partners = pairs[0] if pairs else None
     streak = 0
     colors = [0] * n
     masks = [0] * k
@@ -570,11 +590,18 @@ def _iter_canonical(
     # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
     # inside[c] of v's class c before v joined it.  For CONNECTED,
     # multi_at[v] holds the vertices in classes of two or more vertices,
-    # and bit n, the separator bit that needs no class.
+    # and bit n, the separator bit that needs no class; once the
+    # separation-pair table is read, doomed_at[v] holds the vertices that no
+    # compelling completion with two colors or more puts in such a class:
+    # the cut vertices, and the partners of the vertices of multi_at[v].
+    # ``top`` is one past the last vertex not doomed, so every vertex after
+    # v is doomed when top <= v + 1; with no table it is ``cut_top``.
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
     multi_at = [1 << n] * (n + 1)
+    doomed_at = [separators & full] * (n + 1)
+    cut_top = (full & ~separators).bit_length()
     steps = 0
     v = 0
     c = 0  # the next color to try at v
@@ -627,11 +654,27 @@ def _iter_canonical(
                         if c < used:
                             multi |= masks[c] | 1 << v
                         multi_at[v + 1] = multi  # read only once v is placed
-                        cut = now_used > 1 and multi & separators or (
-                            pairs is not None
-                            and c < used
-                            and used > 1
-                            and _paired(pairs, multi, v, colors, masks, c)
+                        top = cut_top
+                        if partners:
+                            doomed = doomed_at[v]
+                            if c < used:
+                                doomed |= partners[v]
+                                if not masks[c] & (masks[c] - 1):  # was {w}
+                                    doomed |= partners[masks[c].bit_length() - 1]
+                            doomed_at[v + 1] = doomed
+                            top = (full & ~doomed).bit_length()
+                        cut = (
+                            now_used > 1 and multi & separators
+                            or (
+                                pairs is not None
+                                and c < used
+                                and used > 1
+                                and _paired(pairs, multi, v, colors, masks, c)
+                            )
+                            or (
+                                top <= v + 1 < n
+                                and _must_merge(n - v - 1, k, k - now_used)
+                            )
                         )
                     if not cut and now_used == k:
                         part = masks.copy()
@@ -650,6 +693,12 @@ def _iter_canonical(
                             streak = streak + 1 if cut else 0
                             if streak == n and g.edge_count >= n:
                                 pairs = separation_pairs(g, deadline)
+                                partners = pairs[0]
+                                for d in range(v + 1):  # along the path
+                                    doomed = doomed_at[d]
+                                    for x in iter_bits(multi_at[d + 1] & ~multi_at[d]):
+                                        doomed |= partners[x]
+                                    doomed_at[d + 1] = doomed
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -695,6 +744,15 @@ def _paired(pairs, multi: int, v: int, colors, masks, c: int) -> bool:
         if rest & ~own or (rest and own.bit_count() > 2):
             return True
     return False
+
+
+def _must_merge(rest: int, k: int, room: int) -> bool:
+    """The required-merge cut of :func:`_iter_canonical`, once every one
+    of the ``rest`` vertices still to place is doomed: there are two
+    colors or more, and those vertices outnumber the ``room`` classes
+    still to be opened, so in every completion one of them joins a class
+    of two or more vertices."""
+    return k > 1 and rest > room
 
 
 def _outnumbered(cover, loose: int, room: int, v: int) -> bool:

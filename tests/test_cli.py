@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compelling
-from compelling import cli, solver
+from compelling import cli, solver, verify
 from compelling import (
     Graph,
     format_graph,
@@ -130,10 +131,11 @@ def test_chi_json_format(capsys, c5_file):
 
 
 def test_chi_timeout_exits_one(capsys, tmp_path):
-    # the search at 10 colors runs past 1024 steps, where its deadline
-    # check stops it
-    path = tmp_path / "c12.graph"
-    path.write_text(format_graph(make_cycle(12)))
+    # the search at 6 colors runs past 1024 steps, where its deadline check
+    # stops it; the required-merge cut finishes cycles as long as C14 in
+    # fewer
+    path = tmp_path / "g16.graph"
+    path.write_text(format_graph(make_random_graph(16, 0.3, 2)))
     code, _, err = run(
         capsys, "chi", str(path), "--property", "connected", "--timeout-secs", "0"
     )
@@ -599,27 +601,28 @@ def test_family_table_budget_runs_out_between_instances(capsys, monkeypatch):
 
 
 def test_family_table_budget_runs_out_inside_an_instance(capsys, monkeypatch):
-    # the clock passes the deadline once the bounds of C12 are in, so the
-    # solver raises inside that instance; the row of C11 stays
+    # the clock passes the deadline once the bounds of the 16-vertex tree
+    # are in, and its EDGE search at 4 colors runs past 1024 steps, so the
+    # solver raises inside that instance; the row of n=15 stays
     now = [0.0]
     monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
     bounds = solver.chi_bounds
 
     def bounds_then_late(g, *args, **kwargs):
         found = bounds(g, *args, **kwargs)
-        if g.n == 12:
+        if g.n == 16:
             now[0] = 10.0
         return found
 
     monkeypatch.setattr(solver, "chi_bounds", bounds_then_late)
     code, out, err = run(
-        capsys, "family-table", "cycle", "--n-range", "11:13",
-        "--property", "connected", "--timeout-secs", "1",
+        capsys, "family-table", "tree-random", "--n-range", "15:16",
+        "--property", "edge", "--timeout-secs", "1",
     )
     assert code == 0
-    assert err == "warning: range truncated at n=12: time budget exhausted\n"
+    assert err == "warning: range truncated at n=16: time budget exhausted\n"
     assert parse_family_csv(out) == [
-        {"n": 11, "solver": 10, "closed_form": 10, "match": True}
+        {"n": 15, "solver": 4, "closed_form": 4, "match": True}
     ]
 
 
@@ -794,6 +797,22 @@ def test_seeded_verify_report_is_pinned(capsys, suite):
         ],
         "seed": 1729,
     }
+
+
+# a digest of each corpus's names and adjacency masks at seed 1729: the
+# verify reports record only counts and verdicts, which hold on many corpora
+_PINNED_CORPORA = {
+    "main_corpus": "eccc0c8b401a297c",
+    "td3_corpus": "acc2b05d84ed946a",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(_PINNED_CORPORA))
+def test_verify_corpora_are_pinned(corpus):
+    graphs = getattr(verify, corpus)(1729)
+    text = "".join(f"{g.name} {' '.join(map(str, g.adj_bits))}\n" for g in graphs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(graphs), digest[:16]) == (500, _PINNED_CORPORA[corpus])
 
 
 def test_check_json(capsys, c5_file, c5_coloring):

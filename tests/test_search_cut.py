@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -517,6 +518,74 @@ def test_pair_cut_fires_on_a_cycle(monkeypatch):
     assert separation_pairs(tree, build=False) is None
 
 
+@st.composite
+def merge_cut_graphs(draw, max_n=9):
+    """A relabelled cycle, maximal outerplanar graph or random tree, or a
+    G(n, p) (edgeless and disconnected graphs included), on at most
+    ``max_n`` vertices, with its separation-pair table stored or not."""
+    n = draw(st.integers(3, max_n))
+    seed = draw(st.integers(0, 2**20))
+    g = draw(
+        st.sampled_from(
+            (
+                make_cycle(n),
+                make_random_mop(n, seed),
+                make_random_tree(n, seed),
+                make_empty(n),
+            )
+        )
+        | small_graphs(max_n=max_n)
+    )
+    g = relabelled(g, draw(st.permutations(range(g.n))))
+    if draw(st.booleans()):
+        separation_pairs(g)
+    return g
+
+
+@CUT_SETTINGS
+@given(merge_cut_graphs())
+def test_merge_cut_leaves_are_the_compelling_uncut_leaves(g):
+    # once every vertex still to place is a cut vertex or the partner of a
+    # vertex in a class of two or more, and they outnumber the classes
+    # still to open, one of them merges and no completion compels; every
+    # k, so that one color on an edgeless graph, where every vertex
+    # separates but nothing may be cut, is always among them
+    for k in range(1, g.n + 1):
+        cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, P.CONNECTED)]
+        kept = [
+            (tuple(c), tuple(m))
+            for c, m in canonical_walk(g.adj_bits, k)
+            if brute_compelling(g, c, P.CONNECTED)
+        ]
+        assert cut == kept, k
+
+
+def test_merge_cut_fires_on_a_cycle(monkeypatch):
+    # every vertex of a cycle is a partner of each vertex not next to it,
+    # so once the table is built and a class holds two vertices, the
+    # vertices still to place are often all doomed; C12 refutes 10 colors,
+    # where one more of them must join a class
+    rule = solver._must_merge
+    hits = []
+
+    def rule_spy(*args):
+        hit = rule(*args)
+        hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(solver, "_must_merge", rule_spy)
+    g = make_cycle(12)
+    res = compelling_chromatic_number(g, P.CONNECTED)
+    assert res.value == closed_forms.chi_conn_cycle(12)
+    assert any(hits)
+    # with one color the one class holds every vertex: its committees are
+    # single vertices, so nothing may be cut, though every vertex of an
+    # edgeless graph separates it
+    hits.clear()
+    assert [c for c, _ in _iter_canonical(make_empty(4), 1, P.CONNECTED)] == [[0] * 4]
+    assert hits and not any(hits)
+
+
 # ---------------------------------------------------------------------------
 # CONNECTED is cut only on connected graphs with at least two vertices
 # ---------------------------------------------------------------------------
@@ -583,6 +652,18 @@ def test_frontier_trees_and_cycles(name):
     assert res.value == want
     assert res.witness.k == res.value
     assert brute_compelling(g, res.witness.colors, prop)
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_frontier_long_cycles_connected(n):
+    # the required-merge cut takes these from about 1 s and 8-9 s to about
+    # 10 and 30 ms; the witness is the one the search gave before it
+    g = make_cycle(n)
+    start = time.perf_counter()
+    res = compelling_chromatic_number(g, P.CONNECTED, max_n=100, timeout_s=10)
+    assert time.perf_counter() - start < 1
+    assert res.value == closed_forms.chi_conn_cycle(n)
+    assert res.witness.colors == (0, 1, 0, *range(2, n - 1))
 
 
 def test_frontier_long_cycle_edge():

@@ -440,22 +440,27 @@ def test_chi_timeout():
 
 @pytest.mark.parametrize(
     "g, prop",
-    [(make_cycle(14), P.CONNECTED), (make_random_graph(20, 0.3, 3), P.DOM)],
-    ids=["C14-connected", "G20-dom"],
+    [
+        (make_random_graph(16, 0.3, 5), P.CONNECTED),
+        (make_random_graph(20, 0.3, 3), P.DOM),
+    ],
+    ids=["G16-connected", "G20-dom"],
 )
 def test_chi_timeout_on_cut_search(g, prop):
     # the count rule finishes G(16,0.3;3) dom in under 1024 steps; G(20,0.3;3)
-    # still passes them at 7 colors
+    # still passes them at 7 colors.  The required-merge cut finishes C14
+    # connected in under 1024 steps; G(16,0.3;5) still passes them at 6
     with pytest.raises(SearchTimeout, match="within 0.0s"):
         compelling_chromatic_number(g, prop, max_n=40, timeout_s=0.0)
 
 
 def test_chi_timeout_in_the_enumeration(monkeypatch):
-    # a zero timeout stops C12 connected when the separation-pair table is
+    # a zero timeout stops C60 connected when the separation-pair table is
     # built; with that table stored before the call, and a clock that
     # passes the deadline only once the bounds are in, the enumerator's own
-    # check stops the refutation of 10 colors
-    g = make_cycle(12)
+    # check stops the refutation of 58 colors.  The required-merge cut
+    # refutes 10 colors on C12 in under 1024 steps.
+    g = make_cycle(60)
     separation_pairs(g)
     now = [0.0]
     monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
@@ -467,9 +472,9 @@ def test_chi_timeout_in_the_enumeration(monkeypatch):
         return found
 
     monkeypatch.setattr(solver, "chi_bounds", bounds_then_late)
-    message = "^no verdict for C12 within 1.0s: the deadline passed at 10 colors$"
+    message = "^no verdict for C60 within 1.0s: the deadline passed at 58 colors$"
     with pytest.raises(SearchTimeout, match=message):
-        compelling_chromatic_number(g, P.CONNECTED, timeout_s=1.0)
+        compelling_chromatic_number(g, P.CONNECTED, max_n=100, timeout_s=1.0)
 
 
 @pytest.mark.parametrize(
