@@ -543,17 +543,16 @@ def cut_vertices(g: Graph) -> int:
 
 
 def separation_pairs(g: Graph, deadline: float | None = None, *, build: bool = True):
-    """The separation-pair table of ``g``, stored on ``g``: a pair
-    (partners, paired).  With ``build`` false, the stored table, or None
-    when none is stored yet.
+    """The separation-pair table of ``g``, stored on ``g``: the tuple
+    ``partners``.  With ``build`` false, the stored table, or None when
+    none is stored yet.
 
     A separating pair here is a pair {x, y} such that G - x and G - y are
     connected and G - {x, y} is not: on a connected graph, two vertices
     that are not cut vertices and together split it (a separation pair of
     Hopcroft and Tarjan, 1973, in a 2-connected block).  ``partners[x]`` is
-    the bitmask of the vertices that form one with x, and ``paired`` the
-    bitmask of the vertices that lie in one.  A tree has none, as its
-    blocks are edges, and so has a disconnected graph, where G - x is
+    the bitmask of the vertices that form one with x.  A tree has none, as
+    its blocks are edges, and so has a disconnected graph, where G - x is
     connected only when x is an isolated vertex and G has two components.
 
     The table takes O(n) space and one low-link search (:func:`cut_vertices`)
@@ -580,7 +579,7 @@ def _separation_pairs(g: Graph, deadline: float | None):
             if time.monotonic() > deadline:
                 raise SearchTimeout("the deadline passed building the separation pairs")
         partners[x] = whole & _cut_mask(g, g.full_mask & ~(1 << x))
-    return tuple(partners), sum(1 << x for x in range(n) if partners[x])
+    return tuple(partners)
 
 
 def _cut_mask(g: Graph, mask: int) -> int:

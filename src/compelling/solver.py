@@ -22,9 +22,7 @@ compelling leaf, as the docstring of :func:`_iter_canonical` argues:
 
 * per-vertex (DOM, TDOM, ISOLATE_FREE, CONNECTED): :func:`_search_cover`;
 * count (the same properties): :func:`_outnumbered`;
-* separator (CONNECTED): :func:`graphs.cut_vertices`;
-* separation pair (CONNECTED): :func:`_paired`;
-* required merge (CONNECTED): :func:`_must_merge`;
+* doomed (CONNECTED): :func:`graphs.cut_vertices` and :func:`_doomed_by`;
 * committee, once all k colors are open (EDGE, CONNECTED), and early
   (CONNECTED): :func:`_committee_pick`.
 
@@ -454,12 +452,10 @@ def _iter_canonical(
     ``prop`` has on g.  The per-vertex cut, with the table of
     :func:`_search_cover`, tests each color c tried for a vertex v.  For a
     c that passes it, one chain of rules runs, and the first to fire cuts:
-    for CONNECTED the separator cut, with the mask of
-    :func:`graphs.cut_vertices`, then the separation-pair cut, then the
-    required-merge cut; then one
-    committee walk, the committee cut once all k colors are open (EDGE and
-    CONNECTED), or else the early committee cut (CONNECTED).  A cut sends
-    the search back to v for its next color.
+    for CONNECTED the doomed cut; then one committee walk, the committee
+    cut once all k colors are open (EDGE and CONNECTED), or else the early
+    committee cut (CONNECTED).  A cut sends the search back to v for its
+    next color.
 
     The per-vertex cut yields only colorings in which every vertex u has a
     whole class inside ``cover[u]``.  For each open class c,
@@ -477,53 +473,42 @@ def _iter_canonical(
     enough; with no room left it is the all-k test above.  A property with
     no table cuts nothing here.
 
-    The separator cut fires once two colors are in use and some cut
-    vertex x lies in a class of two or more vertices (bit n of the mask
-    stands for no x at all, on a disconnected graph, and needs no class).
-    The placed vertices other than x then carry two colors, a and b.  If
-    two components of G - x hold vertices of different colors, take those
-    two; else all of them lie in one component, and any vertex w of
-    another, placed now or later, differs in color from one of them, u.
-    Either way the committee through the two that avoids x (x's class has
-    another placed vertex) is disconnected in every completion.  It is the
-    local form of the tree result that every interior vertex of a tree is
-    a singleton class; 2-connected graphs get nothing from it.
-
-    The separation-pair cut is the separator cut's two-vertex form.  It
-    runs when v joins an open class, with two colors or more open, and
-    cuts when two placed vertices x != y that form a separating pair (the
-    table of :func:`graphs.separation_pairs`), each in a class of two or
-    more vertices, are not together the whole of one class.  Each of x's and
-    y's classes then keeps a placed vertex outside {x, y}, so the placed
-    vertices outside {x, y} carry two colors; as for the separator cut,
-    some u and w of different colors, w maybe placed later, lie in
-    different components of G - {x, y}.  The committee through u and w
-    that picks no x or y (each of their classes has another placed vertex)
-    is disconnected in every completion.  The table costs up to n
+    The doomed cut (CONNECTED) marks the vertices that no compelling
+    completion puts in a class of two or more vertices.  ``doomed`` holds
+    the cut vertices of :func:`graphs.cut_vertices`, with bit n on a
+    disconnected graph, where bit n of ``multi``, the placed vertices in
+    classes of two or more, stands for the graph itself.  Once the
+    separation-pair table of :func:`graphs.separation_pairs` is read, it
+    also holds the partners of every vertex of ``multi``, except that the
+    two vertices of a two-vertex class do not doom each other
+    (:func:`_doomed_by`).  Take a completion, with its k colors, and a
+    doomed vertex x in a class of two or more.  Let S be {x} for a cut
+    vertex, empty for bit n, and {x, y} for a partner of y in ``multi``.
+    Then G - S is disconnected and every class keeps a vertex outside S:
+    x's class holds another vertex, and when x and y share a class it is
+    not the whole of it.  So the vertices outside S carry all k colors.
+    If a component of G - S holds two colors, a vertex of another
+    component differs in color from one of them; else each component has
+    one color, and two components differ.  Either way the committee
+    through two vertices of different colors in different components that
+    avoids S is disconnected.  Every completion has k colors, so ``k > 1``
+    is the whole gate; it spares one color on an edgeless graph, whose
+    committees are single vertices.  The cut fires when k > 1 and a vertex
+    of ``multi`` is doomed, or when every vertex after v is doomed and
+    they outnumber the k - now_used classes still to be opened.  In a
+    completion each new class is opened by one vertex after v, so some
+    vertex u after v opens none and ends in a class of two or more; if u
+    is doomed as the partner of a placed y, y's class already has two
+    placed vertices, so u and y are not a two-vertex class.  The doomed
+    vertices grow along the path as classes grow.  The table costs up to n
     low-link searches, so it is read when it is stored on g already, and
-    else built only once n committee searches in a row before all k colors
-    are open have cut, and only when G has as many edges as vertices.  It
-    holds only the pairs of vertices that are not cut vertices, which the
-    separator cut covers; trees, the connected graphs with fewer edges,
-    and disconnected graphs have none.  On a cycle every two vertices that
-    are not adjacent form such a pair.
-
-    The required-merge cut looks ahead at U, the vertices after v.  Call
-    a vertex doomed when it is a cut vertex, or a partner in the table of
-    a placed vertex x whose class has two placed vertices or more.  With
-    k > 1 colors, the cut fires when |U| exceeds the k - now_used classes
-    still to be opened and every vertex of U is doomed (:func:`_must_merge`).
-    In any completion each new class is opened by one vertex of U, so
-    some vertex u of U opens none and ends in a class of two or more
-    vertices.  If u is a cut vertex, the separator argument applies to
-    the completed coloring, which has k >= 2 colors.  Else u pairs with a
-    placed x != u whose class holds two placed vertices, so x and u are
-    not together the whole of one class, and the separation-pair argument
-    applies.  Either way no completion compels CONNECTED.  The doomed
-    vertices grow along the path: when v joins an open class, v's
-    partners join them, and so do those of the class's one earlier vertex
-    when the class was a singleton.  When the table is built part way
-    through a level they are recomputed along the current path.
+    else built only once n committee searches in a row before all k
+    colors are open have cut, and only when G has as many edges as
+    vertices; then the doomed vertices are recomputed along the current
+    path.  It holds only the pairs of vertices that are not cut vertices;
+    trees, the connected graphs with fewer edges, and disconnected graphs
+    have none.  On a cycle every two vertices that are not adjacent form
+    such a pair.
 
     The committee cut fires once all k colors are open, when some
     committee through the vertex v just placed fails ``prop``, searched by
@@ -548,8 +533,9 @@ def _iter_canonical(
     keeps another vertex, as two colors are open) the committee meets it
     and P's component, so it is disconnected.  The search is skipped when v
     opens a class, which leaves those committees as they were, and while
-    at most one placed vertex has joined an open class, which is the
-    separator cut's case.
+    at most one placed vertex has joined an open class: P + U is then G
+    less one vertex, disconnected only at a cut vertex, which the doomed
+    cut covers.
 
     Each cut drops whole subtrees in which no leaf compels the property
     and nothing else, so leaves come in the same order as without it.
@@ -565,15 +551,13 @@ def _iter_canonical(
     # every class fits a property with no per-vertex table: nothing is cut
     cover = _search_cover(g, prop) or (full,) * n
     committee = prop is _EDGE or prop is _CONNECTED
-    # the cuts of CONNECTED alone: the separator cut; the committee cut
+    # the cuts of CONNECTED alone: the doomed cut; the committee cut
     # before all k colors are open, and its table, built when it first
     # runs; the separation-pair table, stored on g or built once
     # ``streak``, the early committee searches that cut in a row, reaches n
-    early = prop is _CONNECTED
-    separators = cut_vertices(g) if early else 0
+    connected = prop is _CONNECTED
     unplaced = None
-    pairs = separation_pairs(g, build=False) if early else None
-    partners = pairs[0] if pairs else None
+    partners = separation_pairs(g, build=False) if connected else None
     streak = 0
     colors = [0] * n
     masks = [0] * k
@@ -590,18 +574,15 @@ def _iter_canonical(
     # every vertex in no inside[c] (and maybe some that are).  held_at[v] is
     # inside[c] of v's class c before v joined it.  For CONNECTED,
     # multi_at[v] holds the vertices in classes of two or more vertices,
-    # and bit n, the separator bit that needs no class; once the
-    # separation-pair table is read, doomed_at[v] holds the vertices that no
-    # compelling completion with two colors or more puts in such a class:
-    # the cut vertices, and the partners of the vertices of multi_at[v].
-    # ``top`` is one past the last vertex not doomed, so every vertex after
-    # v is doomed when top <= v + 1; with no table it is ``cut_top``.
+    # and bit n, which needs no class; doomed_at[v] holds the vertices that
+    # no compelling completion puts in such a class: the cut vertices (and
+    # bit n on a disconnected graph), and once the separation-pair table
+    # is read, the partners of the vertices of multi_at[v].
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
     multi_at = [1 << n] * (n + 1)
-    doomed_at = [separators & full] * (n + 1)
-    cut_top = (full & ~separators).bit_length()
+    doomed_at = [cut_vertices(g) if connected else 0] * (n + 1)
     steps = 0
     v = 0
     c = 0  # the next color to try at v
@@ -649,38 +630,28 @@ def _iter_canonical(
             if c <= top:
                 if committee:
                     cut = False
-                    if early:
+                    if connected:
                         multi = multi_at[v]
+                        doomed = doomed_at[v]
                         if c < used:
                             multi |= masks[c] | 1 << v
-                        multi_at[v + 1] = multi  # read only once v is placed
-                        top = cut_top
-                        if partners:
-                            doomed = doomed_at[v]
-                            if c < used:
-                                doomed |= partners[v]
-                                if not masks[c] & (masks[c] - 1):  # was {w}
-                                    doomed |= partners[masks[c].bit_length() - 1]
-                            doomed_at[v + 1] = doomed
-                            top = (full & ~doomed).bit_length()
-                        cut = (
-                            now_used > 1 and multi & separators
+                            if partners:
+                                doomed |= _doomed_by(partners, masks[c], v)
+                        # read only once v is placed
+                        multi_at[v + 1] = multi
+                        doomed_at[v + 1] = doomed
+                        cut = k > 1 and (
+                            multi & doomed
                             or (
-                                pairs is not None
-                                and c < used
-                                and used > 1
-                                and _paired(pairs, multi, v, colors, masks, c)
-                            )
-                            or (
-                                top <= v + 1 < n
-                                and _must_merge(n - v - 1, k, k - now_used)
+                                n - v - 1 > k - now_used
+                                and not (full & ~doomed) >> v + 1
                             )
                         )
                     if not cut and now_used == k:
                         part = masks.copy()
                         part[c] = 1 << v
                         cut = _committee_pick(g, part, prop, deadline) is not None
-                    elif not cut and early and c < used and 1 < used < v:
+                    elif not cut and connected and c < used and 1 < used < v:
                         if unplaced is None:
                             unplaced = _unplaced_tables(g)
                         part = masks[:used]
@@ -689,16 +660,17 @@ def _iter_canonical(
                             _committee_pick(g, part, prop, deadline, unplaced[v])
                             is not None
                         )
-                        if pairs is None:
+                        if partners is None:
                             streak = streak + 1 if cut else 0
                             if streak == n and g.edge_count >= n:
-                                pairs = separation_pairs(g, deadline)
-                                partners = pairs[0]
-                                for d in range(v + 1):  # along the path
-                                    doomed = doomed_at[d]
-                                    for x in iter_bits(multi_at[d + 1] & ~multi_at[d]):
-                                        doomed |= partners[x]
-                                    doomed_at[d + 1] = doomed
+                                partners = separation_pairs(g, deadline)
+                                # along the path; v was just cut, and its
+                                # next color redoes its own step
+                                for d in range(v):
+                                    old = masks[colors[d]] & ((1 << d) - 1)
+                                    doomed_at[d + 1] = doomed_at[d] | _doomed_by(
+                                        partners, old, d
+                                    )
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -720,39 +692,23 @@ def _iter_canonical(
         c += 1
 
 
-def _paired(pairs, multi: int, v: int, colors, masks, c: int) -> bool:
-    """The separation-pair cut of :func:`_iter_canonical`, with v just
-    placed in class c: two vertices x != y of ``multi``, the placed
-    vertices in classes of two or more, form a separating pair and are not
-    together the whole of one class.  ``pairs`` is the table of
-    :func:`graphs.separation_pairs`; ``masks`` and ``colors`` hold the
-    classes before v joined.  Each x is taken below the other vertex of
-    the pair, so below v, and its class is ``masks[colors[x]]``, with v
-    added when v joined it."""
-    partners, paired = pairs
-    cand = multi & paired
-    while cand & (cand - 1):
-        low = cand & -cand
-        cand ^= low
-        x = low.bit_length() - 1
-        own = masks[colors[x]]
-        if colors[x] == c:
-            own |= 1 << v
-        rest = cand & partners[x]
-        # own is {x, y} for at most one partner y, and only when it has
-        # two vertices
-        if rest & ~own or (rest and own.bit_count() > 2):
-            return True
-    return False
-
-
-def _must_merge(rest: int, k: int, room: int) -> bool:
-    """The required-merge cut of :func:`_iter_canonical`, once every one
-    of the ``rest`` vertices still to place is doomed: there are two
-    colors or more, and those vertices outnumber the ``room`` classes
-    still to be opened, so in every completion one of them joins a class
-    of two or more vertices."""
-    return k > 1 and rest > room
+def _doomed_by(partners, old: int, v: int) -> int:
+    """The vertices that v dooms in :func:`_iter_canonical` when it joins
+    the class ``old`` (0 when v opens a class), with ``partners`` the table
+    of :func:`graphs.separation_pairs`.  A class of two or more dooms the
+    partners of its vertices, but the two vertices of a two-vertex class
+    do not doom each other: when v joins {w}, neither v nor w is doomed by
+    the other, and when v joins {w, x}, w and x are doomed if they are
+    partners."""
+    if not old:
+        return 0
+    w = (old & -old).bit_length() - 1
+    rest = old ^ (1 << w)
+    if not rest:
+        return (partners[v] | partners[w]) & ~(old | 1 << v)
+    if not rest & (rest - 1) and partners[w] & rest:
+        return partners[v] | old
+    return partners[v]
 
 
 def _outnumbered(cover, loose: int, room: int, v: int) -> bool:

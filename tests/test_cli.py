@@ -132,8 +132,7 @@ def test_chi_json_format(capsys, c5_file):
 
 def test_chi_timeout_exits_one(capsys, tmp_path):
     # the search at 6 colors runs past 1024 steps, where its deadline check
-    # stops it; the required-merge cut finishes cycles as long as C14 in
-    # fewer
+    # stops it; the doomed cut finishes cycles as long as C14 in fewer
     path = tmp_path / "g16.graph"
     path.write_text(format_graph(make_random_graph(16, 0.3, 2)))
     code, _, err = run(

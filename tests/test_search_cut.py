@@ -3,15 +3,15 @@
 ``compelling_chromatic_number`` searches CDOM as CONNECTED, since on a
 connected graph the two compel the same colorings.  The cut search takes
 the property and picks its cuts: per-vertex neighbourhood tests, the
-separator test and its two-vertex form, the separation-pair test
-(CONNECTED), and the committee test (EDGE, CONNECTED), which asks the
-committee search for a violating committee once all k colors are open,
-and for CONNECTED also before, with each unplaced vertex as a class of
-its own.  Those tests compare its leaves with the compelling leaves of
-the uncut walk, and the search with a leaf-only reference: the uncut
-enumeration from the lower bound up, with each completed coloring judged
-by the set-level oracle.  A spy on the committee walk checks that the
-separator and separation-pair tests run before any walk.
+doomed test (CONNECTED), which covers the separator test and its
+two-vertex form, the separation-pair test, and the committee test (EDGE,
+CONNECTED), which asks the committee search for a violating committee
+once all k colors are open, and for CONNECTED also before, with each
+unplaced vertex as a class of its own.  Those tests compare its leaves
+with the compelling leaves of the uncut walk, and the search with a
+leaf-only reference: the uncut enumeration from the lower bound up, with
+each completed coloring judged by the set-level oracle.  A spy on the
+committee walk checks that the doomed test runs before any walk.
 
 ``is_compelling`` takes the least DOM, TDOM and ISOLATE_FREE committees
 from the per-vertex test, walks the committees for EDGE and CONNECTED,
@@ -385,7 +385,8 @@ def test_edge_leaves_that_survive_have_no_independent_committee(g, prop):
 
 
 # ---------------------------------------------------------------------------
-# The separation-pair cut (CONNECTED, and CDOM searched as CONNECTED)
+# The doomed cut with the separation-pair table (CONNECTED, and CDOM
+# searched as CONNECTED)
 # ---------------------------------------------------------------------------
 
 
@@ -395,8 +396,8 @@ def test_edge_leaves_that_survive_have_no_independent_committee(g, prop):
     st.sampled_from(list(P)),
 )
 def test_pair_cut_matches_leaf_only_reference(g, prop):
-    # the table stored first, so the cut runs from the first committee
-    # search even where a search would not build it
+    # the table stored first, so the doomed cut has it from the first
+    # vertex even where a search would not build it
     separation_pairs(g)
     assert compelling_chromatic_number(g, prop) == leaf_only_chi(g, prop)
 
@@ -404,8 +405,8 @@ def test_pair_cut_matches_leaf_only_reference(g, prop):
 @CUT_SETTINGS
 @given(st.sampled_from((P.CONNECTED, P.CDOM)), st.data())
 def test_pair_cut_leaves_are_the_compelling_uncut_leaves(prop, data):
-    # with the table stored first, the pair cut runs from the first
-    # committee search, even where the search would not build the table
+    # with the table stored first, the doomed cut has it from the first
+    # vertex, even where the search would not build the table
     shapes = (connected_graphs(), mop_graphs())
     if prop is P.CONNECTED:
         shapes += (small_graphs(),)
@@ -470,7 +471,7 @@ def test_the_rule_chain_cuts_before_any_walk(g):
     # more vertices) that keep a vertex outside it.  The walk sees the
     # open classes whole then; once all colors are open it sees v's class
     # as v alone, so only the separator is checked there.
-    separation_pairs(g)  # stored, so the pair cut runs from the first search
+    separation_pairs(g)  # stored, so the doomed cut has it from the start
     separators = cut_vertices(g)
     walk = solver._committee_pick
     walks = []
@@ -492,30 +493,6 @@ def test_the_rule_chain_cuts_before_any_walk(g):
             for _ in _iter_canonical(g, k, P.CONNECTED):
                 pass
     assert walks or g.n < 3
-
-
-def test_pair_cut_fires_on_a_cycle(monkeypatch):
-    # C12 refutes 10 colors by disconnected committees; the search builds
-    # the table after its first 12 early committee searches, all of which
-    # cut, and the pair cut then takes the place of most of the rest
-    rule = solver._paired
-    hits = []
-
-    def rule_spy(*args):
-        hit = rule(*args)
-        hits.append(hit)
-        return hit
-
-    monkeypatch.setattr(solver, "_paired", rule_spy)
-    g = make_cycle(12)
-    res = compelling_chromatic_number(g, P.CONNECTED)
-    assert res.value == closed_forms.chi_conn_cycle(12)
-    assert separation_pairs(g, build=False) is not None
-    assert sum(hits) > len(hits) / 2
-    # a tree has no separating pair, so no search builds its table
-    tree = make_random_tree(20, 3)
-    compelling_chromatic_number(tree, P.CONNECTED, max_n=40)
-    assert separation_pairs(tree, build=False) is None
 
 
 @st.composite
@@ -560,30 +537,41 @@ def test_merge_cut_leaves_are_the_compelling_uncut_leaves(g):
         assert cut == kept, k
 
 
-def test_merge_cut_fires_on_a_cycle(monkeypatch):
+def test_doomed_cut_fires_on_a_cycle(monkeypatch):
     # every vertex of a cycle is a partner of each vertex not next to it,
-    # so once the table is built and a class holds two vertices, the
-    # vertices still to place are often all doomed; C12 refutes 10 colors,
-    # where one more of them must join a class
-    rule = solver._must_merge
-    hits = []
-
-    def rule_spy(*args):
-        hit = rule(*args)
-        hits.append(hit)
-        return hit
-
-    monkeypatch.setattr(solver, "_must_merge", rule_spy)
+    # so once a class holds two vertices, most vertices are doomed.  C12
+    # refutes 10 colors by disconnected committees; the search builds the
+    # table after its first 12 early committee searches, all of which cut
     g = make_cycle(12)
     res = compelling_chromatic_number(g, P.CONNECTED)
     assert res.value == closed_forms.chi_conn_cycle(12)
-    assert any(hits)
+    assert separation_pairs(g, build=False) is not None
+    # a tree has no separating pair, so no search builds its table
+    tree = make_random_tree(20, 3)
+    compelling_chromatic_number(tree, P.CONNECTED, max_n=40)
+    assert separation_pairs(tree, build=False) is None
+    # with the table, the doomed cut ends most branches of 10 colors that
+    # a committee walk would otherwise refute
+    walk = solver._committee_pick
+    walks = []
+
+    def walk_spy(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def walks_at_ten():
+        walks.clear()
+        assert not list(_iter_canonical(g, 10, P.CONNECTED))
+        return len(walks)
+
+    monkeypatch.setattr(solver, "_committee_pick", walk_spy)
+    doomed = walks_at_ten()
+    monkeypatch.setattr(solver, "_doomed_by", lambda *args: 0)
+    assert 10 * doomed < walks_at_ten()
     # with one color the one class holds every vertex: its committees are
     # single vertices, so nothing may be cut, though every vertex of an
     # edgeless graph separates it
-    hits.clear()
     assert [c for c, _ in _iter_canonical(make_empty(4), 1, P.CONNECTED)] == [[0] * 4]
-    assert hits and not any(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +644,8 @@ def test_frontier_trees_and_cycles(name):
 
 @pytest.mark.parametrize("n", [40, 60])
 def test_frontier_long_cycles_connected(n):
-    # the required-merge cut takes these from about 1 s and 8-9 s to about
-    # 10 and 30 ms; the witness is the one the search gave before it
+    # the doomed cut takes these from about 1 s and 8-9 s to about 10
+    # and 30 ms; the witness is the one the search gave before it
     g = make_cycle(n)
     start = time.perf_counter()
     res = compelling_chromatic_number(g, P.CONNECTED, max_n=100, timeout_s=10)

@@ -448,7 +448,7 @@ def test_chi_timeout():
 )
 def test_chi_timeout_on_cut_search(g, prop):
     # the count rule finishes G(16,0.3;3) dom in under 1024 steps; G(20,0.3;3)
-    # still passes them at 7 colors.  The required-merge cut finishes C14
+    # still passes them at 7 colors.  The doomed cut finishes C14
     # connected in under 1024 steps; G(16,0.3;5) still passes them at 6
     with pytest.raises(SearchTimeout, match="within 0.0s"):
         compelling_chromatic_number(g, prop, max_n=40, timeout_s=0.0)
@@ -458,7 +458,7 @@ def test_chi_timeout_in_the_enumeration(monkeypatch):
     # a zero timeout stops C60 connected when the separation-pair table is
     # built; with that table stored before the call, and a clock that
     # passes the deadline only once the bounds are in, the enumerator's own
-    # check stops the refutation of 58 colors.  The required-merge cut
+    # check stops the refutation of 58 colors.  The doomed cut
     # refutes 10 colors on C12 in under 1024 steps.
     g = make_cycle(60)
     separation_pairs(g)
