@@ -537,7 +537,7 @@ def test_merge_cut_leaves_are_the_compelling_uncut_leaves(g):
         assert cut == kept, k
 
 
-def test_doomed_cut_fires_on_a_cycle(monkeypatch):
+def test_pair_cut_fires_on_a_cycle(monkeypatch):
     # every vertex of a cycle is a partner of each vertex not next to it,
     # so once a class holds two vertices, most vertices are doomed.  C12
     # refutes 10 colors by disconnected committees; the search builds the
@@ -568,6 +568,34 @@ def test_doomed_cut_fires_on_a_cycle(monkeypatch):
     doomed = walks_at_ten()
     monkeypatch.setattr(solver, "_doomed_by", lambda *args: 0)
     assert 10 * doomed < walks_at_ten()
+
+
+def test_merge_cut_fires_on_a_cycle(monkeypatch):
+    # on C12 with its table, the prefix 0, 1, 0 puts no doomed vertex in
+    # {0, 2}, as the two vertices of a two-vertex class do not doom each
+    # other, but it dooms all 9 vertices still to place, and only 8 classes
+    # are still to open at 10 colors: one of them must join a class, so
+    # the search cuts the prefix before it places vertex 3
+    g = make_cycle(12)
+    res = compelling_chromatic_number(g, P.CONNECTED)
+    assert res.value == closed_forms.chi_conn_cycle(12)
+    partners = separation_pairs(g)
+    doomed = solver._doomed_by(partners, 0b1, 2)
+    assert not doomed & 0b101
+    assert doomed == g.full_mask & ~0b111
+    rule = solver._doomed_by
+    calls = []
+
+    def rule_spy(partners, old, v):
+        calls.append((old, v))
+        return rule(partners, old, v)
+
+    monkeypatch.setattr(solver, "_doomed_by", rule_spy)
+    assert not list(_iter_canonical(g, 10, P.CONNECTED))
+    # vertex 2 joining {0} comes first; had the search gone on below it,
+    # vertex 3 would next join {1}, but it goes on to 0, 1, 2, where vertex
+    # 3 joins {0}
+    assert calls[:2] == [(0b1, 2), (0b1, 3)]
     # with one color the one class holds every vertex: its committees are
     # single vertices, so nothing may be cut, though every vertex of an
     # edgeless graph separates it
