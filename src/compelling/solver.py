@@ -478,10 +478,10 @@ def _iter_canonical(
     the cut vertices of :func:`graphs.cut_vertices`, with bit n on a
     disconnected graph, where bit n of ``multi``, the placed vertices in
     classes of two or more, stands for the graph itself.  Once the
-    separation-pair table of :func:`graphs.separation_pairs` is read, it
-    also holds the partners of every vertex of ``multi``, except that the
-    two vertices of a two-vertex class do not doom each other
-    (:func:`_doomed_by`).  Take a completion, with its k colors, and a
+    separation-pair table of :func:`graphs.separation_pairs` is read, each
+    join also dooms the partners of the vertices it brings into ``multi``,
+    except that the two vertices of a two-vertex class do not doom each
+    other (:func:`_doomed_by`).  Take a completion, with its k colors, and a
     doomed vertex x in a class of two or more.  Let S be {x} for a cut
     vertex, empty for bit n, and {x, y} for a partner of y in ``multi``.
     Then G - S is disconnected and every class keeps a vertex outside S:
@@ -504,11 +504,11 @@ def _iter_canonical(
     low-link searches, so it is read when it is stored on g already, and
     else built only once n committee searches in a row before all k
     colors are open have cut, and only when G has as many edges as
-    vertices; then the doomed vertices are recomputed along the current
-    path.  It holds only the pairs of vertices that are not cut vertices;
-    trees, the connected graphs with fewer edges, and disconnected graphs
-    have none.  On a cycle every two vertices that are not adjacent form
-    such a pair.
+    vertices; its partners count from the next join on, as fewer doomed
+    vertices only cut less.  It holds only the pairs of vertices that are
+    not cut vertices; trees, the connected graphs with fewer edges, and
+    disconnected graphs have none.  On a cycle every two vertices that are
+    not adjacent form such a pair.
 
     The committee cut fires once all k colors are open, when some
     committee through the vertex v just placed fails ``prop``, searched by
@@ -544,8 +544,6 @@ def _iter_canonical(
     SearchTimeout once it is passed, checked every 1024 search steps.
     """
     n = g.n
-    if k < 1 or k > n:
-        return
     adj = g.adj_bits
     full = g.full_mask
     # every class fits a property with no per-vertex table: nothing is cut
@@ -576,8 +574,8 @@ def _iter_canonical(
     # multi_at[v] holds the vertices in classes of two or more vertices,
     # and bit n, which needs no class; doomed_at[v] holds the vertices that
     # no compelling completion puts in such a class: the cut vertices (and
-    # bit n on a disconnected graph), and once the separation-pair table
-    # is read, the partners of the vertices of multi_at[v].
+    # bit n on a disconnected graph), and the partners doomed by each join
+    # made once the separation-pair table is read.
     used_at = [0] * (n + 1)
     loose_at = [full] * (n + 1)
     held_at = [0] * n
@@ -664,13 +662,6 @@ def _iter_canonical(
                             streak = streak + 1 if cut else 0
                             if streak == n and g.edge_count >= n:
                                 partners = separation_pairs(g, deadline)
-                                # along the path; v was just cut, and its
-                                # next color redoes its own step
-                                for d in range(v):
-                                    old = masks[colors[d]] & ((1 << d) - 1)
-                                    doomed_at[d + 1] = doomed_at[d] | _doomed_by(
-                                        partners, old, d
-                                    )
                     if cut:  # come back to v for the next color
                         inside[c] = held
                         c += 1
@@ -694,14 +685,12 @@ def _iter_canonical(
 
 def _doomed_by(partners, old: int, v: int) -> int:
     """The vertices that v dooms in :func:`_iter_canonical` when it joins
-    the class ``old`` (0 when v opens a class), with ``partners`` the table
-    of :func:`graphs.separation_pairs`.  A class of two or more dooms the
+    the class ``old``, which is not empty, with ``partners`` the table of
+    :func:`graphs.separation_pairs`.  A class of two or more dooms the
     partners of its vertices, but the two vertices of a two-vertex class
     do not doom each other: when v joins {w}, neither v nor w is doomed by
     the other, and when v joins {w, x}, w and x are doomed if they are
     partners."""
-    if not old:
-        return 0
     w = (old & -old).bit_length() - 1
     rest = old ^ (1 << w)
     if not rest:

@@ -31,6 +31,7 @@ from .closed_forms import (
     FAMILIES,
     chi_conn_mop,
     chi_conn_tree,
+    chi_edge_high_chromatic,
     chi_edge_tree,
     chord_covers,
     edge_compelling_five_coloring,
@@ -135,8 +136,9 @@ def td3_corpus(seed: int = DEFAULT_SEED) -> tuple[Graph, ...]:
     return _corpus(seed + 7, 9)
 
 
-def named_families(max_n: int = 9) -> list[Graph]:
-    """Paths, cycles, stars, double brooms, and fans of order <= max_n."""
+def named_families() -> list[Graph]:
+    """Paths, cycles, stars, double brooms, and fans of order <= 9."""
+    max_n = 9
     graphs: list[Graph] = []
     graphs += [make_path(n) for n in range(2, max_n + 1)]
     graphs += [make_cycle(n) for n in range(3, max_n + 1)]
@@ -182,11 +184,11 @@ def _induced_is_forest(g: Graph, mask: int) -> bool:
     return edges == mask.bit_count() - comps
 
 
-def _minimal_cds_samples(g: Graph, rng: random.Random, tries: int = 4):
-    """The minimum connected dominating set plus a few deletion-minimal
-    ones obtained by shrinking the full vertex set in random orders."""
+def _minimal_cds_samples(g: Graph, rng: random.Random):
+    """The minimum connected dominating set plus the deletion-minimal ones
+    obtained by shrinking the full vertex set in four random orders."""
     samples = {tuple(minimum_connected_dominating_set(g))}
-    for _ in range(tries):
+    for _ in range(4):
         order = list(range(g.n))
         rng.shuffle(order)
         current = set(range(g.n))
@@ -480,7 +482,7 @@ def suite_extremal(seed: int = DEFAULT_SEED) -> SuiteResult:
             bad_conn2.append((g.name, conn, cb))
         if (conn == g.n) != is_complete(g):
             bad_connn.append((g.name, conn))
-        if 2 * chi >= g.n + 2 and edge != chi:
+        if chi_edge_high_chromatic(g) not in (None, edge):
             bad_high.append((g.name, chi, edge))
         if 2 * chi == g.n + 1 and edge != chi:
             shape = "connected" if is_connected(g) else "disconnected"
@@ -552,7 +554,7 @@ def suite_td3(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The polynomial tester against brute-force 3-class enumeration, plus
     the connectivity-equals-3 consequence against the exact solver."""
     result = SuiteResult("td3")
-    graphs = list(td3_corpus(seed)) + named_families(9)
+    graphs = list(td3_corpus(seed)) + named_families()
     bad_agree = []
     bad_sound = []
     slow = 0.0

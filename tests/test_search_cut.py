@@ -11,7 +11,9 @@ unplaced vertex as a class of its own.  Those tests compare its leaves
 with the compelling leaves of the uncut walk, and the search with a
 leaf-only reference: the uncut enumeration from the lower bound up, with
 each completed coloring judged by the set-level oracle.  A spy on the
-committee walk checks that the doomed test runs before any walk.
+committee walk checks that the doomed test runs before any walk, and one
+on the separation-pair table that the search builds it part way through
+a level, and cuts soundly once it has.
 
 ``is_compelling`` takes the least DOM, TDOM and ISOLATE_FREE committees
 from the per-vertex test, walks the committees for EDGE and CONNECTED,
@@ -187,7 +189,7 @@ def test_verify_answers_cdom_with_the_connected_search():
     # value on a disconnected graph, where the memo keeps it apart
     graphs = [
         *main_corpus(1729),
-        *named_families(9),
+        *named_families(),
         make_complete(1),
         make_empty(4),
         disjoint_union(make_path(3), make_cycle(4)),
@@ -240,6 +242,9 @@ def test_search_leaves_are_the_compelling_uncut_leaves(prop, data):
         if brute_compelling(g, c, prop)
     ]
     assert cut == kept
+    # no coloring has 0 or n + 1 colors
+    assert not list(_iter_canonical(g, 0, search))
+    assert not list(_iter_canonical(g, g.n + 1, search))
 
 
 @CUT_SETTINGS
@@ -600,6 +605,51 @@ def test_merge_cut_fires_on_a_cycle(monkeypatch):
     # single vertices, so nothing may be cut, though every vertex of an
     # edgeless graph separates it
     assert [c for c, _ in _iter_canonical(make_empty(4), 1, P.CONNECTED)] == [[0] * 4]
+
+
+def test_pair_table_built_part_way_through_a_level(monkeypatch):
+    # With no table stored, the streak rule may build it part way through a
+    # level, and its partners count from the next join on.  C12 starts its
+    # 10-color level with no table and builds it there, and gives the value
+    # and witness it gives with the table stored first.
+    table = solver.separation_pairs
+    search = solver._iter_canonical
+    built = []  # the order of each graph whose table is built
+    levels = []  # (k, the builds before the level starts)
+
+    def table_spy(graph, deadline=None, *, build=True):
+        if build:
+            built.append(graph.n)
+        return table(graph, deadline, build=build)
+
+    def search_spy(graph, k, *rest):
+        levels.append((k, len(built)))
+        yield from search(graph, k, *rest)
+
+    monkeypatch.setattr(solver, "separation_pairs", table_spy)
+    monkeypatch.setattr(solver, "_iter_canonical", search_spy)
+    res = compelling_chromatic_number(make_cycle(12), P.CONNECTED)
+    assert levels == [(10, 0), (11, 1)]
+    assert built == [12]
+    stored = make_cycle(12)
+    separation_pairs(stored)
+    assert res == compelling_chromatic_number(stored, P.CONNECTED)
+    assert res.value == closed_forms.chi_conn_cycle(12)
+    # each (cycle, k) on a fresh graph, so no level starts with the table
+    # stored: the leaves are the compelling uncut leaves whether or not the
+    # table is built during the level, and on some it is
+    built.clear()
+    for n in range(6, 11):
+        for k in range(1, n + 1):
+            g = make_cycle(n)
+            cut = [(tuple(c), tuple(m)) for c, m in _iter_canonical(g, k, P.CONNECTED)]
+            kept = [
+                (tuple(c), tuple(m))
+                for c, m in canonical_walk(g.adj_bits, k)
+                if brute_compelling(g, c, P.CONNECTED)
+            ]
+            assert cut == kept, (n, k)
+    assert built
 
 
 # ---------------------------------------------------------------------------

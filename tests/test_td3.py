@@ -187,7 +187,7 @@ def _tester_and_pair_scan(g):
 def test_has_tdc3_witnesses_match_the_pair_scan():
     # the tester tries each guessed class once; the reference tries every
     # pair and pair of pairs, and both must return the same witness
-    graphs = list(td3_corpus()) + named_families(9)
+    graphs = list(td3_corpus()) + named_families()
     graphs += [make_split_graph(m) for m in (2, 3, 4, 5, 8, 11, 15)]
     graphs += [make_random_mop(n, n) for n in (6, 10, 15, 20, 25, 30)]
     graphs += [
